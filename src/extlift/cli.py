@@ -7,7 +7,8 @@ sorted keys, so identical invocations produce identical bytes; human
 oriented progress for verify-all goes to stderr.
 
 Exit codes: 0 computed with positive verdict (or no verdict applies),
-1 computed with negative verdict, 2 input error, 3 bound exceeded.
+1 computed with negative verdict, 2 input error, 3 bound exceeded,
+4 internal error (a failed self-check, or memory or recursion exhausted).
 """
 
 from __future__ import annotations
@@ -350,6 +351,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ExtliftError as exc:
         _emit(args, {"error": str(exc), "kind": exc.__class__.__name__})
         return 2
+    except (AssertionError, MemoryError, RecursionError) as exc:
+        _emit(args, {"error": str(exc), "kind": exc.__class__.__name__})
+        return 4
     _emit(args, report)
     return code
 

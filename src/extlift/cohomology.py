@@ -11,6 +11,10 @@ Unknowns are the values f(x, y) for x, y != 1 only; normalization fixes the
 rest.  The cocycle system is first re-parametrized by the values f(x, s) on
 a generating set of second arguments, which keeps the kernel computation
 small even when |H| is large relative to |N|.
+
+The cocycle identity check (two_cocycle_defect) is array-based: it gathers
+the four terms of the identity as int64 arrays over H's Cayley array, one
+block of first arguments at a time, so memory stays O(h^2 k).
 """
 
 from __future__ import annotations
@@ -253,21 +257,48 @@ def _parse_cochain_json(group: FiniteGroup, data: dict, arity: int):
     return tuple(moduli), out
 
 
+# upper bound on the triples (x, y, z) gathered at once by two_cocycle_defect
+_CHECK_BLOCK_TRIPLES = 2 ** 15
+
+
 def two_cocycle_defect(f: TwoCochain, action: Action):
-    """First (x, y, z) where the cocycle identity fails, or None."""
-    G = f.group
-    m = f.moduli
-    h = G.order
-    mul = G.mul
-    for x in range(1, h):
-        for y in range(1, h):
-            fxy = f.values[x][y]
-            xy = mul(x, y)
-            for z in range(1, h):
-                lhs = vec_add(f.values[xy][z], act(action, z, fxy, m), m)
-                rhs = vec_add(f.values[x][mul(y, z)], f.values[y][z], m)
-                if lhs != rhs:
-                    return (x, y, z)
+    """First (x, y, z) where the cocycle identity fails, or None.
+
+    The four terms f(xy,z), A(z) f(x,y), f(x,yz) and f(y,z) are gathered as
+    int64 arrays for a block of first arguments x at a time, sized so a block
+    holds at most _CHECK_BLOCK_TRIPLES triples; memory stays O(h^2 k).
+    Triples with an identity argument hold by normalization and are skipped,
+    so the answer is the lexicographically first failing triple of
+    non-identity elements.
+    """
+    h = f.group.order
+    k = len(f.moduli)
+    if h <= 1 or k == 0:
+        return None
+    d = np.array(f.moduli, dtype=np.int64)
+    F = np.array(f.values, dtype=np.int64)
+    tab = f.group.cayley
+    sub = F[1:, 1:]                      # f(y, z)
+    yz = tab[1:, 1:]
+    if action is not None:
+        # entry (i, j) of A(z) matters mod d_i only; reducing bounds the products
+        A = np.array(action, dtype=np.int64)[1:] % d[None, :, None]
+    step = max(1, _CHECK_BLOCK_TRIPLES // ((h - 1) * (h - 1)))
+    for x0 in range(1, h, step):
+        xs = np.arange(x0, min(x0 + step, h))
+        fxy = F[xs, 1:]                  # f(x, y): (b, h-1, k)
+        if action is None:
+            acted = fxy[:, :, None, :]
+        else:
+            acted = np.einsum("zij,xyj->xyzi", A, fxy)
+        diff = (F[tab[xs, 1:], 1:]           # f(xy, z)
+                + acted
+                - F[xs[:, None, None], yz]    # f(x, yz)
+                - sub)
+        bad = (diff % d).any(axis=-1)
+        if bad.any():
+            i, y, z = np.argwhere(bad)[0]
+            return (int(xs[i]), int(y) + 1, int(z) + 1)
     return None
 
 
@@ -435,6 +466,7 @@ class CohomologyGroup:
             return 1
         G = self.group
         mul = G.mul
+        tab = G.cayley
         d = np.array(self.moduli, dtype=np.int64)
         gens = generating_set(G)
         ns = len(gens)
@@ -463,10 +495,8 @@ class CohomologyGroup:
                         for c in range(k):
                             Ey[x, c, ((x - 1) * ns + si) * k + c] = 1
                 else:
-                    perm = np.fromiter((mul(x, s) for x in range(h)),
-                                       dtype=np.int64, count=h)
                     Aw = mats[w]
-                    Ey = (E[w][perm]
+                    Ey = (E[w][tab[:, s]]
                           + np.einsum("ci,xir->xcr", Aw, E[s])
                           - E[w][s][None, :, :]) % dmod
                 E[y] = Ey
@@ -484,9 +514,7 @@ class CohomologyGroup:
             for z in range(1, h):
                 Ez = E[z]
                 yz = mul(y, z)
-                perm = np.fromiter((mul(x, y) for x in range(h)),
-                                   dtype=np.int64, count=h)
-                block = (Ez[perm]
+                block = (Ez[tab[:, y]]
                          + np.einsum("ci,xir->xcr", mats[z], Ey)
                          - E[yz]
                          - Ez[y][None, :, :])[1:]

@@ -33,12 +33,10 @@ __all__ = [
     "GroupHomomorphism",
     "GroupAutomorphism",
     "group_from_cayley",
-    "is_group",
     "group_from_permutations",
     "quotient_group",
     "center",
     "derived_subgroup",
-    "center_and_derived",
     "sylow_subgroup",
     "automorphism_group",
     "hom_by_generator_images",
@@ -85,13 +83,14 @@ def prime_factors(n: int) -> list[int]:
 class FiniteGroup:
     """Immutable finite group given by a validated Cayley table.
 
-    table[a][b] is the product a*b.  Element 0 is the identity.
+    table[a][b] is the product a*b.  Element 0 is the identity.  cayley is
+    the same table as a read-only int64 array, for vectorised callers.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G",
                  labels: Optional[Sequence[str]] = None):
         tab = tuple(tuple(int(v) for v in row) for row in table)
-        _validate_table(tab)
+        self.cayley = _validate_table(tab)
         self.table = tab
         self.order = len(tab)
         self.name = name
@@ -208,7 +207,8 @@ class FiniteGroup:
         return Subgroup(self, (0,))
 
 
-def _validate_table(tab: tuple[tuple[int, ...], ...]) -> None:
+def _validate_table(tab: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Check the group axioms; return the table as a read-only int64 array."""
     n = len(tab)
     if n == 0:
         raise InputError("Cayley table must be nonempty")
@@ -241,6 +241,8 @@ def _validate_table(tab: tuple[tuple[int, ...], ...]) -> None:
             a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
             if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
                 raise NotAssociative(f"associativity fails at ({a},{b},{c})")
+    m.flags.writeable = False
+    return m
 
 
 def group_from_cayley(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
@@ -268,15 +270,6 @@ def group_from_cayley(table: Sequence[Sequence[int]], name: str = "G") -> Finite
         sigma[0], sigma[ident] = ident, 0
         tab = [[sigma[tab[sigma[x]][sigma[y]]] for y in range(n)] for x in range(n)]
     return FiniteGroup(tab, name=name)
-
-
-def is_group(table: Sequence[Sequence[int]]) -> bool:
-    """True when the table is a group Cayley table (up to identity relabel)."""
-    try:
-        group_from_cayley(table)
-    except InputError:
-        return False
-    return True
 
 
 def _compose_perm(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -527,10 +520,6 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
         comms = {G.commutator(a, b) for a in range(G.order) for b in range(G.order)}
         G._derived = Subgroup(G, G.closure(comms))
     return G._derived
-
-
-def center_and_derived(G: FiniteGroup) -> tuple[Subgroup, Subgroup]:
-    return center(G), derived_subgroup(G)
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:

@@ -22,8 +22,8 @@ from .cohomology import TwoCochain
 from .errors import (BoundExceeded, NotCentral, NotExtraspecialShape,
                      NotSplit, ParentMismatch)
 from .groups import (FiniteGroup, GroupAutomorphism, GroupHomomorphism,
-                     Subgroup, center, derived_subgroup, generating_set,
-                     hom_by_generator_images)
+                     Subgroup, _compose_perm, center, derived_subgroup,
+                     generating_set, hom_by_generator_images)
 from .wells import ExtensionData, aut_subgroups, compatible_pairs, lambda1, lambda2, \
     lambda_pair, triple_of
 
@@ -95,14 +95,12 @@ def split_kernels(ext: ExtensionData) -> SplitKernels:
     if ext.central:
         c_star = tuple(pr for pr in pairs
                        if lambda_pair(ext, pr.theta, pr.phi).is_trivial)
-    _require_closed([th.image for th in c1_star],
-                    lambda a, b: _compose_images(a, b))
-    _require_closed([ph.image for ph in c2_star],
-                    lambda a, b: _compose_images(a, b))
+    _require_closed([th.image for th in c1_star], _compose_perm)
+    _require_closed([ph.image for ph in c2_star], _compose_perm)
     if c_star is not None:
         _require_closed([(pr.theta.image, pr.phi.image) for pr in c_star],
-                        lambda a, b: (_compose_images(a[0], b[0]),
-                                      _compose_images(a[1], b[1])))
+                        lambda a, b: (_compose_perm(a[0], b[0]),
+                                      _compose_perm(a[1], b[1])))
     subs = aut_subgroups(ext)
     kernel = len(subs.aut_upper_N_H)
     if len(subs.aut_N_H) != kernel * len(c1_star):
@@ -112,10 +110,6 @@ def split_kernels(ext: ExtensionData) -> SplitKernels:
     if c_star is not None and len(subs.aut_N_of_G) != kernel * len(c_star):
         raise AssertionError("pair sequence order identity fails")
     return SplitKernels(c1_star, c2_star, c_star)
-
-
-def _compose_images(p, q):
-    return tuple(p[v] for v in q)
 
 
 def _require_closed(keys, mul) -> None:
@@ -174,8 +168,8 @@ def _domain_key(sequence: int, member):
 
 def _domain_compose(sequence: int, a, b):
     if sequence == 3:
-        return (_compose_images(a[0], b[0]), _compose_images(a[1], b[1]))
-    return _compose_images(a, b)
+        return (_compose_perm(a[0], b[0]), _compose_perm(a[1], b[1]))
+    return _compose_perm(a, b)
 
 
 def _verify_section(ext: ExtensionData, sec: Section) -> None:
@@ -189,7 +183,7 @@ def _verify_section(ext: ExtensionData, sec: Section) -> None:
     for i, a in enumerate(keys):
         for j, b in enumerate(keys):
             prod = index[_domain_compose(sec.sequence, a, b)]
-            composed = _compose_images(sec.images[i].image, sec.images[j].image)
+            composed = _compose_perm(sec.images[i].image, sec.images[j].image)
             if composed != sec.images[prod].image:
                 raise AssertionError("section is not a homomorphism")
 
@@ -273,7 +267,7 @@ def section_search(ext: ExtensionData, which: int) -> Optional[Section]:
         members[spos[keys[i]]] = m
 
     ckeys = [g.image for g in cands]
-    T, cpos = _abstract_group(ckeys, _compose_images)
+    T, cpos = _abstract_group(ckeys, _compose_perm)
     tmembers = [None] * len(cands)
     for g in cands:
         tmembers[cpos[g.image]] = g

@@ -24,16 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .abelian import (AbelianStructure, Vector, abelian_structure, mat_mul,
-                      mat_vec, matrix_of_endomorphism, restrict_to_matrix,
-                      vec_sub)
+import numpy as np
+
+from .abelian import (AbelianStructure, Vector, abelian_structure, mat_vec,
+                      matrix_of_endomorphism, restrict_to_matrix, vec_sub)
 from .cohomology import (CohomologyClass, CohomologyGroup, OneCochain,
-                         TwoCochain, coboundary_of, is_two_cocycle,
-                         two_cocycle_defect)
+                         TwoCochain, coboundary_of, two_cocycle_defect)
 from .errors import (DoesNotNormalize, InputError, NotCentral, NotCompatible,
                      ParentMismatch, TripleConditionsFail)
-from .groups import (FiniteGroup, GroupAutomorphism, GroupHomomorphism,
-                     Subgroup, automorphism_group, center, quotient_group)
+from .groups import (FiniteGroup, GroupAutomorphism, Subgroup, _compose_perm,
+                     automorphism_group, center, quotient_group)
 
 __all__ = [
     "ExtensionData",
@@ -73,11 +73,6 @@ class WellsTriple(NamedTuple):
     chi: OneCochain           # H -> N in coordinates
 
 
-def _compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    # image tuple of p after q
-    return tuple(p[v] for v in q)
-
-
 class ExtensionData:
     """A group G with abelian normal N, quotient H, transversal and factor set.
 
@@ -85,6 +80,9 @@ class ExtensionData:
     conjugation action of H on N does not depend on the transversal (N is
     abelian), so rebuilding with a different transversal shares the
     coordinate structure, the action and the cohomology solver.
+
+    action_array (h, k, k) and mu_array (h, h, k) hold the action matrices
+    and the factor set as read-only int64 arrays for the triple check.
     """
 
     def __init__(self, G: FiniteGroup, N: Subgroup,
@@ -103,6 +101,7 @@ class ExtensionData:
             self.n_group = _share.n_group
             self.alpha = _share.alpha
             self.action = _share.action
+            self.action_array = _share.action_array
             self.central = _share.central
             self._cohomology = _share._cohomology
         else:
@@ -129,6 +128,7 @@ class ExtensionData:
                     raise InputError(f"transversal value {g} is not in coset {x}")
         self.transversal = tuple(t)
         self.mu = self._build_mu()
+        self.mu_array = _frozen(self.mu.values, (h, h, len(self.moduli)))
 
     def _build_action(self) -> None:
         G, N = self.G, self.N
@@ -144,6 +144,8 @@ class ExtensionData:
         if self.central != in_center:
             raise AssertionError("centrality flag disagrees with the center test")
         self.action = tuple(matrix_of_endomorphism(self.coeffs, a) for a in alpha)
+        k = len(self.moduli)
+        self.action_array = _frozen(self.action, (self.H.order, k, k))
 
     def _build_mu(self) -> TwoCochain:
         G = self.G
@@ -200,6 +202,12 @@ class ExtensionData:
                 f"|H|={self.H.order}{', central' if self.central else ''})")
 
 
+def _frozen(values, shape) -> np.ndarray:
+    arr = np.array(values, dtype=np.int64).reshape(shape)
+    arr.flags.writeable = False
+    return arr
+
+
 def extension_from(G: FiniteGroup, N: Subgroup) -> ExtensionData:
     """Extension data for abelian normal N <= G with the minimal transversal."""
     return ExtensionData(G, N)
@@ -231,7 +239,7 @@ def is_compatible(ext: ExtensionData, theta: GroupAutomorphism,
     _check_phi(ext, phi)
     ti = theta.image
     for x in range(ext.H.order):
-        if _compose_images(ti, ext.alpha[x]) != _compose_images(ext.alpha[phi(x)], ti):
+        if _compose_perm(ti, ext.alpha[x]) != _compose_perm(ext.alpha[phi(x)], ti):
             return False
     return True
 
@@ -248,8 +256,8 @@ def compatible_pairs(ext: ExtensionData, verify_closure: bool = True):
         seen = {(p.theta.image, p.phi.image) for p in pairs}
         for p in pairs:
             for q in pairs:
-                key = (_compose_images(p.theta.image, q.theta.image),
-                       _compose_images(p.phi.image, q.phi.image))
+                key = (_compose_perm(p.theta.image, q.theta.image),
+                       _compose_perm(p.phi.image, q.phi.image))
                 if key not in seen:
                     raise AssertionError("compatible pairs are not closed "
                                          "under composition")
@@ -328,24 +336,33 @@ def lambda_pair(ext: ExtensionData, theta: GroupAutomorphism,
 
 def _triple_defect(ext: ExtensionData, theta: GroupAutomorphism,
                    phi: GroupAutomorphism, chi: OneCochain):
-    """First violated triple condition as (name, where), or None."""
-    T = restrict_to_matrix(ext.coeffs, theta)
-    m = ext.moduli
+    """First violated triple condition as (name, where), or None.
+
+    Condition (3) is checked as T A(x) - A(phi x) T over all x at once, then
+    condition (2) over all pairs (x, y) at once; each reports its
+    lexicographically first failure.
+    """
     h = ext.H.order
-    for x in range(h):
-        lhs = mat_mul(T, ext.action[x], m)
-        rhs = mat_mul(ext.action[phi(x)], T, m)
-        if lhs != rhs:
-            return ("(3)", x)
-    mu = ext.mu
-    mulH = ext.H.mul
-    for x in range(h):
-        for y in range(h):
-            lhs = vec_sub(mu(phi(x), phi(y)), mat_vec(T, mu(x, y), m), m)
-            rhs = vec_sub(vec_sub(chi(mulH(x, y)), chi(y), m),
-                          mat_vec(ext.action[phi(y)], chi(x), m), m)
-            if lhs != rhs:
-                return ("(2)", (x, y))
+    k = len(ext.moduli)
+    d = np.array(ext.moduli, dtype=np.int64)
+    T = np.array(restrict_to_matrix(ext.coeffs, theta),
+                 dtype=np.int64).reshape(k, k)
+    A = ext.action_array
+    p = np.array(phi.image, dtype=np.int64)
+    A_phi = A[p]
+    bad = ((T @ A - A_phi @ T) % d[:, None]).any(axis=(1, 2))
+    if bad.any():
+        return ("(3)", int(np.argmax(bad)))
+    mu = ext.mu_array
+    C = np.array(chi.values, dtype=np.int64).reshape(h, k)
+    lhs = mu[p[:, None], p[None, :]] - mu @ T.T
+    # chi(xy) - chi(y) - A(phi y) chi(x), indexed [x, y]
+    rhs = (C[ext.H.cayley] - C[None, :, :]
+           - np.einsum("yij,xj->xyi", A_phi, C))
+    bad = ((lhs - rhs) % d).any(axis=-1)
+    if bad.any():
+        x, y = np.argwhere(bad)[0]
+        return ("(2)", (int(x), int(y)))
     return None
 
 

@@ -174,3 +174,63 @@ def brute_cohomology(H: FiniteGroup, moduli: tuple[int, ...],
     b2 = len(coboundaries)
     assert z2 % b2 == 0
     return z2, b2, z2 // b2
+
+
+def _apply(action, moduli, x, vec):
+    """A(x) vec reduced mod the moduli; action None is the identity."""
+    k = len(moduli)
+    if action is None:
+        return tuple(v % m for v, m in zip(vec, moduli))
+    M = action[x]
+    return tuple(sum(M[i][j] * vec[j] for j in range(k)) % moduli[i]
+                 for i in range(k))
+
+
+def brute_cocycle_defect(f, action=None):
+    """First (x, y, z) of non-identity elements, in lexicographic order,
+    where f(xy,z) + A(z) f(x,y) = f(x,yz) + f(y,z) fails, or None."""
+    H, moduli, vals = f.group, f.moduli, f.values
+    t = H.table
+    for x in range(1, H.order):
+        for y in range(1, H.order):
+            for z in range(1, H.order):
+                acted = _apply(action, moduli, z, vals[x][y])
+                left = tuple((a + b) % m for a, b, m in
+                             zip(vals[t[x][y]][z], acted, moduli))
+                right = tuple((a + b) % m for a, b, m in
+                              zip(vals[x][t[y][z]], vals[y][z], moduli))
+                if left != right:
+                    return (x, y, z)
+    return None
+
+
+def brute_triple_defect(ext, T, phi_image, chi_values):
+    """First failure of the triple conditions by direct loops, or None.
+
+    T is theta's coordinate matrix.  Condition (3), T A(x) = A(phi x) T,
+    is tried for every x first; then condition (2),
+    mu(phi x, phi y) - T mu(x, y) = chi(xy) - chi(y) - A(phi y) chi(x),
+    for every (x, y) in lexicographic order.
+    """
+    moduli, action, mu = ext.moduli, ext.action, ext.mu.values
+    k = len(moduli)
+    h = ext.H.order
+    t = ext.H.table
+    for x in range(h):
+        for i in range(k):
+            for j in range(k):
+                left = sum(T[i][l] * action[x][l][j] for l in range(k))
+                right = sum(action[phi_image[x]][i][l] * T[l][j] for l in range(k))
+                if (left - right) % moduli[i]:
+                    return ("(3)", x)
+    for x in range(h):
+        for y in range(h):
+            moved = [sum(T[i][j] * mu[x][y][j] for j in range(k))
+                     for i in range(k)]
+            acted = _apply(action, moduli, phi_image[y], chi_values[x])
+            for i in range(k):
+                left = mu[phi_image[x]][phi_image[y]][i] - moved[i]
+                right = chi_values[t[x][y]][i] - chi_values[y][i] - acted[i]
+                if (left - right) % moduli[i]:
+                    return ("(2)", (x, y))
+    return None

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from extlift import catalog, direct_product
+from extlift import cli
 from extlift.cli import main
 from extlift.reports import dumps, group_json
 
@@ -242,6 +243,19 @@ def test_max_order_flag_trips_bound(capsys):
                           "--coeffs", "cyclic(2)", "--max-order", "100")
     assert code == 3
     assert report["kind"] == "BoundExceeded"
+
+
+@pytest.mark.parametrize("exc", [
+    AssertionError("recovered witness does not reproduce the cocycle"),
+    MemoryError(), RecursionError("maximum recursion depth exceeded")])
+def test_internal_error_exits_4(capsys, monkeypatch, exc):
+    def broken(args):
+        raise exc
+    monkeypatch.setattr(cli, "_cmd_h2", broken)
+    code, report, _ = run(capsys, "h2", "--group", "cyclic(2)",
+                          "--coeffs", "cyclic(2)")
+    assert code == 4
+    assert report == {"error": str(exc), "kind": type(exc).__name__}
 
 
 def test_input_error_paths(capsys):

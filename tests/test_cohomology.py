@@ -10,10 +10,12 @@ from extlift import (BoundExceeded, InputError, NotACocycle, OneCochain,
                      coboundary_of, cohomology_group, extension_from,
                      is_two_cocycle, trivial_action, two_cocycle_defect)
 from extlift.abelian import vec_add
-from extlift.cohomology import class_eq, validate_action
-from extlift.groups import center
+from extlift.cohomology import (_CHECK_BLOCK_TRIPLES, class_eq,
+                                validate_action)
+from extlift.groups import all_subgroups, center
 
-from oracles import H2_SPACE_BOUND, brute_cohomology, h2_search_space
+from oracles import (H2_SPACE_BOUND, brute_cocycle_defect, brute_cohomology,
+                     h2_search_space)
 
 Z2 = catalog("cyclic", 2)
 Z3 = catalog("cyclic", 3)
@@ -94,7 +96,7 @@ def test_coboundaries_are_cocycles():
 
 
 def test_cocycle_defect_reports_triple():
-    # indicator of (1, 1) fails the identity at (1, 1, 3)
+    # indicator of (1, 1) first fails the identity at (1, 1, 2)
     f = TwoCochain.from_function(Z4, (4,),
                                  lambda x, y: (1 if x == y == 1 else 0,))
     assert not is_two_cocycle(f, None)
@@ -104,6 +106,69 @@ def test_cocycle_defect_reports_triple():
     lhs = vec_add(f(y, z), f(x, (y + z) % 4), (4,))
     rhs = vec_add(f((x + y) % 4, z), f(x, y), (4,))
     assert lhs != rhs
+
+
+def _perturbation_cases():
+    """(extension, label): trivial and non-trivial actions, ranks 1 and 2."""
+    from extlift import direct_product, group_from_permutations
+    d8 = catalog("dihedral", 8)
+    he3 = catalog("heisenberg", 3)
+    s4 = group_from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)], name="sym4")
+    klein = next(S for S in all_subgroups(s4) if S.order == 4 and S.is_normal())
+    z2d8 = direct_product(catalog("cyclic", 2), d8)
+    return [
+        (extension_from(d8, center(d8)), "trivial, k=1"),
+        (extension_from(he3, center(he3)), "trivial, |H|=9"),
+        (extension_from(z2d8, center(z2d8)), "trivial, k=2"),
+        (extension_from(d8, Subgroup(d8, [0, 1, 2, 3])), "inversion, k=1"),
+        (extension_from(s4, klein), "S3 on V4, k=2"),
+    ]
+
+
+@pytest.mark.parametrize("ext,label", _perturbation_cases())
+def test_cocycle_defect_matches_brute_force_on_perturbed_factor_sets(ext, label):
+    H, m = ext.H, ext.moduli
+    assert two_cocycle_defect(ext.mu, ext.cocycle_action) is None
+    for a in range(1, H.order):
+        for b in range(1, H.order):
+            vals = [list(row) for row in ext.mu.values]
+            c = (a + b) % len(m)
+            vals[a][b] = tuple((v + (i == c)) % d
+                               for i, (v, d) in enumerate(zip(vals[a][b], m)))
+            f = TwoCochain(H, m, vals)
+            got = two_cocycle_defect(f, ext.cocycle_action)
+            assert got == brute_cocycle_defect(f, ext.cocycle_action)
+            assert got is not None and all(type(v) is int for v in got)
+
+
+def test_cocycle_defect_found_in_last_block_of_first_arguments():
+    """|H| = 49 splits the first arguments into several blocks.
+
+    For a genuine action the first arguments x with no failing (x, y, z)
+    form a subgroup, so on Z7 x Z7 the first defect always lies among the
+    first 14 elements.  A coboundary taken with a non-multiplicative matrix
+    family fails exactly where chi is non-zero:
+    defect(x, y, z) = (A(yz) - A(z) A(y)) chi(x).
+    """
+    G = catalog("heisenberg", 7)
+    ext = extension_from(G, center(G))
+    H, m = ext.H, ext.moduli
+    h = H.order
+    assert h == 49
+    step = _CHECK_BLOCK_TRIPLES // ((h - 1) * (h - 1))
+    last = 1 + (h - 2) // step * step    # first x of the last block
+    assert 1 < last < h - 1
+    twisted = [((1,),)] + [((2,),)] * (h - 1)
+    chi = [(0,)] * h
+    chi[last + 1] = (3,)
+    f = coboundary_of(OneCochain(H, m, chi), twisted)
+    got = two_cocycle_defect(f, twisted)
+    assert got == brute_cocycle_defect(f, twisted) == (last + 1, 1, 1)
+    # a perturbed factor set still fails in the first block
+    vals = [list(row) for row in ext.mu.values]
+    vals[last + 1][h - 1] = ((vals[last + 1][h - 1][0] + 1) % 7,)
+    f = TwoCochain(H, m, vals)
+    assert two_cocycle_defect(f, None) == brute_cocycle_defect(f, None)
 
 
 def test_mu_of_extension_is_cocycle():
@@ -178,7 +243,8 @@ def test_solve_rejects_non_cocycles():
     assert two_cocycle_defect(f, cg.action) is not None
     with pytest.raises(NotACocycle):
         cg.coboundary_solve(f)
-    with pytest.raises(NotACocycle):
+    with pytest.raises(NotACocycle,
+                       match=r"^cocycle identity fails at \(1, 1, 2\)$"):
         cg.class_of(f)
 
 

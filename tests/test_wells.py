@@ -17,12 +17,12 @@ from extlift import (DoesNotNormalize, InputError, NotCentral, NotCompatible,
                      lift_automorphism, lift_pair, random_transversal,
                      triple_of, verify_exactness, wells_cocycle_pair,
                      wells_cocycle_phi, wells_cocycle_theta)
-from extlift.abelian import mat_vec
+from extlift.abelian import mat_vec, restrict_to_matrix
 from extlift.groups import (GroupAutomorphism, all_subgroups, center,
                             derived_subgroup)
 
-from oracles import (aut_normalizing, extension_witnesses, lift_witnesses,
-                     pair_witnesses)
+from oracles import (aut_normalizing, brute_triple_defect,
+                     extension_witnesses, lift_witnesses, pair_witnesses)
 
 
 def _alt4():
@@ -303,6 +303,51 @@ def test_bad_triples_are_rejected():
         automorphism_from_triple(ext, WellsTriple(ext.id_N, ext.id_H, chi))
 
 
+def _sym4():
+    return group_from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)],
+                                   name="sym4")
+
+
+@pytest.mark.parametrize("G,kernel", [
+    (catalog("dihedral", 8), "center"),
+    (catalog("heisenberg", 3), "center"),
+    (_alt4(), "derived"),
+    (_sym4(), "klein"),
+])
+def test_triple_failures_match_brute_force(G, kernel):
+    """automorphism_from_triple names the condition and the position that a
+    direct loop over the conditions finds first."""
+    if kernel == "center":
+        N = center(G)
+    elif kernel == "derived":
+        N = derived_subgroup(G)
+    else:
+        N = next(S for S in all_subgroups(G) if S.order == 4 and S.is_normal())
+    ext = extension_from(G, N)
+    h, m = ext.H.order, ext.moduli
+    rng = random.Random(11)
+    chis = [triple_of(ext, g).chi for g in automorphism_group(G)
+            if {g(x) for x in N.members} == N.member_set]
+    seen = set()
+    for theta in automorphism_group(ext.n_group):
+        T = restrict_to_matrix(ext.coeffs, theta)
+        for phi in automorphism_group(ext.H):
+            vals = list(rng.choice(chis).values)
+            vals[rng.randrange(1, h)] = tuple(rng.randrange(d) for d in m)
+            chi = OneCochain(ext.H, m, vals)
+            triple = WellsTriple(theta, phi, chi)
+            want = brute_triple_defect(ext, T, phi.image, chi.values)
+            if want is None:
+                automorphism_from_triple(ext, triple)
+                continue
+            seen.add(want[0])
+            with pytest.raises(TripleConditionsFail) as err:
+                automorphism_from_triple(ext, triple)
+            assert str(err.value) == \
+                f"triple condition {want[0]} fails at {want[1]}"
+    assert seen == ({"(2)"} if ext.central else {"(2)", "(3)"})
+
+
 def test_parent_checks_on_automorphism_arguments():
     d8 = catalog("dihedral", 8)
     ext = extension_from(d8, center(d8))
@@ -331,6 +376,7 @@ def test_transversal_validation():
     other = ext.with_transversal(t)
     assert other.transversal == tuple(t)
     assert other.action is ext.action
+    assert other.action_array is ext.action_array
 
 
 def test_extension_requires_matching_parent_and_abelian_normal_kernel():
