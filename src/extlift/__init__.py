@@ -13,8 +13,8 @@ from .catalog import (CATALOG_NAMES, catalog, direct_product,
                       parse_catalog_expression, semidirect_product,
                       shipped_corpus)
 from .cohomology import (CohomologyClass, CohomologyGroup, OneCochain,
-                         TwoCochain, coboundary_of, cohomology_group,
-                         is_two_cocycle, trivial_action, two_cocycle_defect)
+                         TwoCochain, coboundary_of, is_two_cocycle,
+                         trivial_action, two_cocycle_defect)
 from .errors import *  # noqa: F401,F403  (re-export the exception hierarchy)
 from .errors import __all__ as _error_names
 from .groups import (FiniteGroup, GroupAutomorphism, GroupHomomorphism,
@@ -48,7 +48,7 @@ __all__ = [
     "CATALOG_NAMES", "catalog", "direct_product", "parse_catalog_expression",
     "semidirect_product", "shipped_corpus",
     "CohomologyClass", "CohomologyGroup", "OneCochain", "TwoCochain",
-    "coboundary_of", "cohomology_group", "is_two_cocycle", "trivial_action",
+    "coboundary_of", "is_two_cocycle", "trivial_action",
     "two_cocycle_defect",
     "FiniteGroup", "GroupAutomorphism", "GroupHomomorphism", "Subgroup",
     "abelian_normal_subgroups", "all_subgroups", "automorphism_group",

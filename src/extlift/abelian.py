@@ -10,8 +10,9 @@ explicit retraction onto that summand, so each step is verified.
 
 from __future__ import annotations
 
-from math import prod
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import InputError, ParentMismatch
 from .groups import FiniteGroup, GroupAutomorphism, Subgroup
@@ -20,66 +21,15 @@ __all__ = [
     "AbelianStructure",
     "abelian_structure",
     "vec_reduce",
-    "vec_add",
-    "vec_sub",
-    "vec_neg",
-    "vec_scale",
-    "mat_identity",
-    "mat_vec",
-    "mat_mul",
-    "mat_eq",
     "matrix_of_endomorphism",
     "restrict_to_matrix",
 ]
 
 Vector = tuple[int, ...]
-Matrix = tuple[tuple[int, ...], ...]
 
 
 def vec_reduce(v: Sequence[int], moduli: Sequence[int]) -> Vector:
     return tuple(x % m for x, m in zip(v, moduli))
-
-
-def vec_add(a: Sequence[int], b: Sequence[int], moduli: Sequence[int]) -> Vector:
-    return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
-
-
-def vec_sub(a: Sequence[int], b: Sequence[int], moduli: Sequence[int]) -> Vector:
-    return tuple((x - y) % m for x, y, m in zip(a, b, moduli))
-
-
-def vec_neg(a: Sequence[int], moduli: Sequence[int]) -> Vector:
-    return tuple((-x) % m for x, m in zip(a, moduli))
-
-
-def vec_scale(c: int, a: Sequence[int], moduli: Sequence[int]) -> Vector:
-    return tuple((c * x) % m for x, m in zip(a, moduli))
-
-
-def mat_identity(k: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-
-
-def mat_vec(M: Matrix, v: Sequence[int], moduli: Sequence[int]) -> Vector:
-    return tuple(
-        sum(M[i][j] * v[j] for j in range(len(v))) % moduli[i]
-        for i in range(len(moduli))
-    )
-
-
-def mat_mul(A: Matrix, B: Matrix, moduli: Sequence[int]) -> Matrix:
-    k = len(moduli)
-    return tuple(
-        tuple(sum(A[i][l] * B[l][j] for l in range(k)) % moduli[i] for j in range(k))
-        for i in range(k)
-    )
-
-
-def mat_eq(A: Matrix, B: Matrix, moduli: Sequence[int]) -> bool:
-    k = len(moduli)
-    return all(
-        (A[i][j] - B[i][j]) % moduli[i] == 0 for i in range(k) for j in range(k)
-    )
 
 
 class AbelianStructure:
@@ -230,18 +180,19 @@ def _coordinate_table(N: FiniteGroup, gens: Sequence[int],
 
 
 def matrix_of_endomorphism(structure: AbelianStructure,
-                           image: Sequence[int]) -> Matrix:
-    """Matrix (acting on coordinate columns) of a map given on n_group elements."""
+                           image: Sequence[int]) -> np.ndarray:
+    """(k, k) int64 matrix, acting on coordinate columns, of a map given on
+    n_group elements; entry (i, j) lies in [0, d_i)."""
     k = structure.rank
     cols = []
     for j in range(k):
         unit = tuple(1 if i == j else 0 for i in range(k))
         cols.append(structure.to_coords(image[structure.from_coords(unit)]))
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+    return np.array(cols, dtype=np.int64).reshape(k, k).T
 
 
 def restrict_to_matrix(structure: AbelianStructure,
-                       theta: GroupAutomorphism) -> Matrix:
+                       theta: GroupAutomorphism) -> np.ndarray:
     """Coordinate matrix of an automorphism of the standalone subgroup group."""
     if theta.group is not structure.n_group:
         raise ParentMismatch("automorphism is not defined on this subgroup")

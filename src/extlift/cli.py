@@ -9,6 +9,7 @@ oriented progress for verify-all goes to stderr.
 Exit codes: 0 computed with positive verdict (or no verdict applies),
 1 computed with negative verdict, 2 input error, 3 bound exceeded,
 4 internal error (a failed self-check, or memory or recursion exhausted).
+Errors print one {"error", "kind"} record; "error" is never empty.
 """
 
 from __future__ import annotations
@@ -333,6 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _error_record(args, exc: BaseException) -> dict:
+    """The error report; an exception without a message (a bare MemoryError)
+    is named by the subcommand and its kind instead."""
+    kind = exc.__class__.__name__
+    return {"error": str(exc) or f"{args.command}: {kind}", "kind": kind}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -343,16 +351,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         report, code = args.func(args)
     except BoundExceeded as exc:
-        _emit(args, {"error": str(exc), "kind": exc.__class__.__name__})
+        _emit(args, _error_record(args, exc))
         return 3
     except (InputError, SylowNotInvariant) as exc:
-        _emit(args, {"error": str(exc), "kind": exc.__class__.__name__})
+        _emit(args, _error_record(args, exc))
         return 2
     except ExtliftError as exc:
-        _emit(args, {"error": str(exc), "kind": exc.__class__.__name__})
+        _emit(args, _error_record(args, exc))
         return 2
     except (AssertionError, MemoryError, RecursionError) as exc:
-        _emit(args, {"error": str(exc), "kind": exc.__class__.__name__})
+        _emit(args, _error_record(args, exc))
         return 4
     _emit(args, report)
     return code

@@ -1,32 +1,35 @@
 """Normalized cochains of H with coefficients in a finite abelian group.
 
-Coefficients live in Z/d_1 x ... x Z/d_k coordinates and H acts through
-integer matrices A(x) (None meaning the trivial action), composed so that
-A(xy) = A(y) A(x).  Cocycle and coboundary counts come from exact integer
-linear algebra: the coboundary image is held in a triangular lattice whose
-rows remember how they were assembled (giving constructive witnesses), and
-the cocycle kernel is counted through the dual of the constraint system.
+Coefficients live in Z/d_1 x ... x Z/d_k coordinates.  A 1-cochain is a
+read-only int64 array of shape (h, k) and a 2-cochain one of shape
+(h, h, k), reduced into [0, d_i) once, at construction.  H acts through a
+read-only (h, k, k) int64 array of matrices A(x) (None meaning the trivial
+action), composed so that A(xy) = A(y) A(x).  Cocycle and coboundary counts
+come from exact integer linear algebra: the coboundary image is held in a
+triangular lattice whose rows remember how they were assembled (giving
+constructive witnesses), and the cocycle kernel is counted through the dual
+of the constraint system.
 
 Unknowns are the values f(x, y) for x, y != 1 only; normalization fixes the
 rest.  The cocycle system is first re-parametrized by the values f(x, s) on
 a generating set of second arguments, which keeps the kernel computation
 small even when |H| is large relative to |N|.
 
-The cocycle identity check (two_cocycle_defect) is array-based: it gathers
-the four terms of the identity as int64 arrays over H's Cayley array, one
-block of first arguments at a time, so memory stays O(h^2 k).
+The cocycle identity check (two_cocycle_defect) gathers the four terms of
+the identity over H's Cayley array, one block of first arguments at a time,
+so memory stays O(h^2 k).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import config
-from .abelian import (Matrix, Vector, mat_identity, mat_mul, mat_eq, mat_vec,
-                      vec_add, vec_reduce, vec_sub)
+from .abelian import Vector
 from .errors import BoundExceeded, InputError, NotACocycle, ParentMismatch
 from .groups import FiniteGroup, GroupAutomorphism, generating_set
 from .intlin import TriangularLattice, kernel_order
@@ -38,26 +41,37 @@ __all__ = [
     "CohomologyClass",
     "validate_action",
     "trivial_action",
-    "act",
     "is_two_cocycle",
     "two_cocycle_defect",
     "coboundary_of",
-    "cohomology_group",
-    "coboundary_solve",
     "class_eq",
 ]
 
-Action = Optional[tuple[Matrix, ...]]
+# read-only (h, k, k) int64 array of action matrices; None is the trivial action
+Action = Optional[np.ndarray]
 
 
-def trivial_action(group: FiniteGroup, moduli: Sequence[int]) -> tuple[Matrix, ...]:
-    return (mat_identity(len(moduli)),) * group.order
+@lru_cache(maxsize=256)
+def _moduli_array(moduli: tuple[int, ...]) -> np.ndarray:
+    """One shared read-only array per moduli tuple; every new cochain uses it."""
+    d = np.array(moduli, dtype=np.int64)
+    d.flags.writeable = False
+    return d
 
 
-def validate_action(group: FiniteGroup, moduli: Sequence[int], action) -> None:
-    """Check an H-indexed matrix family is a well-defined right action."""
+def trivial_action(group: FiniteGroup, moduli: Sequence[int]) -> np.ndarray:
+    k = len(moduli)
+    return np.broadcast_to(np.eye(k, dtype=np.int64), (group.order, k, k))
+
+
+def validate_action(group: FiniteGroup, moduli: Sequence[int], action) -> Action:
+    """Check an H-indexed matrix family is a well-defined right action.
+
+    Returns it as a read-only (h, k, k) int64 array (None stays None); a
+    read-only int64 array of that shape is returned as it is.
+    """
     if action is None:
-        return
+        return None
     h = group.order
     k = len(moduli)
     if len(action) != h:
@@ -65,79 +79,109 @@ def validate_action(group: FiniteGroup, moduli: Sequence[int], action) -> None:
     for x, M in enumerate(action):
         if len(M) != k or any(len(row) != k for row in M):
             raise InputError(f"action matrix {x} is not {k}x{k}")
-        for i in range(k):
-            for j in range(k):
-                if (M[i][j] * moduli[j]) % moduli[i]:
-                    raise InputError(
-                        f"action matrix {x} entry ({i},{j}) is not defined "
-                        f"on Z/{moduli[j]} -> Z/{moduli[i]}")
-    if not mat_eq(action[0], mat_identity(k), moduli):
+    A = np.asarray(action, dtype=np.int64)
+    if A.shape != (h, k, k):
+        A = A.reshape(h, k, k)
+    if A.flags.writeable:
+        A = A.copy()
+        A.flags.writeable = False
+    d = _moduli_array(tuple(moduli))
+    undefined = (A * d) % d[:, None]
+    if undefined.any():
+        x, i, j = (int(v) for v in np.argwhere(undefined)[0])
+        raise InputError(
+            f"action matrix {x} entry ({i},{j}) is not defined "
+            f"on Z/{moduli[j]} -> Z/{moduli[i]}")
+    # entry (i, j) matters mod d_i only; reducing bounds the products below
+    R = A % d[:, None]
+    if ((R[0] - np.eye(k, dtype=np.int64)) % d[:, None]).any():
         raise InputError("action at the identity must be the identity matrix")
-    for x in range(h):
-        for y in range(h):
-            # composition convention for a right action
-            if not mat_eq(action[group.mul(x, y)],
-                          mat_mul(action[y], action[x], moduli), moduli):
-                raise InputError(f"action is not multiplicative at ({x},{y})")
+    # composition convention for a right action: A(xy) = A(y) A(x)
+    bad = ((R[group.cayley] - np.einsum("yil,xlj->xyij", R, R))
+           % d[:, None]).any(axis=(2, 3))
+    if bad.any():
+        x, y = (int(v) for v in np.argwhere(bad)[0])
+        raise InputError(f"action is not multiplicative at ({x},{y})")
+    return A
 
 
-def act(action: Action, x: int, v: Vector, moduli: Sequence[int]) -> Vector:
-    if action is None:
-        return vec_reduce(v, moduli)
-    return mat_vec(action[x], v, moduli)
+def _reduced(values, moduli: tuple[int, ...], shape: tuple[int, ...],
+             bad_shape: str) -> np.ndarray:
+    """values as a read-only int64 array of the given shape, [..., i] in [0, d_i)."""
+    try:
+        arr = np.asarray(values, dtype=np.int64)
+    except ValueError:
+        raise InputError(bad_shape) from None
+    if arr.shape != shape:
+        raise InputError(bad_shape)
+    out = arr % _moduli_array(moduli)
+    out.flags.writeable = False
+    return out
 
 
-class OneCochain:
-    """Normalized map H -> N in coordinates; values(identity) = 0."""
+class _Cochain:
+    """Shared arithmetic and identity of the array-backed cochains."""
 
     __slots__ = ("group", "moduli", "values")
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.group is other.group
+                and self.moduli == other.moduli
+                and self.values.tobytes() == other.values.tobytes())
+
+    def __hash__(self):
+        return hash((id(self.group), self.moduli, self.values.tobytes()))
+
+    def _binop(self, other, sign: int):
+        if type(other) is not type(self) or other.group is not self.group \
+                or other.moduli != self.moduli:
+            raise ParentMismatch("cochains live over different data")
+        return type(self)(self.group, self.moduli,
+                          self.values + sign * other.values)
+
+    def __add__(self, other):
+        return self._binop(other, 1)
+
+    def __sub__(self, other):
+        return self._binop(other, -1)
+
+    def is_zero(self) -> bool:
+        return not self.values.any()
+
+
+class OneCochain(_Cochain):
+    """Normalized map H -> N in coordinates; values[identity] = 0.
+
+    values is a read-only (h, k) int64 array.
+    """
+
+    __slots__ = ()
 
     def __init__(self, group: FiniteGroup, moduli: Sequence[int], values):
         self.group = group
         self.moduli = tuple(moduli)
-        vals = tuple(vec_reduce(v, self.moduli) for v in values)
-        if len(vals) != group.order:
-            raise InputError(f"expected {group.order} values, got {len(vals)}")
-        if any(vals[0]):
+        h = group.order
+        if len(values) != h:
+            raise InputError(f"expected {h} values, got {len(values)}")
+        k = len(self.moduli)
+        vals = _reduced(values, self.moduli, (h, k),
+                        f"expected {h} values of {k} coordinates")
+        if vals[0].any():
             raise InputError("cochain must vanish at the identity")
         self.values = vals
 
     @classmethod
     def zero(cls, group: FiniteGroup, moduli: Sequence[int]) -> "OneCochain":
-        z = (0,) * len(moduli)
-        return cls(group, moduli, (z,) * group.order)
+        return cls(group, moduli, np.zeros((group.order, len(moduli)), dtype=np.int64))
 
     def __call__(self, x: int) -> Vector:
-        return self.values[x]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, OneCochain) and self.group is other.group
-                and self.moduli == other.moduli and self.values == other.values)
-
-    def __hash__(self):
-        return hash((id(self.group), self.moduli, self.values))
+        return tuple(self.values[x].tolist())
 
     def __repr__(self) -> str:
-        return f"OneCochain({list(self.values)})"
-
-    def _binop(self, other: "OneCochain", op) -> "OneCochain":
-        if not isinstance(other, OneCochain) or other.group is not self.group \
-                or other.moduli != self.moduli:
-            raise ParentMismatch("cochains live over different data")
-        vals = tuple(op(a, b, self.moduli) for a, b in zip(self.values, other.values))
-        return OneCochain(self.group, self.moduli, vals)
-
-    def __add__(self, other):
-        return self._binop(other, vec_add)
-
-    def __sub__(self, other):
-        return self._binop(other, vec_sub)
-
-    def is_zero(self) -> bool:
-        return not any(any(v) for v in self.values)
+        return f"OneCochain({[tuple(v) for v in self.values.tolist()]})"
 
     def to_json(self) -> dict:
-        values = {str(x): list(v) for x, v in enumerate(self.values) if any(v)}
+        values = {str(x): v for x, v in enumerate(self.values.tolist()) if any(v)}
         return {"moduli": list(self.moduli), "values": values}
 
     @classmethod
@@ -149,29 +193,31 @@ class OneCochain:
         return cls(group, moduli, vals)
 
 
-class TwoCochain:
-    """Normalized map H x H -> N in coordinates; vanishes when either slot is 1."""
+class TwoCochain(_Cochain):
+    """Normalized map H x H -> N in coordinates; vanishes when either slot is 1.
 
-    __slots__ = ("group", "moduli", "values")
+    values is a read-only (h, h, k) int64 array.
+    """
+
+    __slots__ = ()
 
     def __init__(self, group: FiniteGroup, moduli: Sequence[int], values):
         self.group = group
         self.moduli = tuple(moduli)
-        vals = tuple(tuple(vec_reduce(v, self.moduli) for v in row) for row in values)
         h = group.order
-        if len(vals) != h or any(len(row) != h for row in vals):
+        if len(values) != h or any(len(row) != h for row in values):
             raise InputError(f"expected {h}x{h} values")
-        zero = (0,) * len(self.moduli)
-        if any(vals[0][y] != zero for y in range(h)) or \
-                any(vals[x][0] != zero for x in range(h)):
+        k = len(self.moduli)
+        vals = _reduced(values, self.moduli, (h, h, k),
+                        f"expected {h}x{h} values of {k} coordinates")
+        if vals[0].any() or vals[:, 0].any():
             raise InputError("cochain must vanish when either argument is the identity")
         self.values = vals
 
     @classmethod
     def zero(cls, group: FiniteGroup, moduli: Sequence[int]) -> "TwoCochain":
-        z = (0,) * len(moduli)
-        row = (z,) * group.order
-        return cls(group, moduli, (row,) * group.order)
+        h = group.order
+        return cls(group, moduli, np.zeros((h, h, len(moduli)), dtype=np.int64))
 
     @classmethod
     def from_function(cls, group: FiniteGroup, moduli: Sequence[int], fn) -> "TwoCochain":
@@ -179,41 +225,16 @@ class TwoCochain:
         return cls(group, moduli, [[fn(x, y) for y in range(h)] for x in range(h)])
 
     def __call__(self, x: int, y: int) -> Vector:
-        return self.values[x][y]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TwoCochain) and self.group is other.group
-                and self.moduli == other.moduli and self.values == other.values)
-
-    def __hash__(self):
-        return hash((id(self.group), self.moduli, self.values))
+        return tuple(self.values[x, y].tolist())
 
     def __repr__(self) -> str:
-        nonzero = sum(1 for row in self.values for v in row if any(v))
+        nonzero = int(self.values.any(axis=-1).sum())
         return f"TwoCochain(<{nonzero} nonzero values>)"
-
-    def _binop(self, other: "TwoCochain", op) -> "TwoCochain":
-        if not isinstance(other, TwoCochain) or other.group is not self.group \
-                or other.moduli != self.moduli:
-            raise ParentMismatch("cochains live over different data")
-        vals = tuple(
-            tuple(op(a, b, self.moduli) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.values, other.values))
-        return TwoCochain(self.group, self.moduli, vals)
-
-    def __add__(self, other):
-        return self._binop(other, vec_add)
-
-    def __sub__(self, other):
-        return self._binop(other, vec_sub)
-
-    def is_zero(self) -> bool:
-        return not any(any(v) for row in self.values for v in row)
 
     def to_json(self) -> dict:
         values = {
-            f"{x},{y}": list(v)
-            for x, row in enumerate(self.values)
+            f"{x},{y}": v
+            for x, row in enumerate(self.values.tolist())
             for y, v in enumerate(row) if any(v)
         }
         return {"moduli": list(self.moduli), "values": values}
@@ -253,7 +274,8 @@ def _parse_cochain_json(group: FiniteGroup, data: dict, arity: int):
         if not isinstance(vec, list) or len(vec) != len(moduli) or not all(
                 isinstance(e, int) for e in vec):
             raise InputError(f"cochain value at {key!r} must be {len(moduli)} integers")
-        out[idx] = tuple(vec)
+        # reduced here, so entries beyond 64 bits never reach the array
+        out[idx] = tuple(e % m for e, m in zip(vec, moduli))
     return tuple(moduli), out
 
 
@@ -275,14 +297,14 @@ def two_cocycle_defect(f: TwoCochain, action: Action):
     k = len(f.moduli)
     if h <= 1 or k == 0:
         return None
-    d = np.array(f.moduli, dtype=np.int64)
-    F = np.array(f.values, dtype=np.int64)
+    d = _moduli_array(f.moduli)
+    F = f.values
     tab = f.group.cayley
     sub = F[1:, 1:]                      # f(y, z)
     yz = tab[1:, 1:]
     if action is not None:
         # entry (i, j) of A(z) matters mod d_i only; reducing bounds the products
-        A = np.array(action, dtype=np.int64)[1:] % d[None, :, None]
+        A = np.asarray(action, dtype=np.int64)[1:] % d[None, :, None]
     step = max(1, _CHECK_BLOCK_TRIPLES // ((h - 1) * (h - 1)))
     for x0 in range(1, h, step):
         xs = np.arange(x0, min(x0 + step, h))
@@ -315,15 +337,15 @@ def coboundary_of(chi: OneCochain, action: Action,
     appears when comparing factor sets across an automorphism of H.
     """
     G = chi.group
-    m = chi.moduli
-    mul = G.mul
-
-    def value(x: int, y: int) -> Vector:
-        ty = y if phi is None else phi(y)
-        return vec_sub(vec_sub(chi.values[mul(x, y)], chi.values[y], m),
-                       act(action, ty, chi.values[x], m), m)
-
-    return TwoCochain.from_function(G, m, value)
+    C = chi.values
+    if action is None:
+        acted = C[:, None, :]
+    else:
+        A = np.asarray(action, dtype=np.int64)
+        if phi is not None:
+            A = A[list(phi.image)]
+        acted = np.einsum("yij,xj->xyi", A, C)      # A((phi) y) chi(x)
+    return TwoCochain(G, chi.moduli, C[G.cayley] - C[None, :, :] - acted)
 
 
 class CohomologyClass:
@@ -372,8 +394,7 @@ class CohomologyGroup:
         self.coeffs = coeffs
         moduli = getattr(coeffs, "invariant_factors", None)
         self.moduli = tuple(moduli if moduli is not None else coeffs)
-        validate_action(group, self.moduli, action)
-        self.action = tuple(action) if action is not None else None
+        self.action = validate_action(group, self.moduli, action)
         h = group.order
         k = len(self.moduli)
         unknowns = (h - 1) * (h - 1) * k
@@ -387,19 +408,18 @@ class CohomologyGroup:
         self._ambient_moduli = tuple(self.moduli[c]
                                      for _ in range((h - 1) * (h - 1))
                                      for c in range(k))
-        self._lattice = TriangularLattice(self._ambient_moduli,
-                                          expr_len=(h - 1) * k)
-        self._chi_basis: list[OneCochain] = []
-        zero = (0,) * k
-        for x in range(1, h):
-            for c in range(k):
-                vals = [zero] * h
-                vals[x] = tuple(1 if i == c else 0 for i in range(k))
-                chi = OneCochain(group, self.moduli, vals)
-                self._chi_basis.append(chi)
-                delta = coboundary_of(chi, self.action)
-                self._lattice.insert(self.vector_of(delta),
-                                     _unit(len(self._chi_basis) - 1, (h - 1) * k))
+        n = (h - 1) * k
+        self._lattice = TriangularLattice(self._ambient_moduli, expr_len=n)
+        # generators: the coboundaries of the unit cochains, x = 1 + i // k
+        # and coordinate i % k, each recorded as the i-th unit expression
+        for i in range(n):
+            unit = np.zeros(h * k, dtype=np.int64)
+            unit[k + i] = 1
+            delta = coboundary_of(OneCochain(group, self.moduli, unit.reshape(h, k)),
+                                  self.action)
+            expr = [0] * n
+            expr[i] = 1
+            self._lattice.insert(self.vector_of(delta).tolist(), expr)
         self.b2_order = self._lattice.span_order()
         self.z2_order = self._z2_order()
         if self.z2_order % self.b2_order:
@@ -410,42 +430,29 @@ class CohomologyGroup:
         return (f"CohomologyGroup(|Z2|={self.z2_order}, |B2|={self.b2_order}, "
                 f"|H2|={self.h2_order})")
 
-    def vector_of(self, f: TwoCochain) -> list[int]:
-        """Flatten a cochain over the nonidentity pair slots."""
+    def vector_of(self, f: TwoCochain) -> np.ndarray:
+        """Flatten a cochain over the nonidentity pair slots, x-major."""
         if f.group is not self.group or f.moduli != self.moduli:
             raise ParentMismatch("cochain does not live over this group's data")
-        out = []
-        for x in range(1, self._h):
-            row = f.values[x]
-            for y in range(1, self._h):
-                out.extend(row[y])
-        return out
+        return f.values[1:, 1:].reshape(-1)
 
     def cochain_of_vector(self, vec: Sequence[int]) -> TwoCochain:
         h, k = self._h, self._k
-        zero = (0,) * k
-        vals = [[zero] * h for _ in range(h)]
-        pos = 0
-        for x in range(1, h):
-            for y in range(1, h):
-                vals[x][y] = tuple(vec[pos:pos + k])
-                pos += k
+        vals = np.zeros((h, h, k), dtype=np.int64)
+        vals[1:, 1:] = np.reshape(vec, (h - 1, h - 1, k))
         return TwoCochain(self.group, self.moduli, vals)
 
     def coboundary_solve(self, f: TwoCochain) -> Optional[OneCochain]:
         """chi with coboundary_of(chi) = f, or None when f is not a coboundary."""
         if two_cocycle_defect(f, self.action) is not None:
             raise NotACocycle("coboundary_solve requires a 2-cocycle")
-        expr = self._lattice.reduce(self.vector_of(f))
+        expr = self._lattice.reduce(self.vector_of(f).tolist())
         if expr is None:
             return None
         h, k = self._h, self._k
-        zero = (0,) * k
-        vals = [zero] * h
-        for x in range(1, h):
-            base = (x - 1) * k
-            vals[x] = tuple(expr[base + c] % self.moduli[c] for c in range(k))
-        chi = OneCochain(self.group, self.moduli, vals)
+        # expression entries are unbounded integers: reduce before the array
+        reduced = [e % m for e, m in zip(expr, self.moduli * (h - 1))]
+        chi = OneCochain(self.group, self.moduli, np.reshape([0] * k + reduced, (h, k)))
         if coboundary_of(chi, self.action) != f:
             raise AssertionError("recovered witness does not reproduce the cocycle")
         return chi
@@ -454,7 +461,7 @@ class CohomologyGroup:
         defect = two_cocycle_defect(f, self.action)
         if defect is not None:
             raise NotACocycle(f"cocycle identity fails at {defect}")
-        key = self._lattice.remainder(self.vector_of(f))
+        key = self._lattice.remainder(self.vector_of(f).tolist())
         return CohomologyClass(self, f, key)
 
     def zero_class(self) -> CohomologyClass:
@@ -472,10 +479,7 @@ class CohomologyGroup:
         ns = len(gens)
         r = (h - 1) * ns * k
         gen_pos = {s: i for i, s in enumerate(gens)}
-        if self.action is None:
-            mats = [np.eye(k, dtype=np.int64)] * h
-        else:
-            mats = [np.array(M, dtype=np.int64) for M in self.action]
+        mats = trivial_action(G, self.moduli) if self.action is None else self.action
 
         # express every f(x, y) linearly in the slice values f(x, s), s a
         # generator, by peeling the second argument along a breadth-first
@@ -536,17 +540,3 @@ class CohomologyGroup:
             return domain
         return kernel_order(np.stack(rows), row_moduli, col_moduli)
 
-
-def _unit(i: int, n: int) -> list[int]:
-    e = [0] * n
-    e[i] = 1
-    return e
-
-
-def cohomology_group(group: FiniteGroup, coeffs, action: Action = None) -> CohomologyGroup:
-    """Z^2 / B^2 / H^2 orders plus a constructive coboundary solver."""
-    return CohomologyGroup(group, coeffs, action)
-
-
-def coboundary_solve(f: TwoCochain, cg: CohomologyGroup) -> Optional[OneCochain]:
-    return cg.coboundary_solve(f)

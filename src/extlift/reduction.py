@@ -235,8 +235,7 @@ def sylow_extend_check(ext: ExtensionData, theta: GroupAutomorphism) -> SylowChe
 
 
 def _scaled(f: TwoCochain, m: int) -> TwoCochain:
-    vals = [[tuple(m * c for c in v) for v in row] for row in f.values]
-    return TwoCochain(f.group, f.moduli, vals)
+    return TwoCochain(f.group, f.moduli, m * f.values)
 
 
 def index_kill_check(ext: ExtensionData, phi: GroupAutomorphism,

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from . import config
-from .abelian import vec_add, vec_neg
 from .cohomology import TwoCochain
 from .errors import (BoundExceeded, NotCentral, NotExtraspecialShape,
                      NotSplit, ParentMismatch)
@@ -127,13 +128,13 @@ def is_split_extension(ext: ExtensionData) -> tuple[bool, Optional[SplitWitness]
     homomorphism.  Solving d(chi) = -mu makes t'(x) = t(x) n(-chi(x)) that
     transversal, and its image is a complement of N in G.
     """
-    neg = TwoCochain.zero(ext.H, ext.moduli) - ext.mu
+    neg = TwoCochain(ext.H, ext.moduli, -ext.mu.values)
     chi = ext.cohomology.coboundary_solve(neg)
     if chi is None:
         return False, None
     G = ext.G
-    members = [G.mul(ext.transversal[x],
-                     ext.n_member(vec_neg(chi(x), ext.moduli)))
+    minus_chi = (-chi.values).tolist()     # n_member reduces the coordinates
+    members = [G.mul(ext.transversal[x], ext.n_member(minus_chi[x]))
                for x in range(ext.H.order)]
     section = GroupHomomorphism(ext.H, G, members)
     complement = Subgroup(G, members)
@@ -323,16 +324,22 @@ def commutator_form(ext: ExtensionData) -> CommutatorForm:
     values = tuple(tuple(coords(G.commutator(t[x], t[y])) for y in range(h))
                    for x in range(h))
     form = CommutatorForm(ext.H, ext.moduli, values)
-    mul = ext.H.mul
+    F = np.array(values, dtype=np.int64).reshape(h, h, len(ext.moduli))
+    d = np.array(ext.moduli, dtype=np.int64)
+    tab = ext.H.cayley
     for x in range(h):
-        if any(form(x, x)):
+        if F[x, x].any():
             raise AssertionError("form is not alternating")
-        for y in range(h):
-            for z in range(h):
-                if form(mul(x, y), z) != vec_add(form(x, z), form(y, z), ext.moduli):
-                    raise AssertionError("form is not linear in the first slot")
-                if form(x, mul(y, z)) != vec_add(form(x, y), form(x, z), ext.moduli):
-                    raise AssertionError("form is not linear in the second slot")
+        # indexed [y, z]: rho(xy, z) - rho(x, z) - rho(y, z), then
+        # rho(x, yz) - rho(x, y) - rho(x, z); the first failing (y, z) is named
+        first = ((F[tab[x]] - F[x][None, :, :] - F) % d).any(axis=-1)
+        second = ((F[x][tab] - F[x][:, None, :] - F[x][None, :, :]) % d).any(axis=-1)
+        bad = first | second
+        if bad.any():
+            y, z = np.argwhere(bad)[0]
+            if first[y, z]:
+                raise AssertionError("form is not linear in the first slot")
+            raise AssertionError("form is not linear in the second slot")
     return form
 
 

@@ -26,8 +26,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .abelian import (AbelianStructure, Vector, abelian_structure, mat_vec,
-                      matrix_of_endomorphism, restrict_to_matrix, vec_sub)
+from .abelian import (AbelianStructure, Vector, abelian_structure,
+                      matrix_of_endomorphism, restrict_to_matrix)
 from .cohomology import (CohomologyClass, CohomologyGroup, OneCochain,
                          TwoCochain, coboundary_of, two_cocycle_defect)
 from .errors import (DoesNotNormalize, InputError, NotCentral, NotCompatible,
@@ -81,8 +81,9 @@ class ExtensionData:
     abelian), so rebuilding with a different transversal shares the
     coordinate structure, the action and the cohomology solver.
 
-    action_array (h, k, k) and mu_array (h, h, k) hold the action matrices
-    and the factor set as read-only int64 arrays for the triple check.
+    action is the read-only (h, k, k) int64 array of the matrices A(x) of the
+    conjugation action, and mu the factor set, a TwoCochain whose values are
+    a read-only (h, h, k) int64 array.
     """
 
     def __init__(self, G: FiniteGroup, N: Subgroup,
@@ -101,7 +102,6 @@ class ExtensionData:
             self.n_group = _share.n_group
             self.alpha = _share.alpha
             self.action = _share.action
-            self.action_array = _share.action_array
             self.central = _share.central
             self._cohomology = _share._cohomology
         else:
@@ -128,7 +128,6 @@ class ExtensionData:
                     raise InputError(f"transversal value {g} is not in coset {x}")
         self.transversal = tuple(t)
         self.mu = self._build_mu()
-        self.mu_array = _frozen(self.mu.values, (h, h, len(self.moduli)))
 
     def _build_action(self) -> None:
         G, N = self.G, self.N
@@ -143,21 +142,19 @@ class ExtensionData:
         in_center = N.member_set <= center(G).member_set
         if self.central != in_center:
             raise AssertionError("centrality flag disagrees with the center test")
-        self.action = tuple(matrix_of_endomorphism(self.coeffs, a) for a in alpha)
-        k = len(self.moduli)
-        self.action_array = _frozen(self.action, (self.H.order, k, k))
+        self.action = np.stack([matrix_of_endomorphism(self.coeffs, a) for a in alpha])
+        self.action.flags.writeable = False
 
     def _build_mu(self) -> TwoCochain:
-        G = self.G
-        t = self.transversal
-        h = self.H.order
-        coords = self.coeffs.coords_of_member
-        vals = [[None] * h for _ in range(h)]
-        for x in range(h):
-            for y in range(h):
-                g = G.mul(G.inv(t[self.H.mul(x, y)]), G.mul(t[x], t[y]))
-                vals[x][y] = coords(g)
-        mu = TwoCochain(self.H, self.moduli, vals)
+        G, N = self.G, self.N
+        t = np.array(self.transversal, dtype=np.int64)
+        inverse = np.array(G.inverse, dtype=np.int64)
+        # N coordinates of every G index in N (other rows stay unused)
+        coords = np.zeros((G.order, len(self.moduli)), dtype=np.int64)
+        coords[list(N.members)] = [self.coeffs.to_coords(i) for i in range(N.order)]
+        # t(xy)^-1 t(x) t(y), indexed [x, y]
+        g = G.cayley[inverse[t[self.H.cayley]], G.cayley[t[:, None], t[None, :]]]
+        mu = TwoCochain(self.H, self.moduli, coords[g])
         defect = two_cocycle_defect(mu, self.cocycle_action)
         if defect is not None:
             raise AssertionError(f"factor set fails the cocycle identity at {defect}")
@@ -200,12 +197,6 @@ class ExtensionData:
     def __repr__(self) -> str:
         return (f"ExtensionData(|G|={self.G.order}, |N|={self.N.order}, "
                 f"|H|={self.H.order}{', central' if self.central else ''})")
-
-
-def _frozen(values, shape) -> np.ndarray:
-    arr = np.array(values, dtype=np.int64).reshape(shape)
-    arr.flags.writeable = False
-    return arr
 
 
 def extension_from(G: FiniteGroup, N: Subgroup) -> ExtensionData:
@@ -264,19 +255,19 @@ def compatible_pairs(ext: ExtensionData, verify_closure: bool = True):
     return pairs, c1, c2
 
 
+def _precomposed(values: np.ndarray, phi: GroupAutomorphism) -> np.ndarray:
+    """Cochain values at (phi x, phi y), or at phi x for a 1-cochain."""
+    p = np.array(phi.image, dtype=np.int64)
+    return values[p[:, None], p] if values.ndim == 3 else values[p]
+
+
 def wells_cocycle_theta(ext: ExtensionData, theta: GroupAutomorphism) -> TwoCochain:
     """k_theta(x,y) = mu(x,y) - Theta mu(x,y); requires (theta, 1) compatible."""
     if not is_compatible(ext, theta, ext.id_H):
         raise NotCompatible("(theta, 1) is not a compatible pair")
     T = restrict_to_matrix(ext.coeffs, theta)
-    m = ext.moduli
-    mu = ext.mu
-
-    def value(x: int, y: int) -> Vector:
-        v = mu(x, y)
-        return vec_sub(v, mat_vec(T, v, m), m)
-
-    k = TwoCochain.from_function(ext.H, m, value)
+    mu = ext.mu.values
+    k = TwoCochain(ext.H, ext.moduli, mu - mu @ T.T)
     defect = two_cocycle_defect(k, ext.cocycle_action)
     if defect is not None:
         raise AssertionError(f"difference cocycle fails the identity at {defect}")
@@ -287,13 +278,8 @@ def wells_cocycle_phi(ext: ExtensionData, phi: GroupAutomorphism) -> TwoCochain:
     """k_phi(x,y) = mu(phi x, phi y) - mu(x,y); requires (1, phi) compatible."""
     if not is_compatible(ext, ext.id_N, phi):
         raise NotCompatible("(1, phi) is not a compatible pair")
-    m = ext.moduli
-    mu = ext.mu
-
-    def value(x: int, y: int) -> Vector:
-        return vec_sub(mu(phi(x), phi(y)), mu(x, y), m)
-
-    k = TwoCochain.from_function(ext.H, m, value)
+    mu = ext.mu.values
+    k = TwoCochain(ext.H, ext.moduli, _precomposed(mu, phi) - mu)
     defect = two_cocycle_defect(k, ext.cocycle_action)
     if defect is not None:
         raise AssertionError(f"difference cocycle fails the identity at {defect}")
@@ -308,13 +294,8 @@ def wells_cocycle_pair(ext: ExtensionData, theta: GroupAutomorphism,
     _check_theta(ext, theta)
     _check_phi(ext, phi)
     T = restrict_to_matrix(ext.coeffs, theta)
-    m = ext.moduli
-    mu = ext.mu
-
-    def value(x: int, y: int) -> Vector:
-        return vec_sub(mu(phi(x), phi(y)), mat_vec(T, mu(x, y), m), m)
-
-    k = TwoCochain.from_function(ext.H, m, value)
+    mu = ext.mu.values
+    k = TwoCochain(ext.H, ext.moduli, _precomposed(mu, phi) - mu @ T.T)
     defect = two_cocycle_defect(k, None)
     if defect is not None:
         raise AssertionError(f"difference cocycle fails the identity at {defect}")
@@ -342,19 +323,16 @@ def _triple_defect(ext: ExtensionData, theta: GroupAutomorphism,
     condition (2) over all pairs (x, y) at once; each reports its
     lexicographically first failure.
     """
-    h = ext.H.order
-    k = len(ext.moduli)
     d = np.array(ext.moduli, dtype=np.int64)
-    T = np.array(restrict_to_matrix(ext.coeffs, theta),
-                 dtype=np.int64).reshape(k, k)
-    A = ext.action_array
+    T = restrict_to_matrix(ext.coeffs, theta)
+    A = ext.action
     p = np.array(phi.image, dtype=np.int64)
     A_phi = A[p]
     bad = ((T @ A - A_phi @ T) % d[:, None]).any(axis=(1, 2))
     if bad.any():
         return ("(3)", int(np.argmax(bad)))
-    mu = ext.mu_array
-    C = np.array(chi.values, dtype=np.int64).reshape(h, k)
+    mu = ext.mu.values
+    C = chi.values
     lhs = mu[p[:, None], p[None, :]] - mu @ T.T
     # chi(xy) - chi(y) - A(phi y) chi(x), indexed [x, y]
     rhs = (C[ext.H.cayley] - C[None, :, :]
@@ -596,19 +574,16 @@ def h2_conjugation_action(ext: ExtensionData, aut: GroupAutomorphism,
     """Action of theta in C1 (pointwise) or phi in C2 (precomposition) on classes."""
     if cls.parent is not ext.cohomology:
         raise ParentMismatch("class belongs to a different cohomology group")
-    rep = cls.representative
-    m = ext.moduli
+    rep = cls.representative.values
     if aut.group is ext.n_group:
         if not is_compatible(ext, aut, ext.id_H):
             raise NotCompatible("(theta, 1) is not compatible")
         T = restrict_to_matrix(ext.coeffs, aut)
-        moved = TwoCochain.from_function(
-            ext.H, m, lambda x, y: mat_vec(T, rep(x, y), m))
+        moved = TwoCochain(ext.H, ext.moduli, rep @ T.T)
     elif aut.group is ext.H:
         if not is_compatible(ext, ext.id_N, aut):
             raise NotCompatible("(1, phi) is not compatible")
-        moved = TwoCochain.from_function(
-            ext.H, m, lambda x, y: rep(aut(x), aut(y)))
+        moved = TwoCochain(ext.H, ext.moduli, _precomposed(rep, aut))
     else:
         raise ParentMismatch("expected an automorphism of the kernel or quotient")
     return ext.cohomology.class_of(moved)
@@ -633,8 +608,7 @@ def derivation_check(ext: ExtensionData) -> dict:
         for t2 in c1:
             comp = t1.compose(t2)
             lhs = k1[comp.image]
-            moved = TwoCochain.from_function(
-                H, m, lambda x, y: mat_vec(T1, k1[t2.image](x, y), m))
+            moved = TwoCochain(H, m, k1[t2.image].values @ T1.T)
             if lhs != k1[t1.image] + moved:
                 violations.append(
                     f"theta derivation law fails at {t1.image} o {t2.image}")
@@ -649,8 +623,7 @@ def derivation_check(ext: ExtensionData) -> dict:
         for p2 in c2:
             comp = p1.compose(p2)
             lhs = k2[comp.image]
-            moved = TwoCochain.from_function(
-                H, m, lambda x, y: k2[p1.image](p2(x), p2(y)))
+            moved = TwoCochain(H, m, _precomposed(k2[p1.image].values, p2))
             if lhs != k2[p2.image] + moved:
                 violations.append(
                     f"phi derivation law fails at {p1.image} o {p2.image}")
@@ -658,25 +631,28 @@ def derivation_check(ext: ExtensionData) -> dict:
                 violations.append(
                     f"phi class law fails at {p1.image} o {p2.image}")
 
-    # coboundary invariance under both actions, on the coboundary basis
-    probe = [ch for ch in cg._chi_basis[:3]]
+    # coboundary invariance under both actions, probed on the first three
+    # unit cochains (x = 1 + i // k, coordinate i % k) of the B^2 generators
+    h, k = H.order, len(m)
+    probe = []
+    for i in range(min(3, (h - 1) * k)):
+        unit = np.zeros(h * k, dtype=np.int64)
+        unit[k + i] = 1
+        probe.append(OneCochain(H, m, unit.reshape(h, k)))
     for t1 in c1[:8]:
         T1 = restrict_to_matrix(ext.coeffs, t1)
         for chb in probe:
             delta = coboundary_of(chb, ext.cocycle_action)
-            moved = TwoCochain.from_function(
-                H, m, lambda x, y: mat_vec(T1, delta(x, y), m))
-            chi2 = OneCochain(H, m, [mat_vec(T1, chb(x), m)
-                                     for x in range(H.order)])
+            moved = TwoCochain(H, m, delta.values @ T1.T)
+            chi2 = OneCochain(H, m, chb.values @ T1.T)
             if moved != coboundary_of(chi2, ext.cocycle_action):
                 violations.append(
                     f"theta action does not preserve coboundaries at {t1.image}")
     for p1 in c2[:8]:
         for chb in probe:
             delta = coboundary_of(chb, ext.cocycle_action)
-            moved = TwoCochain.from_function(
-                H, m, lambda x, y: delta(p1(x), p1(y)))
-            chi2 = OneCochain(H, m, [chb(p1(x)) for x in range(H.order)])
+            moved = TwoCochain(H, m, _precomposed(delta.values, p1))
+            chi2 = OneCochain(H, m, _precomposed(chb.values, p1))
             if moved != coboundary_of(chi2, ext.cocycle_action):
                 violations.append(
                     f"phi action does not preserve coboundaries at {p1.image}")

@@ -12,10 +12,18 @@ from __future__ import annotations
 import itertools
 from math import prod
 
+import numpy as np
+
 from extlift import FiniteGroup, Subgroup, all_subgroups, automorphism_group
 
 # total normalized-cochain assignments a brute H^2 enumeration may visit
 H2_SPACE_BOUND = 2 ** 16
+
+
+def _lists(a):
+    """Nested Python-int lists of an array or nested sequence (None stays None),
+    so the loops below do plain integer arithmetic."""
+    return None if a is None else np.asarray(a).tolist()
 
 
 def element_order(G: FiniteGroup, a: int) -> int:
@@ -132,6 +140,8 @@ def brute_cohomology(H: FiniteGroup, moduli: tuple[int, ...],
         ident = tuple(tuple(1 if i == j else 0 for j in range(k))
                       for i in range(k))
         action = [ident] * h
+    else:
+        action = _lists(action)
 
     def apply(x, vec):
         M = action[x]
@@ -189,7 +199,8 @@ def _apply(action, moduli, x, vec):
 def brute_cocycle_defect(f, action=None):
     """First (x, y, z) of non-identity elements, in lexicographic order,
     where f(xy,z) + A(z) f(x,y) = f(x,yz) + f(y,z) fails, or None."""
-    H, moduli, vals = f.group, f.moduli, f.values
+    H, moduli, vals = f.group, f.moduli, _lists(f.values)
+    action = _lists(action)
     t = H.table
     for x in range(1, H.order):
         for y in range(1, H.order):
@@ -212,7 +223,8 @@ def brute_triple_defect(ext, T, phi_image, chi_values):
     mu(phi x, phi y) - T mu(x, y) = chi(xy) - chi(y) - A(phi y) chi(x),
     for every (x, y) in lexicographic order.
     """
-    moduli, action, mu = ext.moduli, ext.action, ext.mu.values
+    moduli, action, mu = ext.moduli, _lists(ext.action), _lists(ext.mu.values)
+    T, chi_values = _lists(T), _lists(chi_values)
     k = len(moduli)
     h = ext.H.order
     t = ext.H.table

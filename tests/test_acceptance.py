@@ -11,11 +11,11 @@ import sys
 import time
 from math import gcd
 
-from extlift import (NotCompatible, OneCochain, SylowNotInvariant,
-                     WellsTriple, automorphism_from_triple,
-                     automorphism_group, catalog, cohomology_group,
-                     compatible_pairs, derivation_check, extend_automorphism,
-                     extension_from, index_kill_check, is_split_extension,
+from extlift import (CohomologyGroup, NotCompatible, OneCochain,
+                     SylowNotInvariant, WellsTriple, automorphism_from_triple,
+                     automorphism_group, catalog, compatible_pairs,
+                     derivation_check, extend_automorphism, extension_from,
+                     index_kill_check, is_split_extension,
                      is_two_cocycle, lambda1, lambda2, lambda_pair,
                      lift_automorphism, random_transversal, section_search,
                      shipped_corpus, split_kernels, sylow_extend_check,
@@ -183,14 +183,14 @@ def test_criterion_05_cohomology_orders_against_brute_force():
         assert compared >= 40
 
         v4 = catalog("elementary_abelian", 2, 2)
-        cg = cohomology_group(v4, (2,))
+        cg = CohomologyGroup(v4, (2,))
         assert cg.h2_order == 8
         assert brute_cohomology(v4, (2,))[2] == 8
 
         for H_order, moduli in ((2, (3,)), (3, (2, 2)), (4, (3,)),
                                 (2, (9,)), (3, (4,))):
             H = catalog("cyclic", H_order) if H_order != 4 else v4
-            cg = cohomology_group(H, moduli)
+            cg = CohomologyGroup(H, moduli)
             assert cg.h2_order == 1
             assert brute_cohomology(H, moduli)[2] == 1
     _verdict(5, "cohomology orders match brute cochain enumeration for "

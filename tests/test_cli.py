@@ -1,6 +1,7 @@
 """End-to-end command line coverage: every subcommand, the documented exit
 codes, schema validity of every emitted report, and byte determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -236,6 +237,45 @@ def test_byte_determinism_in_process(capsys):
     assert first.endswith("\n")
 
 
+# sha256 of stdout, recorded before cochains and the H-action moved to
+# int64 arrays; class keys, representatives and witnesses must not move
+STDOUT_SHA256 = [
+    (["analyze", "--group", "catalog:dihedral(8)", "--subgroup", "center"],
+     "70c3260e6b5eb48e9a58f8490d2b3e64dc729135ebab12ce42891c1d652fe29f"),
+    (["verify", "--group", "catalog:dihedral(8)", "--subgroup", "center"],
+     "d6a328e1e2db47444a379b4c901312b3b2b23a588c2cacb614e6c47eee2ba129"),
+    (["analyze", "--group", "catalog:dihedral(8)", "--subgroup", "0,1,2,3"],
+     "b67678000e86bcc51fb27a9cd2b159e461908f9735b56740a8529544d5f971aa"),
+    (["verify", "--group", "catalog:dihedral(8)", "--subgroup", "0,1,2,3"],
+     "701d7fa81401cd525ff3229238aa192c8dd558099a1845c62abeec12062bb4ee"),
+    (["analyze", "--group", "catalog:cyclic(2)*dihedral(8)",
+      "--subgroup", "center"],
+     "95572bdfbb8818d073e7ba04ffb2961030e808f708d50537de7dedfb74e8336d"),
+    (["verify", "--group", "catalog:cyclic(2)*dihedral(8)",
+      "--subgroup", "center"],
+     "1bcf0a0a1836b4e26c568f2370a978b005b9eb31af1d341814fdb780668d6720"),
+    (["extend", "--group", "catalog:heisenberg(3)", "--subgroup", "center",
+      "--theta", "id"],
+     "1828b67ccbed9d6fc9e19b5059744f245c08dd8a78ce2ccc35e9b9879350c87f"),
+    (["lift", "--group", "catalog:heisenberg(3)", "--subgroup", "center",
+      "--phi", "inversion"],
+     "1ace8d5e66002055349d4a9220f2eb78926c82b0373fac574382db42a668d7b3"),
+    (["lift", "--group", "catalog:heisenberg(3)", "--subgroup", "center",
+      "--phi", "aut:5"],
+     "b969b23af3f1e906715d055e4ee02c757e25a505a0f067fb6f5247a04bccd18e"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", STDOUT_SHA256,
+                         ids=["-".join(a[0::2]) for a, _ in STDOUT_SHA256])
+def test_stdout_bytes_are_pinned(capsys, argv, digest):
+    """Central k = 1, non-central and k = 2 reports, and lift/extend witnesses
+    and an obstruction on heisenberg(3) over its centre."""
+    main(argv)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_max_order_flag_trips_bound(capsys):
     code, report, _ = run(capsys, "catalog", "--expr", "cyclic(300)")
     assert code == 0
@@ -255,7 +295,9 @@ def test_internal_error_exits_4(capsys, monkeypatch, exc):
     code, report, _ = run(capsys, "h2", "--group", "cyclic(2)",
                           "--coeffs", "cyclic(2)")
     assert code == 4
-    assert report == {"error": str(exc), "kind": type(exc).__name__}
+    # MemoryError() has no message: the record names subcommand and kind
+    assert report == {"error": str(exc) or "h2: MemoryError",
+                      "kind": type(exc).__name__}
 
 
 def test_input_error_paths(capsys):

@@ -1,18 +1,19 @@
 """Cocycle arithmetic and H^2 computation against brute-force enumeration."""
 
 import json
+import random
 from math import gcd
 
 import pytest
 
-from extlift import (BoundExceeded, InputError, NotACocycle, OneCochain,
-                     ParentMismatch, Subgroup, TwoCochain, catalog,
-                     coboundary_of, cohomology_group, extension_from,
-                     is_two_cocycle, trivial_action, two_cocycle_defect)
-from extlift.abelian import vec_add
+from extlift import (BoundExceeded, CohomologyGroup, InputError, NotACocycle,
+                     OneCochain, ParentMismatch, Subgroup, TwoCochain, catalog,
+                     coboundary_of, extension_from, is_two_cocycle,
+                     trivial_action, two_cocycle_defect)
 from extlift.cohomology import (_CHECK_BLOCK_TRIPLES, class_eq,
                                 validate_action)
 from extlift.groups import all_subgroups, center
+from extlift.reports import class_json
 
 from oracles import (H2_SPACE_BOUND, brute_cocycle_defect, brute_cohomology,
                      h2_search_space)
@@ -31,7 +32,7 @@ V4 = catalog("elementary_abelian", 2, 2)
 ])
 def test_orders_match_brute_force_trivial_action(H, moduli):
     assert h2_search_space(H.order, moduli) <= H2_SPACE_BOUND
-    cg = cohomology_group(H, moduli)
+    cg = CohomologyGroup(H, moduli)
     assert (cg.z2_order, cg.b2_order, cg.h2_order) == \
         brute_cohomology(H, moduli)
 
@@ -63,7 +64,7 @@ def test_orders_match_brute_force_conjugation_action(G, members):
 
 
 def test_pinned_klein_four_value():
-    assert cohomology_group(V4, (2,)).h2_order == 8
+    assert CohomologyGroup(V4, (2,)).h2_order == 8
 
 
 def test_cyclic_coefficients_give_gcd():
@@ -71,13 +72,13 @@ def test_cyclic_coefficients_give_gcd():
     for m in (2, 3, 4, 6, 8):
         for n in (2, 3, 4, 6, 9, 12):
             H = catalog("cyclic", m)
-            assert cohomology_group(H, (n,)).h2_order == gcd(m, n)
+            assert CohomologyGroup(H, (n,)).h2_order == gcd(m, n)
 
 
 def test_coprime_orders_trivialize():
     for H, moduli in ((Z3, (4,)), (Z4, (27,)), (V4, (9,)),
                       (catalog("cyclic", 5), (6,))):
-        cg = cohomology_group(H, moduli)
+        cg = CohomologyGroup(H, moduli)
         assert cg.h2_order == 1
 
 
@@ -95,6 +96,32 @@ def test_coboundaries_are_cocycles():
         assert two_cocycle_defect(delta, act) is None
 
 
+def test_coboundary_matches_its_definition():
+    """delta(chi)(x, y) = chi(xy) - chi(y) - A(phi y) chi(x), by loops over
+    Python ints, plain (phi = 1) and twisted by every automorphism of H."""
+    from extlift import automorphism_group, group_from_permutations
+    s4 = group_from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)], name="sym4")
+    klein = next(S for S in all_subgroups(s4) if S.order == 4 and S.is_normal())
+    ext = extension_from(s4, klein)           # S3 acting on V4
+    H, m = ext.H, ext.moduli
+    h, k = H.order, len(m)
+    A = ext.action.tolist()
+    rng = random.Random(2)
+    chi = OneCochain(H, m, [(0,) * k] + [tuple(rng.randrange(d) for d in m)
+                                         for _ in range(h - 1)])
+    c = chi.values.tolist()
+    for phi in [None] + automorphism_group(H):
+        p = list(range(h)) if phi is None else phi.image
+        delta = coboundary_of(chi, ext.action, phi)
+        for x in range(h):
+            for y in range(h):
+                acted = [sum(A[p[y]][i][j] * c[x][j] for j in range(k))
+                         for i in range(k)]
+                want = tuple((c[H.mul(x, y)][i] - c[y][i] - acted[i]) % m[i]
+                             for i in range(k))
+                assert delta(x, y) == want
+
+
 def test_cocycle_defect_reports_triple():
     # indicator of (1, 1) first fails the identity at (1, 1, 2)
     f = TwoCochain.from_function(Z4, (4,),
@@ -103,8 +130,8 @@ def test_cocycle_defect_reports_triple():
     bad = two_cocycle_defect(f, None)
     assert bad is not None and len(bad) == 3
     x, y, z = bad
-    lhs = vec_add(f(y, z), f(x, (y + z) % 4), (4,))
-    rhs = vec_add(f((x + y) % 4, z), f(x, y), (4,))
+    lhs = (f(y, z)[0] + f(x, (y + z) % 4)[0]) % 4
+    rhs = (f((x + y) % 4, z)[0] + f(x, y)[0]) % 4
     assert lhs != rhs
 
 
@@ -209,7 +236,7 @@ def test_cochain_json_round_trip():
 
 
 def test_class_of_and_solve_round_trip():
-    cg = cohomology_group(V4, (2,))
+    cg = CohomologyGroup(V4, (2,))
     count_trivial = 0
     # walk every cocycle vector through class_of / coboundary_solve
     import itertools
@@ -229,15 +256,15 @@ def test_class_of_and_solve_round_trip():
 
 
 def test_class_equality_requires_same_parent():
-    cg1 = cohomology_group(V4, (2,))
-    cg2 = cohomology_group(V4, (2,))
+    cg1 = CohomologyGroup(V4, (2,))
+    cg2 = CohomologyGroup(V4, (2,))
     with pytest.raises(ParentMismatch):
         class_eq(cg1.zero_class(), cg2.zero_class())
     assert class_eq(cg1.zero_class(), cg1.zero_class())
 
 
 def test_solve_rejects_non_cocycles():
-    cg = cohomology_group(Z4, (4,))
+    cg = CohomologyGroup(Z4, (4,))
     f = TwoCochain.from_function(Z4, (4,),
                                  lambda x, y: (1 if x == y == 1 else 0,))
     assert two_cocycle_defect(f, cg.action) is not None
@@ -261,7 +288,7 @@ def test_action_validation():
 def test_unknown_bound_is_enforced():
     big = catalog("cyclic", 256)
     with pytest.raises(BoundExceeded):
-        cohomology_group(big, (2,))
+        CohomologyGroup(big, (2,))
 
 
 def test_h2_conjugation_classes_are_well_defined():
@@ -273,3 +300,76 @@ def test_h2_conjugation_classes_are_well_defined():
         OneCochain(ext.H, ext.moduli, [(0,), (1,), (0,), (1,)]),
         ext.cocycle_action)
     assert class_eq(cg.class_of(shifted), cls)
+
+
+def _only_plain_ints(obj) -> bool:
+    """Every number in a JSON-shaped value is a plain int (or bool)."""
+    if isinstance(obj, dict):
+        return all(_only_plain_ints(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return all(_only_plain_ints(v) for v in obj)
+    return obj is None or type(obj) in (int, bool, str)
+
+
+def test_array_forms_are_read_only_and_export_plain_ints():
+    from extlift import group_from_permutations
+    from oracles import element_order
+    a4 = group_from_permutations(4, [(1, 2, 0, 3), (0, 2, 3, 1)], name="alt4")
+    klein = Subgroup(a4, [g for g in range(12) if element_order(a4, g) <= 2])
+    ext = extension_from(a4, klein)            # Z3 permuting V4: k = 2
+    assert not ext.central
+    cg = ext.cohomology
+    assert cg.action is ext.action
+    chi = OneCochain(ext.H, ext.moduli, [(0, 0), (1, 0), (1, 1)])
+    f = ext.mu + coboundary_of(chi, ext.cocycle_action)
+    for arr in (ext.action, ext.mu.values, chi.values, f.values):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+    cls = cg.class_of(f)
+    h = ext.H.order
+    assert all(type(v) is int for v in cls.key)
+    assert all(type(v) is int for x in range(h) for y in range(h)
+               for v in f(x, y))
+    assert all(type(v) is int for x in range(h) for v in chi(x))
+    data = {"f": f.to_json(), "chi": chi.to_json(), "class": class_json(cls)}
+    assert _only_plain_ints(data)
+    json.dumps(data)
+
+
+def test_equal_cochains_hash_equal():
+    f = TwoCochain.from_function(V4, (2, 4), lambda x, y: (x & y & 1, x * y))
+    g = TwoCochain.from_function(V4, (2, 4),
+                                 lambda x, y: ((x & y & 1) + 2, x * y - 8))
+    assert f == g and hash(f) == hash(g)
+    zero = TwoCochain.zero(V4, (2, 4))
+    table = {f: "f", zero: "zero"}
+    assert table[g] == "f" and table[g - f] == "zero" and len(table) == 2
+    chi = OneCochain(Z4, (6,), [(0,), (2,), (4,), (3,)])
+    same = OneCochain(Z4, (6,), [(0,), (8,), (-2,), (15,)])
+    assert chi == same and {chi: 1}[same] == 1
+    assert chi != OneCochain(Z4, (6,), [(0,), (2,), (4,), (4,)])
+    # same values over another group or other moduli are different cochains
+    assert chi != OneCochain(catalog("cyclic", 4), (6,), [(0,), (2,), (4,), (3,)])
+    assert TwoCochain.zero(Z2, (2,)) != TwoCochain.zero(Z2, (4,))
+
+
+def test_values_outside_the_moduli_reduce_as_python_ints_do():
+    rng = random.Random(3)
+    moduli = (2, 4, 12)
+    raw = [(0, 0, 0)] + [tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in moduli)
+                         for _ in range(3)]
+    chi = OneCochain(Z4, moduli, raw)
+    for x, vec in enumerate(raw):
+        assert chi(x) == tuple(v % m for v, m in zip(vec, moduli))
+    f = TwoCochain.from_function(Z3, (5,), lambda x, y: (-7 * x * y,))
+    assert [f(x, y) for x in range(3) for y in range(3)] == \
+        [((-7 * x * y) % 5,) for x in range(3) for y in range(3)]
+    # a multiple of d_i at the identity reduces to zero, so it is normalized
+    assert OneCochain(Z2, (3,), [(-3,), (1,)])(0) == (0,)
+    # entries beyond 64 bits arrive through JSON and reduce there
+    big = 10 ** 30 + 7
+    g = TwoCochain.from_json(Z2, {"moduli": [3], "values": {"1,1": [big]}})
+    assert g(1, 1) == (big % 3,)
+    with pytest.raises(InputError):
+        OneCochain(Z2, (3,), [(0,), (1, 1)])
