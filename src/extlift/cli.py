@@ -19,6 +19,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from . import config
 from .catalog import CATALOG_NAMES, parse_catalog_expression, shipped_corpus
 from .errors import BoundExceeded, ExtliftError, InputError, SylowNotInvariant
 from .groups import (FiniteGroup, GroupAutomorphism, Subgroup,
@@ -344,10 +345,10 @@ def _error_record(args, exc: BaseException) -> dict:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_order", None):
-        if args.max_order < 1:
-            parser.error("--max-order must be positive")
-        os.environ["EXTLIFT_MAX_ORDER"] = str(args.max_order)
+    bound = getattr(args, "max_order", None)
+    if bound is not None and bound < 1:
+        parser.error("--max-order must be positive")
+    token = config.max_order_flag.set(bound)
     try:
         report, code = args.func(args)
     except BoundExceeded as exc:
@@ -362,6 +363,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (AssertionError, MemoryError, RecursionError) as exc:
         _emit(args, _error_record(args, exc))
         return 4
+    finally:
+        config.max_order_flag.reset(token)
     _emit(args, report)
     return code
 

@@ -5,10 +5,10 @@ read-only int64 array of shape (h, k) and a 2-cochain one of shape
 (h, h, k), reduced into [0, d_i) once, at construction.  H acts through a
 read-only (h, k, k) int64 array of matrices A(x) (None meaning the trivial
 action), composed so that A(xy) = A(y) A(x).  Cocycle and coboundary counts
-come from exact integer linear algebra: the coboundary image is held in a
-triangular lattice whose rows remember how they were assembled (giving
-constructive witnesses), and the cocycle kernel is counted through the dual
-of the constraint system.
+come from one exact int64 lattice engine (intlin.TriangularLattice): B^2 is
+held in a lattice whose rows remember how they were assembled (witnesses chi
+with coboundary f), class keys are its canonical remainders, and |Z^2| is the
+determinant of the lattice spanned by the dual of the constraint system.
 
 Unknowns are the values f(x, y) for x, y != 1 only; normalization fixes the
 rest.  The cocycle system is first re-parametrized by the values f(x, s) on
@@ -405,21 +405,13 @@ class CohomologyGroup:
         self._h = h
         self._k = k
         # ambient slots: pairs (x, y), x, y != 1, each k coordinates
-        self._ambient_moduli = tuple(self.moduli[c]
-                                     for _ in range((h - 1) * (h - 1))
-                                     for c in range(k))
         n = (h - 1) * k
-        self._lattice = TriangularLattice(self._ambient_moduli, expr_len=n)
+        self._lattice = TriangularLattice(self.moduli * (h - 1) ** 2, expr_len=n)
         # generators: the coboundaries of the unit cochains, x = 1 + i // k
         # and coordinate i % k, each recorded as the i-th unit expression
-        for i in range(n):
-            unit = np.zeros(h * k, dtype=np.int64)
-            unit[k + i] = 1
-            delta = coboundary_of(OneCochain(group, self.moduli, unit.reshape(h, k)),
-                                  self.action)
-            expr = [0] * n
-            expr[i] = 1
-            self._lattice.insert(self.vector_of(delta).tolist(), expr)
+        for unit in np.eye(h * k, dtype=np.int64)[k:]:
+            chi = OneCochain(group, self.moduli, unit.reshape(h, k))
+            self._lattice.insert(self.vector_of(coboundary_of(chi, self.action)), unit[k:])
         self.b2_order = self._lattice.span_order()
         self.z2_order = self._z2_order()
         if self.z2_order % self.b2_order:
@@ -446,13 +438,12 @@ class CohomologyGroup:
         """chi with coboundary_of(chi) = f, or None when f is not a coboundary."""
         if two_cocycle_defect(f, self.action) is not None:
             raise NotACocycle("coboundary_solve requires a 2-cocycle")
-        expr = self._lattice.reduce(self.vector_of(f).tolist())
+        expr = self._lattice.reduce(self.vector_of(f))
         if expr is None:
             return None
-        h, k = self._h, self._k
-        # expression entries are unbounded integers: reduce before the array
-        reduced = [e % m for e, m in zip(expr, self.moduli * (h - 1))]
-        chi = OneCochain(self.group, self.moduli, np.reshape([0] * k + reduced, (h, k)))
+        vals = np.zeros((self._h, self._k), dtype=np.int64)
+        vals[1:] = expr.reshape(self._h - 1, self._k)
+        chi = OneCochain(self.group, self.moduli, vals)
         if coboundary_of(chi, self.action) != f:
             raise AssertionError("recovered witness does not reproduce the cocycle")
         return chi
@@ -461,7 +452,7 @@ class CohomologyGroup:
         defect = two_cocycle_defect(f, self.action)
         if defect is not None:
             raise NotACocycle(f"cocycle identity fails at {defect}")
-        key = self._lattice.remainder(self.vector_of(f).tolist())
+        key = self._lattice.remainder(self.vector_of(f))
         return CohomologyClass(self, f, key)
 
     def zero_class(self) -> CohomologyClass:
@@ -478,13 +469,14 @@ class CohomologyGroup:
         gens = generating_set(G)
         ns = len(gens)
         r = (h - 1) * ns * k
-        gen_pos = {s: i for i, s in enumerate(gens)}
         mats = trivial_action(G, self.moduli) if self.action is None else self.action
 
         # express every f(x, y) linearly in the slice values f(x, s), s a
         # generator, by peeling the second argument along a breadth-first
         # spanning tree: f(x, s w) = f(x s, w) + A(w) f(x, s) - f(s, w)
         dmod = d.reshape(1, k, 1)
+        # f(x, s) for the si-th generator s is slice unknown ((x-1)*ns + si)*k + c
+        slice_units = np.eye(r, dtype=np.int64).reshape(h - 1, ns, k, r)
         E: dict[int, np.ndarray] = {0: np.zeros((h, k, r), dtype=np.int64)}
         queue = deque([0])
         while queue:
@@ -494,24 +486,16 @@ class CohomologyGroup:
                 if y in E:
                     continue
                 if w == 0:
-                    Ey = np.zeros((h, k, r), dtype=np.int64)
-                    for x in range(1, h):
-                        for c in range(k):
-                            Ey[x, c, ((x - 1) * ns + si) * k + c] = 1
+                    E[y] = np.concatenate([E[0][:1], slice_units[:, si]])
                 else:
-                    Aw = mats[w]
-                    Ey = (E[w][tab[:, s]]
-                          + np.einsum("ci,xir->xcr", Aw, E[s])
-                          - E[w][s][None, :, :]) % dmod
-                E[y] = Ey
+                    E[y] = (E[w][tab[:, s]]
+                            + np.einsum("ci,xir->xcr", mats[w], E[s])
+                            - E[w][s][None, :, :]) % dmod
                 queue.append(y)
         if len(E) != h:
             raise AssertionError("generating set does not reach the whole group")
 
-        col_moduli = np.tile(d, (h - 1) * ns)
-        rows: list[np.ndarray] = []
-        row_moduli: list[int] = []
-        seen: set[bytes] = set()
+        found: dict[bytes, tuple[np.ndarray, int]] = {}
         flat_mod = np.tile(d, h - 1)
         for y in range(1, h):
             Ey = E[y]
@@ -523,20 +507,11 @@ class CohomologyGroup:
                          - E[yz]
                          - Ez[y][None, :, :])[1:]
                 flat = block.reshape((h - 1) * k, r) % flat_mod[:, None]
-                for i in range(flat.shape[0]):
-                    row = flat[i]
-                    if not row.any():
-                        continue
-                    key = row.tobytes() + bytes([i % k])
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    rows.append(row)
-                    row_moduli.append(int(flat_mod[i]))
-        domain = 1
-        for m in col_moduli:
-            domain *= int(m)
-        if not rows:
-            return domain
-        return kernel_order(np.stack(rows), row_moduli, col_moduli)
+                # identical congruences are common: keep one of each
+                for i in np.flatnonzero(flat.any(axis=1)).tolist():
+                    found.setdefault(flat[i].tobytes() + bytes([i % k]),
+                                     (flat[i], int(flat_mod[i])))
+        rows = np.array([row for row, _ in found.values()], dtype=np.int64)
+        return kernel_order(rows.reshape(-1, r), [m for _, m in found.values()],
+                            np.tile(d, (h - 1) * ns))
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar
+from typing import Optional
 
 DEFAULT_MAX_ORDER = 512
 DEFAULT_MAX_UNKNOWNS = 20000
@@ -11,9 +13,15 @@ DEFAULT_SECTION_BOUND = 120
 
 _ENV_MAX_ORDER = "EXTLIFT_MAX_ORDER"
 
+# the CLI's --max-order, set for one call and reset after it
+max_order_flag: ContextVar[Optional[int]] = ContextVar("max_order_flag", default=None)
+
 
 def max_order() -> int:
-    """Enumeration bound on group order; EXTLIFT_MAX_ORDER overrides the default."""
+    """Enumeration bound: max_order_flag, else EXTLIFT_MAX_ORDER, else the default."""
+    flag = max_order_flag.get()
+    if flag is not None:
+        return flag
     raw = os.environ.get(_ENV_MAX_ORDER)
     if raw is None:
         return DEFAULT_MAX_ORDER

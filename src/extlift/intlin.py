@@ -1,18 +1,30 @@
 """Exact integer linear algebra over products of cyclic groups.
 
-Everything here works with arbitrary-precision Python integers; no floats,
-no modular shortcuts.  The central object is a full-rank triangular lattice
-basis in Z^n that always contains the lattice spanned by the coordinate
-moduli, so membership tests and subgroup orders in prod_i Z/m_i reduce to
-divisibility checks against the pivots.
+One engine: a triangular lattice basis in Z^n (an (n, n) int64 array) that
+contains the lattice of the coordinate moduli, so membership and subgroup
+orders in prod_i Z/m_i reduce to divisibility by the pivots.  A step whose
+products could leave int64 raises BoundExceeded instead of wrapping.
+Expressions are kept mod lcm(moduli), as lcm times a generator lies in the
+modulus lattice; rows still equal to m_i e_i are never walked, as a step
+against one only reduces entry i mod m_i.
 """
 
 from __future__ import annotations
 
-from math import prod
+from bisect import bisect_left
+from math import lcm, prod
 from typing import Optional, Sequence
 
+import numpy as np
+
+from .errors import BoundExceeded
+
 __all__ = ["ext_gcd", "TriangularLattice", "kernel_order"]
+
+_INT64_MAX = (1 << 63) - 1
+
+# dual rows kernel_order reduces against the lattice at once
+_KERNEL_BLOCK_ROWS = 256
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -30,33 +42,54 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _fits(bound: int) -> None:
+    if bound > _INT64_MAX:
+        raise BoundExceeded("lattice entries would leave the 64-bit range")
+
+
+def _absmax(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _int64(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise BoundExceeded("integer entries leave the 64-bit range") from None
+
+
 class TriangularLattice:
     """Upper-triangular basis of a lattice L with diag(moduli) <= L <= Z^n.
 
     The basis keeps one pivot row per coordinate (the initial rows are the
     moduli times unit vectors), so it stays square and triangular as vectors
-    are inserted.  Each row optionally carries an integer expression vector
-    recording how the row was assembled from inserted generators; reducing a
-    vector against the basis then recovers generator coefficients, which is
-    how coboundary witnesses are produced.
+    are inserted.  Each row carries an expression vector recording how it
+    was assembled from inserted generators; reducing a vector against the
+    basis then recovers generator coefficients (coboundary witnesses).
+    Between inserts every entry lies in [0, max(moduli)]; after a
+    BoundExceeded the lattice is unusable.
     """
 
     def __init__(self, moduli: Sequence[int], expr_len: int = 0):
         if any(m < 1 for m in moduli):
             raise ValueError("moduli must be positive")
         self.n = len(moduli)
-        self.moduli = tuple(moduli)
+        self.moduli = tuple(int(m) for m in moduli)
         self.expr_len = expr_len
-        self.rows = [[0] * self.n for _ in range(self.n)]
-        for i, m in enumerate(moduli):
-            self.rows[i][i] = m
-        self.exprs = [[0] * expr_len for _ in range(self.n)]
-
-    def pivot(self, i: int) -> int:
-        return self.rows[i][i]
+        self._mod = _int64(self.moduli)
+        self._top = max(self.moduli, default=0)
+        self._lcm = lcm(*self.moduli)
+        if expr_len:
+            _fits(2 * (self._lcm - 1) ** 2)
+        # pages of zeros stay unmapped: an untouched row costs one page
+        self.rows = np.zeros((self.n, self.n), dtype=np.int64)
+        np.fill_diagonal(self.rows, self._mod)
+        self.exprs = np.zeros((self.n, expr_len), dtype=np.int64)
+        self._piv: list[int] = []       # rows whose pivot fell below the modulus
+        self._pivots: list[int] = []    # and those pivots
 
     def det(self) -> int:
-        return prod(self.rows[i][i] for i in range(self.n))
+        return prod(self.rows.diagonal().tolist())
 
     def span_order(self) -> int:
         """Order of L / diag(moduli), i.e. of the spanned subgroup of prod Z/m_i."""
@@ -66,81 +99,103 @@ class TriangularLattice:
             raise AssertionError("lattice does not contain the modulus lattice")
         return total // d
 
+    def _vector(self, vec, n: Optional[int] = None) -> np.ndarray:
+        v, n = _int64(vec), self.n if n is None else n
+        if v.shape != (n,):
+            raise ValueError(f"expected vector of length {n}, got {v.size}")
+        return v
+
     def insert(self, vec: Sequence[int], expr: Optional[Sequence[int]] = None) -> None:
         """Grow the lattice by an integer vector, restoring triangular form."""
-        v = list(vec)
-        if len(v) != self.n:
-            raise ValueError(f"expected vector of length {self.n}, got {len(v)}")
-        e = [0] * self.expr_len if expr is None else list(expr)
+        v = self._vector(vec)
+        L, rows, exprs, mod = self._lcm, self.rows, self.exprs, self._mod
+        e = (np.zeros(self.expr_len, dtype=np.int64) if expr is None
+             else self._vector(expr, self.expr_len) % L)
+        piv, track = rows.diagonal(), self.expr_len > 0
         changed: list[int] = []
-        for i in range(self.n):
-            vi = v[i]
-            if vi == 0:
-                continue
-            row = self.rows[i]
-            p = row[i]
+        i = 0
+        while i < self.n:
+            # next entry to step on: a multiple of an untouched m_i is passed over
+            tail = v[i:]
+            live = np.flatnonzero(np.where(piv[i:] < mod[i:], tail, tail % mod[i:]))
+            if not live.size:
+                break
+            i += int(live[0])
+            vi, p = int(v[i]), int(piv[i])
+            # the pivot entries are set, not computed: only tails are bounded
+            row, tail = rows[i, i + 1:], v[i + 1:]
+            big, wide = _absmax(tail), (_absmax(row) if p < mod[i] else 0)
             if vi % p == 0:
                 q = vi // p
-                erow = self.exprs[i]
-                for j in range(i, self.n):
-                    v[j] -= q * row[j]
-                for j in range(self.expr_len):
-                    e[j] -= q * erow[j]
+                _fits(big + abs(q) * wide)
+                tail -= q * row
+                if track:
+                    e = (e - (q % L) * exprs[i]) % L
             else:
                 g, a, b = ext_gcd(p, vi)
                 pg, vg = p // g, vi // g
-                erow = self.exprs[i]
-                new_row = [0] * i + [a * row[j] + b * v[j] for j in range(i, self.n)]
-                new_v = [0] * (i + 1) + [pg * v[j] - vg * row[j] for j in range(i + 1, self.n)]
-                new_erow = [a * erow[j] + b * e[j] for j in range(self.expr_len)]
-                new_e = [pg * e[j] - vg * erow[j] for j in range(self.expr_len)]
-                self.rows[i] = new_row
-                self.exprs[i] = new_erow
-                v = new_v
-                e = new_e
+                _fits(max(abs(a) * wide + abs(b) * big, pg * big + abs(vg) * wide))
+                row[:], tail[:] = a * row + b * tail, pg * tail - vg * row
+                rows[i, i] = g
+                if track:
+                    exprs[i], e = (((a % L) * exprs[i] + (b % L) * e) % L,
+                                   ((pg % L) * e - (vg % L) * exprs[i]) % L)
                 changed.append(i)
-        for i in changed:
-            self._reduce_tail(i)
+            v[i] = 0
+            i += 1
+        self._piv = np.flatnonzero(piv < mod).tolist()
+        self._pivots = piv[self._piv].tolist()
+        # keep off-pivot entries small: walk each changed row against those below
+        for at, i in enumerate(changed):
+            row = rows[i]
+            taken = self._taken(self._walk(row, i + 1, dirty=changed[at + 1:]))
+            exprs[i] = (exprs[i] - taken) % L
+            free = piv[i + 1:] == mod[i + 1:]
+            row[i + 1:][free] %= mod[i + 1:][free]
 
-    def _reduce_tail(self, i: int) -> None:
-        # keep off-pivot entries small: subtract multiples of the pivot rows below
-        row = self.rows[i]
-        erow = self.exprs[i]
-        for j in range(i + 1, self.n):
-            q = row[j] // self.rows[j][j]
+    def _walk(self, v: np.ndarray, start: int = 0,
+              dirty: Sequence[int] = ()) -> list[tuple[int, int]]:
+        """Take multiples of the rows from `start` on whose pivot fell below
+        the modulus off v, in pivot order, leaving each pivot entry in
+        [0, pivot); return the (row, multiple) steps.  Entries under
+        untouched modulus rows are left to the caller.  Rows in `dirty`
+        changed in this insert and are measured, not assumed small.
+        """
+        rows, steps, big = self.rows, [], None
+        first = bisect_left(self._piv, start)
+        for j, p in zip(self._piv[first:], self._pivots[first:]):
+            q = int(v[j]) // p
             if q:
-                rj = self.rows[j]
-                ej = self.exprs[j]
-                for l in range(j, self.n):
-                    row[l] -= q * rj[l]
-                for l in range(self.expr_len):
-                    erow[l] -= q * ej[l]
+                step = abs(q) * (_absmax(rows[j, j:]) if j in dirty else self._top)
+                # a running bound only grows: measure when it would fail
+                big = (_absmax(v[j:]) if big is None or big + step > _INT64_MAX
+                       else big) + step
+                _fits(big)
+                v[j:] -= q * rows[j, j:]
+                steps.append((j, q))
+        return steps
 
-    def reduce(self, vec: Sequence[int]) -> Optional[list[int]]:
+    def _taken(self, steps: list[tuple[int, int]]) -> np.ndarray:
+        """The expression of the steps' rows times their multiples, mod lcm."""
+        if not steps or not self.expr_len:
+            return np.zeros(self.expr_len, dtype=np.int64)
+        L = self._lcm
+        js, qs = zip(*steps)
+        _fits(len(qs) * (L - 1) ** 2)
+        return np.dot([q % L for q in qs], self.exprs.take(js, axis=0)) % L
+
+    def reduce(self, vec: Sequence[int]) -> Optional[np.ndarray]:
         """Express vec over the basis; return the generator expression or None.
 
-        Returns the accumulated expression vector when vec lies in the
-        lattice, None otherwise.  The basis is not modified.
+        The expression is an int64 array mod lcm(moduli), returned when vec
+        lies in the lattice.  The basis is not modified.
         """
-        v = list(vec)
-        if len(v) != self.n:
-            raise ValueError(f"expected vector of length {self.n}, got {len(v)}")
-        acc = [0] * self.expr_len
-        for i in range(self.n):
-            vi = v[i]
-            if vi == 0:
-                continue
-            row = self.rows[i]
-            p = row[i]
-            if vi % p:
-                return None
-            q = vi // p
-            for j in range(i, self.n):
-                v[j] -= q * row[j]
-            erow = self.exprs[i]
-            for j in range(self.expr_len):
-                acc[j] += q * erow[j]
-        return acc
+        v = self._vector(vec)
+        steps = self._walk(v)
+        # on a member every floor step divides exactly: the steps of its expression
+        if (v % self._mod).any():
+            return None
+        return self._taken(steps)
 
     def contains(self, vec: Sequence[int]) -> bool:
         return self.reduce(vec) is not None
@@ -153,36 +208,22 @@ class TriangularLattice:
         vectors in one coset differ by a lattice element whose first nonzero
         entry would be a pivot multiple smaller than the pivot.
         """
-        v = list(vec)
-        if len(v) != self.n:
-            raise ValueError(f"expected vector of length {self.n}, got {len(v)}")
-        for i in range(self.n):
-            row = self.rows[i]
-            q = v[i] // row[i]
-            if q:
-                for j in range(i, self.n):
-                    v[j] -= q * row[j]
-        return tuple(v)
+        v = self._vector(vec)
+        self._walk(v)
+        return tuple((v % self._mod).tolist())
 
-
-def _np_span_insert(tri, vec, col_moduli) -> None:
-    # numpy analogue of TriangularLattice.insert, no expression tracking
-    v = vec % col_moduli
-    while True:
-        nz = v.nonzero()[0]
-        if nz.size == 0:
-            return
-        i = int(nz[0])
-        p = int(tri[i, i])
-        b = int(v[i])
-        if b % p == 0:
-            v = (v - (b // p) * tri[i]) % col_moduli
-        else:
-            g, a, t = ext_gcd(p, b)
-            old = tri[i].copy()
-            tri[i] = (a * old + t * v) % col_moduli
-            tri[i, i] = g
-            v = ((p // g) * v - (b // g) * old) % col_moduli
+    def _remainders(self, block: np.ndarray) -> np.ndarray:
+        """The remainder of every row of an int64 block, in place."""
+        big = _absmax(block)
+        for j, p in zip(self._piv, self._pivots):
+            q = block[:, j] // p
+            step = _absmax(q) * self._top
+            if step:
+                big = (_absmax(block[:, j:]) if big + step > _INT64_MAX else big) + step
+                _fits(big)
+                block[:, j:] -= q[:, None] * self.rows[j, j:]
+        block %= self._mod
+        return block
 
 
 def kernel_order(rows, row_moduli, col_moduli) -> int:
@@ -192,38 +233,33 @@ def kernel_order(rows, row_moduli, col_moduli) -> int:
     is a congruence mod row_moduli[s].  The map must be well defined, i.e.
     row_moduli[s] must divide rows[s][j] * col_moduli[j] for every entry.
 
-    The count is |domain| / |image|, and the image order is computed on the
-    Pontryagin dual side, where the ambient group is the (small) domain dual
-    and the generators are the scaled matrix rows.  Entries stay below
-    max(col_moduli)^2, so 64-bit arithmetic is exact within the supported
-    group-order range.
+    The count is |domain| / |image|: the determinant of the lattice that the
+    scaled matrix rows span with the moduli on the Pontryagin dual side.
+    Rows are reduced against it a block at a time and only those left
+    nonzero are inserted, which spans the same lattice.
     """
-    import numpy as np
-
-    col = np.asarray(col_moduli, dtype=np.int64)
+    col = _int64(col_moduli).reshape(-1)
     n = col.size
-    domain = prod(int(m) for m in col)
     if n == 0:
         return 1
-    if int(col.max()) > 1 << 20:
-        raise ValueError("moduli too large for the 64-bit kernel solver")
-    mat = np.asarray(rows, dtype=np.int64).reshape(-1, n)
-    rm = np.asarray(row_moduli, dtype=np.int64).reshape(-1)
+    lattice = TriangularLattice(col.tolist())
+    mat = _int64(rows).reshape(-1, n)
+    rm = _int64(row_moduli).reshape(-1)
     if mat.shape[0] != rm.size:
         raise ValueError("one modulus per row required")
-    mat = mat % rm[:, None]
+    _fits(int(rm.max(initial=0)) * int(col.max()))
     # dedupe (row, modulus) pairs; identical congruences are common here
-    stacked = np.unique(np.concatenate([mat, rm[:, None]], axis=1), axis=0)
-    tri = np.diag(col).astype(np.int64)
-    for row in stacked:
-        e = int(row[n])
-        scaled = row[:n] * col
-        if np.any(scaled % e):
+    stacked = np.unique(np.concatenate([mat % rm[:, None], rm[:, None]], axis=1), axis=0)
+    for start in range(0, len(stacked), _KERNEL_BLOCK_ROWS):
+        part = stacked[start:start + _KERNEL_BLOCK_ROWS]
+        scaled, e = part[:, :n] * col, part[:, n:]
+        if (scaled % e).any():
             raise ValueError("system not well defined for the given moduli")
-        dual = (scaled // e) % col
-        if dual.any():
-            _np_span_insert(tri, dual, col)
-    image = prod(int(m) for m in col) // prod(int(tri[i, i]) for i in range(n))
-    if domain % image:
-        raise AssertionError("image order must divide domain order")
-    return domain // image
+        block = (scaled // e) % col
+        while block.size:
+            block = lattice._remainders(block)
+            block = block[block.any(axis=1)]
+            if block.size:
+                lattice.insert(block[0])
+                block = block[1:]
+    return prod(lattice.moduli) // lattice.span_order()

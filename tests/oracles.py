@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 from math import prod
+from typing import Optional, Sequence
 
 import numpy as np
 
 from extlift import FiniteGroup, Subgroup, all_subgroups, automorphism_group
+from extlift.intlin import ext_gcd
 
 # total normalized-cochain assignments a brute H^2 enumeration may visit
 H2_SPACE_BOUND = 2 ** 16
@@ -246,3 +248,140 @@ def brute_triple_defect(ext, T, phi_image, chi_values):
                 if (left - right) % moduli[i]:
                     return ("(2)", (x, y))
     return None
+
+
+# The pure-Python lattice engine, kept as the reference for extlift.intlin:
+# the same row operations on unbounded integers, with unreduced expressions.
+class TriangularLattice:
+    """Upper-triangular basis of a lattice L with diag(moduli) <= L <= Z^n.
+
+    The basis keeps one pivot row per coordinate (the initial rows are the
+    moduli times unit vectors), so it stays square and triangular as vectors
+    are inserted.  Each row optionally carries an integer expression vector
+    recording how the row was assembled from inserted generators; reducing a
+    vector against the basis then recovers generator coefficients, which is
+    how coboundary witnesses are produced.
+    """
+
+    def __init__(self, moduli: Sequence[int], expr_len: int = 0):
+        if any(m < 1 for m in moduli):
+            raise ValueError("moduli must be positive")
+        self.n = len(moduli)
+        self.moduli = tuple(moduli)
+        self.expr_len = expr_len
+        self.rows = [[0] * self.n for _ in range(self.n)]
+        for i, m in enumerate(moduli):
+            self.rows[i][i] = m
+        self.exprs = [[0] * expr_len for _ in range(self.n)]
+
+    def pivot(self, i: int) -> int:
+        return self.rows[i][i]
+
+    def det(self) -> int:
+        return prod(self.rows[i][i] for i in range(self.n))
+
+    def span_order(self) -> int:
+        """Order of L / diag(moduli), i.e. of the spanned subgroup of prod Z/m_i."""
+        d = self.det()
+        total = prod(self.moduli)
+        if total % d:
+            raise AssertionError("lattice does not contain the modulus lattice")
+        return total // d
+
+    def insert(self, vec: Sequence[int], expr: Optional[Sequence[int]] = None) -> None:
+        """Grow the lattice by an integer vector, restoring triangular form."""
+        v = list(vec)
+        if len(v) != self.n:
+            raise ValueError(f"expected vector of length {self.n}, got {len(v)}")
+        e = [0] * self.expr_len if expr is None else list(expr)
+        changed: list[int] = []
+        for i in range(self.n):
+            vi = v[i]
+            if vi == 0:
+                continue
+            row = self.rows[i]
+            p = row[i]
+            if vi % p == 0:
+                q = vi // p
+                erow = self.exprs[i]
+                for j in range(i, self.n):
+                    v[j] -= q * row[j]
+                for j in range(self.expr_len):
+                    e[j] -= q * erow[j]
+            else:
+                g, a, b = ext_gcd(p, vi)
+                pg, vg = p // g, vi // g
+                erow = self.exprs[i]
+                new_row = [0] * i + [a * row[j] + b * v[j] for j in range(i, self.n)]
+                new_v = [0] * (i + 1) + [pg * v[j] - vg * row[j] for j in range(i + 1, self.n)]
+                new_erow = [a * erow[j] + b * e[j] for j in range(self.expr_len)]
+                new_e = [pg * e[j] - vg * erow[j] for j in range(self.expr_len)]
+                self.rows[i] = new_row
+                self.exprs[i] = new_erow
+                v = new_v
+                e = new_e
+                changed.append(i)
+        for i in changed:
+            self._reduce_tail(i)
+
+    def _reduce_tail(self, i: int) -> None:
+        # keep off-pivot entries small: subtract multiples of the pivot rows below
+        row = self.rows[i]
+        erow = self.exprs[i]
+        for j in range(i + 1, self.n):
+            q = row[j] // self.rows[j][j]
+            if q:
+                rj = self.rows[j]
+                ej = self.exprs[j]
+                for l in range(j, self.n):
+                    row[l] -= q * rj[l]
+                for l in range(self.expr_len):
+                    erow[l] -= q * ej[l]
+
+    def reduce(self, vec: Sequence[int]) -> Optional[list[int]]:
+        """Express vec over the basis; return the generator expression or None.
+
+        Returns the accumulated expression vector when vec lies in the
+        lattice, None otherwise.  The basis is not modified.
+        """
+        v = list(vec)
+        if len(v) != self.n:
+            raise ValueError(f"expected vector of length {self.n}, got {len(v)}")
+        acc = [0] * self.expr_len
+        for i in range(self.n):
+            vi = v[i]
+            if vi == 0:
+                continue
+            row = self.rows[i]
+            p = row[i]
+            if vi % p:
+                return None
+            q = vi // p
+            for j in range(i, self.n):
+                v[j] -= q * row[j]
+            erow = self.exprs[i]
+            for j in range(self.expr_len):
+                acc[j] += q * erow[j]
+        return acc
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return self.reduce(vec) is not None
+
+    def remainder(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """Canonical coset representative of vec modulo the lattice.
+
+        Every coordinate is a pivot column, so reducing each entry into
+        [0, pivot) left to right leaves a unique representative: two reduced
+        vectors in one coset differ by a lattice element whose first nonzero
+        entry would be a pivot multiple smaller than the pivot.
+        """
+        v = list(vec)
+        if len(v) != self.n:
+            raise ValueError(f"expected vector of length {self.n}, got {len(v)}")
+        for i in range(self.n):
+            row = self.rows[i]
+            q = v[i] // row[i]
+            if q:
+                for j in range(i, self.n):
+                    v[j] -= q * row[j]
+        return tuple(v)

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 from extlift import catalog, direct_product
-from extlift import cli
+from extlift import cli, config
 from extlift.cli import main
 from extlift.reports import dumps, group_json
 
@@ -20,16 +20,6 @@ SCHEMA = json.loads(
     (resources.files("extlift") / "schema" / "report.schema.json")
     .read_text(encoding="utf-8"))
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
-
-
-@pytest.fixture(autouse=True)
-def _restore_max_order():
-    before = os.environ.get("EXTLIFT_MAX_ORDER")
-    yield
-    if before is None:
-        os.environ.pop("EXTLIFT_MAX_ORDER", None)
-    else:
-        os.environ["EXTLIFT_MAX_ORDER"] = before
 
 
 def run(capsys, *argv):
@@ -263,14 +253,27 @@ STDOUT_SHA256 = [
     (["lift", "--group", "catalog:heisenberg(3)", "--subgroup", "center",
       "--phi", "aut:5"],
      "b969b23af3f1e906715d055e4ee02c757e25a505a0f067fb6f5247a04bccd18e"),
+    # coefficients Z4 (the non-central cyclic C4 of dihedral(32)) and Z8:
+    # over a non-field the witness can depend on the lattice's sequence of
+    # row steps (the Z8 ones change under other Bezout coefficients)
+    (["lift", "--group", "catalog:dihedral(32)", "--subgroup", "0,4,8,12",
+      "--phi", "aut:1"],
+     "b3201b5b438b41b998ec4d8344583b5856a561d7543b2f6dc114223a081d30e7"),
+    (["lift", "--group", "catalog:dihedral(32)",
+      "--subgroup", "0,2,4,6,8,10,12,14", "--phi", "aut:1"],
+     "68cc49a6893b0eb01aeb9b871a7da82a62e414daea8012e325c64aa91aa02efd"),
+    (["extend", "--group", "catalog:cyclic(32)",
+      "--subgroup", "0,4,8,12,16,20,24,28", "--theta", "aut:2"],
+     "be1e048b0c74ec84f2655f54f218c2d497c1f80892f877d7f10ccf8bae423ae2"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", STDOUT_SHA256,
                          ids=["-".join(a[0::2]) for a, _ in STDOUT_SHA256])
 def test_stdout_bytes_are_pinned(capsys, argv, digest):
-    """Central k = 1, non-central and k = 2 reports, and lift/extend witnesses
-    and an obstruction on heisenberg(3) over its centre."""
+    """Central k = 1, non-central and k = 2 reports, lift/extend witnesses
+    and an obstruction on heisenberg(3) over its centre, and witnesses over
+    Z4 and Z8."""
     main(argv)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -283,6 +286,24 @@ def test_max_order_flag_trips_bound(capsys):
                           "--coeffs", "cyclic(2)", "--max-order", "100")
     assert code == 3
     assert report["kind"] == "BoundExceeded"
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--expr", "cyclic(6)"],
+    ["h2", "--group", "catalog:cyclic(300)", "--coeffs", "cyclic(2)"]])
+def test_max_order_flag_is_scoped_to_one_call(capsys, monkeypatch, argv):
+    """The flag neither writes the environment nor outlives its call, also
+    when the call fails; the environment variable still applies."""
+    monkeypatch.delenv("EXTLIFT_MAX_ORDER", raising=False)
+    before = dict(os.environ)
+    main(argv + ["--max-order", "100"])
+    capsys.readouterr()
+    assert dict(os.environ) == before
+    assert config.max_order() == config.DEFAULT_MAX_ORDER
+    monkeypatch.setenv("EXTLIFT_MAX_ORDER", "100")
+    code, report, _ = run(capsys, "h2", "--group", "catalog:cyclic(300)",
+                          "--coeffs", "cyclic(2)")
+    assert code == 3 and report["kind"] == "BoundExceeded"
 
 
 @pytest.mark.parametrize("exc", [

@@ -50,6 +50,20 @@ def test_table_validation_errors():
         FiniteGroup([[1, 0], [0, 1]])
 
 
+def test_associativity_is_checked_exactly_above_order_512():
+    n = 520
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    assert group_from_cayley(table).order == n
+    # turn an intercalate of Z/520 over: still a loop, no longer a group
+    h = n // 2
+    for r, c in ((1, 2), (1, 2 + h), (1 + h, 2), (1 + h, 2 + h)):
+        table[r][c] = (table[r][c] + h) % n
+    with pytest.raises(NotAssociative) as info:
+        group_from_cayley(table)
+    x, g, y = (int(v) for v in str(info.value).split("(")[1].rstrip(")").split(","))
+    assert table[table[x][g]][y] != table[x][table[g][y]]
+
+
 def test_identity_is_element_zero():
     G = catalog("dihedral", 8)
     assert all(G.mul(0, a) == a and G.mul(a, 0) == a for a in G.elements())

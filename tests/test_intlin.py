@@ -1,12 +1,16 @@
-"""Exact linear algebra layer, checked against closure enumeration."""
+"""Exact linear algebra layer, checked against closure enumeration and
+against the pure-Python reference engine in oracles."""
 
 import itertools
 import random
-from math import gcd, prod
+import sys
+from math import gcd, lcm, prod
 
 import pytest
 
+from extlift.errors import BoundExceeded
 from extlift.intlin import TriangularLattice, ext_gcd, kernel_order
+from oracles import TriangularLattice as ReferenceLattice
 
 
 def test_ext_gcd_bezout():
@@ -151,3 +155,67 @@ def test_kernel_order_trivial_cases():
     assert kernel_order([[1]], [7], [7]) == 1
     total = prod([4, 6])
     assert kernel_order([[2, 0], [0, 3]], [4, 6], [4, 6]) == total // (2 * 2)
+
+
+@pytest.mark.parametrize("moduli", [(4, 6, 8), (2, 4, 8, 8), (3, 9, 9), (12, 18, 8)])
+def test_lattice_matches_reference_engine(moduli):
+    """Same rows, det, remainders and (mod lcm) expressions as the reference:
+    the witnesses depend on the exact sequence of row operations."""
+    rng = random.Random(sum(moduli))
+    L = lcm(*moduli)
+    vectors = list(itertools.product(*[range(m) for m in moduli]))
+    for trial in range(12):
+        count = rng.randrange(1, 6)
+        new = TriangularLattice(moduli, expr_len=count)
+        ref = ReferenceLattice(moduli, expr_len=count)
+        for i in range(count):
+            # unreduced and negative entries too: insert must not reduce them
+            vec = [rng.randrange(-3 * m, 3 * m) for m in moduli]
+            unit = [int(j == i) for j in range(count)]
+            new.insert(vec, unit)
+            ref.insert(vec, unit)
+            assert new.rows.tolist() == ref.rows
+            assert new.exprs.tolist() == [[x % L for x in e] for e in ref.exprs]
+        assert new.det() == ref.det()
+        assert new.span_order() == ref.span_order()
+        for vec in vectors:
+            shifted = [x + rng.randrange(-2, 3) * m for x, m in zip(vec, moduli)]
+            assert new.remainder(shifted) == ref.remainder(shifted)
+            got, want = new.reduce(shifted), ref.reduce(shifted)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tolist() == [x % L for x in want]
+
+
+def _peak_entry(lattice, vec):
+    """Largest |entry| the reference engine's insert holds while inserting vec."""
+    peak = 0
+    codes = (ReferenceLattice.insert.__code__, ReferenceLattice._reduce_tail.__code__)
+
+    def local(frame, event, arg):
+        nonlocal peak
+        for name in ("v", "new_v", "new_row", "row"):
+            val = frame.f_locals.get(name)
+            if val:
+                peak = max(peak, max(abs(x) for x in val))
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code in codes else None
+
+    sys.settrace(calls)
+    try:
+        lattice.insert(vec)
+    finally:
+        sys.settrace(None)
+    return peak
+
+
+def test_entries_beyond_64_bits_raise_instead_of_wrapping():
+    moduli = (1 << 20,) * 4
+    vec = [948708, 976538, 947561, 398253]
+    assert _peak_entry(ReferenceLattice(moduli), vec) >= 1 << 63
+    with pytest.raises(BoundExceeded):
+        TriangularLattice(moduli).insert(vec)
+    with pytest.raises(BoundExceeded):
+        TriangularLattice((2, 2)).remainder([1 << 64, 0])
