@@ -40,6 +40,7 @@ __all__ = [
     "automorphism_group",
     "hom_by_generator_images",
     "generating_set",
+    "require_closed",
     "is_commuting_automorphism",
     "is_nilpotent",
     "nilpotency_class",
@@ -262,6 +263,11 @@ def group_from_cayley(table: Sequence[Sequence[int]], name: str = "G") -> Finite
 def _compose_perm(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """(p o q)(i) = p[q[i]]: apply q first."""
     return tuple(p[i] for i in q)
+
+
+def _compose_pair(p, q) -> tuple:
+    """Componentwise _compose_perm on pairs of permutations."""
+    return (_compose_perm(p[0], q[0]), _compose_perm(p[1], q[1]))
 
 
 def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
@@ -538,9 +544,48 @@ def generating_set(G: FiniteGroup) -> list[int]:
     gens: list[int] = []
     cl = (0,)
     while len(cl) < G.order:
-        nxt = next(x for x in range(G.order) if x not in set(cl))
+        have = set(cl)
+        nxt = next(x for x in range(G.order) if x not in have)
         gens.append(nxt)
         cl = G.closure(gens)
+    return gens
+
+
+def require_closed(keys: Sequence, compose, identity, message: str) -> list:
+    """Check that the group elements keys form a subgroup; return generators.
+
+    Grows S inside K = set(keys), in the order of keys, closing {identity}
+    under right multiplication by S, and raises AssertionError(message) as
+    soon as a product r*s leaves K.  On success every member of K is reached
+    and every product stays in K, so K is a finite set containing the
+    identity and closed under right multiplication by S: it is the subgroup
+    generated by S, hence closed under all products.  Conversely a closed
+    nonempty K (a subgroup) passes, and the empty set counts as closed, so
+    this accepts exactly the sets that checking all |K|^2 products accepts,
+    at cost O(|K| * |S|); each generator at least doubles the reached
+    subgroup, so |S| <= log2 |K|.
+    """
+    have = set(keys)
+    if not have:
+        return []
+    if identity not in have:
+        raise AssertionError(message)
+    gens: list = []
+    reached = {identity}
+    order = [identity]
+    for g in keys:
+        if g in reached:
+            continue
+        gens.append(g)
+        done = len(order)      # order[:done] is closed under the earlier gens
+        for i, r in enumerate(order):       # runs over appended members too
+            for s in (gens[-1:] if i < done else gens):
+                p = compose(r, s)
+                if p not in reached:
+                    if p not in have:
+                        raise AssertionError(message)
+                    reached.add(p)
+                    order.append(p)
     return gens
 
 

@@ -23,8 +23,9 @@ from .cohomology import TwoCochain
 from .errors import (BoundExceeded, NotCentral, NotExtraspecialShape,
                      NotSplit, ParentMismatch)
 from .groups import (FiniteGroup, GroupAutomorphism, GroupHomomorphism,
-                     Subgroup, _compose_perm, center, derived_subgroup,
-                     generating_set, hom_by_generator_images)
+                     Subgroup, _compose_pair, _compose_perm, center,
+                     derived_subgroup, generating_set, hom_by_generator_images,
+                     require_closed)
 from .wells import ExtensionData, aut_subgroups, compatible_pairs, lambda1, lambda2, \
     lambda_pair, triple_of
 
@@ -96,12 +97,11 @@ def split_kernels(ext: ExtensionData) -> SplitKernels:
     if ext.central:
         c_star = tuple(pr for pr in pairs
                        if lambda_pair(ext, pr.theta, pr.phi).is_trivial)
-    _require_closed([th.image for th in c1_star], _compose_perm)
-    _require_closed([ph.image for ph in c2_star], _compose_perm)
-    if c_star is not None:
-        _require_closed([(pr.theta.image, pr.phi.image) for pr in c_star],
-                        lambda a, b: (_compose_perm(a[0], b[0]),
-                                      _compose_perm(a[1], b[1])))
+    for seq, star in ((1, c1_star), (2, c2_star), (3, c_star)):
+        if star is not None:
+            require_closed([_domain_key(seq, m) for m in star],
+                           _domain_compose(seq), _domain_identity(ext, seq),
+                           "starred set is not closed under composition")
     subs = aut_subgroups(ext)
     kernel = len(subs.aut_upper_N_H)
     if len(subs.aut_N_H) != kernel * len(c1_star):
@@ -111,14 +111,6 @@ def split_kernels(ext: ExtensionData) -> SplitKernels:
     if c_star is not None and len(subs.aut_N_of_G) != kernel * len(c_star):
         raise AssertionError("pair sequence order identity fails")
     return SplitKernels(c1_star, c2_star, c_star)
-
-
-def _require_closed(keys, mul) -> None:
-    have = set(keys)
-    for a in keys:
-        for b in keys:
-            if mul(a, b) not in have:
-                raise AssertionError("starred set is not closed under composition")
 
 
 def is_split_extension(ext: ExtensionData) -> tuple[bool, Optional[SplitWitness]]:
@@ -167,25 +159,40 @@ def _domain_key(sequence: int, member):
     return member.image
 
 
-def _domain_compose(sequence: int, a, b):
-    if sequence == 3:
-        return (_compose_perm(a[0], b[0]), _compose_perm(a[1], b[1]))
-    return _compose_perm(a, b)
+def _domain_compose(sequence: int):
+    return _compose_pair if sequence == 3 else _compose_perm
+
+
+def _domain_identity(ext: ExtensionData, sequence: int):
+    if sequence == 1:
+        return ext.id_N.image
+    if sequence == 2:
+        return ext.id_H.image
+    return (ext.id_N.image, ext.id_H.image)
 
 
 def _verify_section(ext: ExtensionData, sec: Section) -> None:
-    """Check sec is a homomorphism landing in the right fiber everywhere."""
-    index = {_domain_key(sec.sequence, m): i for i, m in enumerate(sec.domain)}
-    for i, member in enumerate(sec.domain):
-        if _projection_key(ext, sec.sequence, sec.images[i]) != \
-                _domain_key(sec.sequence, member):
-            raise AssertionError("section image projects to the wrong element")
+    """Check sec is a homomorphism landing in the right fiber everywhere.
+
+    The domain is checked to be a group and a generating set S of it is
+    grown (require_closed); then f(a s) = f(a) f(s) is checked for every a
+    and every s in {1} + S.  Taking s = 1 forces f(1) = id, and induction on
+    the length of b as a word in S gives f(a b) = f(a) f(b) for all a, b.
+    """
     keys = [_domain_key(sec.sequence, m) for m in sec.domain]
+    for i, key in enumerate(keys):
+        if _projection_key(ext, sec.sequence, sec.images[i]) != key:
+            raise AssertionError("section image projects to the wrong element")
+    compose = _domain_compose(sec.sequence)
+    identity = _domain_identity(ext, sec.sequence)
+    gens = require_closed(keys, compose, identity,
+                          "section domain is not closed under composition")
+    index = {key: i for i, key in enumerate(keys)}
+    images = [f.image for f in sec.images]
     for i, a in enumerate(keys):
-        for j, b in enumerate(keys):
-            prod = index[_domain_compose(sec.sequence, a, b)]
-            composed = _compose_perm(sec.images[i].image, sec.images[j].image)
-            if composed != sec.images[prod].image:
+        for b in [identity] + gens:
+            prod = index[compose(a, b)]
+            if _compose_perm(images[i], images[index[b]]) != images[prod]:
                 raise AssertionError("section is not a homomorphism")
 
 
@@ -223,17 +230,11 @@ def canonical_sections(ext: ExtensionData) -> tuple[Section, Section, Optional[S
     return psi1, psi2, psi
 
 
-def _abstract_group(keys, compose) -> tuple[FiniteGroup, dict]:
+def _abstract_group(keys, compose, identity) -> tuple[FiniteGroup, dict]:
     """Composition table over hashable keys; the identity is placed first."""
-    idt = None
-    for i, k in enumerate(keys):
-        if all(compose(k, q) == q and compose(q, k) == q for q in keys):
-            idt = i
-            break
-    if idt is None:
+    if identity not in keys:
         raise AssertionError("candidate set has no identity element")
-    ordering = [idt] + [i for i in range(len(keys)) if i != idt]
-    ordered = [keys[i] for i in ordering]
+    ordered = [identity] + [k for k in keys if k != identity]
     pos = {k: i for i, k in enumerate(ordered)}
     table = [[pos[compose(a, b)] for b in ordered] for a in ordered]
     return FiniteGroup(table, name=f"abstract{len(keys)}"), pos
@@ -262,13 +263,14 @@ def section_search(ext: ExtensionData, which: int) -> Optional[Section]:
     cands = {1: subs.aut_N_H, 2: subs.aut_upper_N, 3: subs.aut_N_of_G}[which]
 
     keys = [_domain_key(which, m) for m in domain]
-    S, spos = _abstract_group(keys, lambda a, b: _domain_compose(which, a, b))
+    S, spos = _abstract_group(keys, _domain_compose(which),
+                              _domain_identity(ext, which))
     members = [None] * len(domain)
     for i, m in enumerate(domain):
         members[spos[keys[i]]] = m
 
     ckeys = [g.image for g in cands]
-    T, cpos = _abstract_group(ckeys, _compose_perm)
+    T, cpos = _abstract_group(ckeys, _compose_perm, tuple(range(ext.G.order)))
     tmembers = [None] * len(cands)
     for g in cands:
         tmembers[cpos[g.image]] = g

@@ -32,8 +32,9 @@ from .cohomology import (CohomologyClass, CohomologyGroup, OneCochain,
                          TwoCochain, coboundary_of, two_cocycle_defect)
 from .errors import (DoesNotNormalize, InputError, NotCentral, NotCompatible,
                      ParentMismatch, TripleConditionsFail)
-from .groups import (FiniteGroup, GroupAutomorphism, Subgroup, _compose_perm,
-                     automorphism_group, center, quotient_group)
+from .groups import (FiniteGroup, GroupAutomorphism, Subgroup, _compose_pair,
+                     _compose_perm, automorphism_group, center, quotient_group,
+                     require_closed)
 
 __all__ = [
     "ExtensionData",
@@ -79,7 +80,8 @@ class ExtensionData:
     The transversal defaults to the minimal G-index in each coset.  The
     conjugation action of H on N does not depend on the transversal (N is
     abelian), so rebuilding with a different transversal shares the
-    coordinate structure, the action and the cohomology solver.
+    coordinate structure, the action, the cohomology solver and the
+    compatible pairs.
 
     action is the read-only (h, k, k) int64 array of the matrices A(x) of the
     conjugation action, and mu the factor set, a TwoCochain whose values are
@@ -104,11 +106,14 @@ class ExtensionData:
             self.action = _share.action
             self.central = _share.central
             self._cohomology = _share._cohomology
+            self._compatible = _share._compatible
         else:
             self.H, self.pi = quotient_group(G, N)
             self.coeffs: AbelianStructure = abelian_structure(N)
             self.n_group = self.coeffs.n_group
             self._cohomology: Optional[CohomologyGroup] = None
+            # (pairs, c1, c2, closure checked), see compatible_pairs
+            self._compatible: Optional[tuple] = None
             self._build_action()
         h = self.H.order
         if transversal is None:
@@ -236,23 +241,27 @@ def is_compatible(ext: ExtensionData, theta: GroupAutomorphism,
 
 
 def compatible_pairs(ext: ExtensionData, verify_closure: bool = True):
-    """All compatible pairs C plus the slices C1 (phi = 1) and C2 (theta = 1)."""
-    auts_n = automorphism_group(ext.n_group)
-    auts_h = automorphism_group(ext.H)
-    pairs = [CompatiblePair(th, ph) for th in auts_n for ph in auts_h
-             if is_compatible(ext, th, ph)]
-    c1 = [p.theta for p in pairs if p.phi.image == ext.id_H.image]
-    c2 = [p.phi for p in pairs if p.theta.image == ext.id_N.image]
-    if verify_closure:
-        seen = {(p.theta.image, p.phi.image) for p in pairs}
-        for p in pairs:
-            for q in pairs:
-                key = (_compose_perm(p.theta.image, q.theta.image),
-                       _compose_perm(p.phi.image, q.phi.image))
-                if key not in seen:
-                    raise AssertionError("compatible pairs are not closed "
-                                         "under composition")
-    return pairs, c1, c2
+    """All compatible pairs C plus the slices C1 (phi = 1) and C2 (theta = 1).
+
+    C is found once per extension (rebuilds with another transversal share
+    it) and handed out as fresh lists.  With verify_closure the result has
+    passed require_closed: C is a subgroup of Aut N x Aut H.
+    """
+    if ext._compatible is None:
+        auts_n = automorphism_group(ext.n_group)
+        auts_h = automorphism_group(ext.H)
+        pairs = tuple(CompatiblePair(th, ph) for th in auts_n for ph in auts_h
+                      if is_compatible(ext, th, ph))
+        c1 = tuple(p.theta for p in pairs if p.phi.image == ext.id_H.image)
+        c2 = tuple(p.phi for p in pairs if p.theta.image == ext.id_N.image)
+        ext._compatible = (pairs, c1, c2, False)
+    pairs, c1, c2, closed = ext._compatible
+    if verify_closure and not closed:
+        require_closed([(p.theta.image, p.phi.image) for p in pairs],
+                       _compose_pair, (ext.id_N.image, ext.id_H.image),
+                       "compatible pairs are not closed under composition")
+        ext._compatible = (pairs, c1, c2, True)
+    return list(pairs), list(c1), list(c2)
 
 
 def _precomposed(values: np.ndarray, phi: GroupAutomorphism) -> np.ndarray:

@@ -250,6 +250,35 @@ def brute_triple_defect(ext, T, phi_image, chi_values):
     return None
 
 
+def require_closed_quadratic(keys, mul) -> None:
+    """The all-pairs closure check, the reference for groups.require_closed:
+    every product of two members must be a member."""
+    have = set(keys)
+    for a in keys:
+        for b in keys:
+            if mul(a, b) not in have:
+                raise AssertionError("starred set is not closed under composition")
+
+
+def section_is_homomorphism(sec) -> bool:
+    """Whether a splitting.Section satisfies f(ab) = f(a) f(b) on all pairs."""
+    def mul(p, q):
+        return tuple(p[v] for v in q)
+
+    if sec.sequence == 3:
+        keys = [(m.theta.image, m.phi.image) for m in sec.domain]
+
+        def key_mul(a, b):
+            return (mul(a[0], b[0]), mul(a[1], b[1]))
+    else:
+        keys = [m.image for m in sec.domain]
+        key_mul = mul
+    index = {k: i for i, k in enumerate(keys)}
+    images = [f.image for f in sec.images]
+    return all(mul(images[i], images[j]) == images[index[key_mul(a, b)]]
+               for i, a in enumerate(keys) for j, b in enumerate(keys))
+
+
 # The pure-Python lattice engine, kept as the reference for extlift.intlin:
 # the same row operations on unbounded integers, with unreduced expressions.
 class TriangularLattice:

@@ -8,11 +8,13 @@ from extlift import (BoundExceeded, NotCentral, NotExtraspecialShape,
                      canonical_sections, catalog, commutator_form, config,
                      extend_automorphism, extension_from, is_form_preserving,
                      is_split_extension, lift_automorphism, lift_pair,
-                     NotCompatible, section_search, split_kernels, triple_of)
+                     NotCompatible, section_search, shipped_corpus,
+                     split_kernels, triple_of)
 from extlift.groups import GroupAutomorphism, center, derived_subgroup
-from extlift.wells import compatible_pairs
+from extlift.splitting import _verify_section
+from extlift.wells import aut_subgroups, compatible_pairs
 
-from oracles import has_complement
+from oracles import has_complement, section_is_homomorphism
 from test_wells import _alt4
 
 
@@ -240,3 +242,52 @@ def test_section_search_argument_validation(monkeypatch):
     monkeypatch.setattr(config, "DEFAULT_SECTION_BOUND", 1)
     with pytest.raises(BoundExceeded):
         section_search(ext, 2)
+
+
+def _split_sections():
+    """Canonical sections of split corpus extensions with a nontrivial
+    kernel Aut^{N,H}(G) and starred sets of up to 8 elements."""
+    cases = {"elemab2_3": (0, 1), "prod_c2_d8": (0, 8),
+             "dihedral16": tuple(range(8)), "heisenberg3": tuple(range(9))}
+    for G in shipped_corpus():
+        if G.name in cases:
+            ext = extension_from(G, Subgroup(G, cases[G.name]))
+            for sec in canonical_sections(ext):
+                if sec is not None:
+                    yield G.name, ext, sec
+
+
+def test_section_with_two_images_swapped_is_rejected():
+    swapped = 0
+    for name, ext, sec in _split_sections():
+        if len(sec.domain) < 3:
+            continue
+        images = list(sec.images)
+        images[1], images[2] = images[2], images[1]
+        with pytest.raises(AssertionError, match="projects to the wrong element"):
+            _verify_section(ext, sec._replace(images=tuple(images)))
+        swapped += 1
+    assert swapped >= 4
+
+
+def test_section_with_an_image_moved_inside_its_fiber_is_rejected():
+    """f(a) -> f(a) k for k fixing N and H keeps every projection, so only
+    the homomorphism check can object; on domains of order at least 3 the
+    changed map is never a homomorphism (the all-pairs check agrees)."""
+    rejected = 0
+    for name, ext, sec in _split_sections():
+        assert section_is_homomorphism(sec)
+        _verify_section(ext, sec)
+        kernel = [k for k in aut_subgroups(ext).aut_upper_N_H
+                  if not k.is_identity]
+        for i in range(len(sec.domain)):
+            for k in kernel:
+                images = list(sec.images)
+                images[i] = images[i].compose(k)
+                bad = sec._replace(images=tuple(images))
+                assert not section_is_homomorphism(bad)
+                with pytest.raises(AssertionError,
+                                   match="section is not a homomorphism"):
+                    _verify_section(ext, bad)
+                rejected += 1
+    assert rejected >= 100
