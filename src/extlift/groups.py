@@ -81,13 +81,14 @@ class FiniteGroup:
     """Immutable finite group given by a validated Cayley table.
 
     table[a][b] is the product a*b.  Element 0 is the identity.  cayley is
-    the same table as a read-only int64 array, for vectorised callers.
+    the same table as a read-only int64 array, for vectorised callers, and
+    generators the greedy generating set found while validating it.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G",
                  labels: Optional[Sequence[str]] = None):
         tab = tuple(tuple(int(v) for v in row) for row in table)
-        self.cayley = _validate_table(tab)
+        self.cayley, self.generators = _validate_table(tab)
         self.table = tab
         self.order = len(tab)
         self.name = name
@@ -205,13 +206,20 @@ def _table_array(table) -> np.ndarray:
     return m
 
 
-def _validate_table(tab: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Check the group axioms; return the table as a read-only int64 array.
+def _validate_table(tab: tuple[tuple[int, ...], ...]
+                    ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Check the group axioms; return the table as a read-only int64 array
+    and its greedy generators.
 
     Associativity is Light's test: the elements a with (xa)y = x(ay) for all
     x, y contain 1 and are closed under products, since (x(ab))y = ((xa)b)y
     = (xa)(by) = x(a(by)) = x((ab)y); so (xg)y = x(gy) for g in a set that
     generates the table under products proves it for every element.
+    Left-normed products (...(g1 g2)...)gk lie in the closure of the
+    generators under products, so closing {1} under right multiplication by
+    them would be enough to reach everything; once the check has passed,
+    both closures are the subgroup the generators generate.  Greedy
+    generators over either closure are therefore the same list.
     """
     m = _table_array(tab)
     n = len(m)
@@ -224,17 +232,19 @@ def _validate_table(tab: tuple[tuple[int, ...], ...]) -> np.ndarray:
         raise NotLatinSquare(f"column {int(np.flatnonzero(~col_ok)[0])} is not a permutation")
     if not ((m[0] == ar).all() and (m[:, 0] == ar).all()):
         raise NoIdentity("element 0 is not a two-sided identity")
-    for g in _table_generators(m):
+    gens = _table_generators(m)
+    for g in gens:
         bad = m[m[:, g]] != m[:, m[g]]        # (xg)y against x(gy)
         if bad.any():
             x, y = (int(v) for v in np.argwhere(bad)[0])
             raise NotAssociative(f"associativity fails at ({x},{g},{y})")
     m.flags.writeable = False
-    return m
+    return m, tuple(gens)
 
 
 def _table_generators(m: np.ndarray) -> list[int]:
-    """Greedy generators: the table's closure of them under products is everything."""
+    """Greedy generators: repeatedly adjoin the smallest element outside the
+    closure under products of those taken so far."""
     reached, gens = np.arange(len(m)) == 0, []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
@@ -386,6 +396,18 @@ class Subgroup:
         return Subgroup(G, (G.conjugate(s, g) for s in self.members))
 
 
+def _require_homomorphism(source: FiniteGroup, target: FiniteGroup,
+                          img: Sequence[int]) -> None:
+    """Raise InputError naming the first pair (a, b) with img(ab) != img(a)img(b)."""
+    ts, tt = source.table, target.table
+    for a in range(source.order):
+        ia = img[a]
+        row = ts[a]
+        for b in range(source.order):
+            if img[row[b]] != tt[ia][img[b]]:
+                raise InputError(f"not a homomorphism: images of {a}*{b} disagree")
+
+
 class GroupHomomorphism:
     """A verified homomorphism between finite groups, stored as an image list."""
 
@@ -398,14 +420,7 @@ class GroupHomomorphism:
             if not 0 <= v < target.order:
                 raise InputError(f"homomorphism image {v} out of range")
         if check:
-            ts, tt = source.table, target.table
-            for a in range(source.order):
-                ia = img[a]
-                row = ts[a]
-                for b in range(source.order):
-                    if img[row[b]] != tt[ia][img[b]]:
-                        raise InputError(
-                            f"not a homomorphism: images of {a}*{b} disagree")
+            _require_homomorphism(source, target, img)
         self.source = source
         self.target = target
         self.image = img
@@ -428,14 +443,7 @@ class GroupAutomorphism:
         if len(img) != group.order or sorted(img) != list(range(group.order)):
             raise InputError("automorphism image is not a permutation of the group")
         if check:
-            t = group.table
-            for a in range(group.order):
-                ia = img[a]
-                row = t[a]
-                for b in range(group.order):
-                    if img[row[b]] != t[ia][img[b]]:
-                        raise InputError(
-                            f"not a homomorphism: images of {a}*{b} disagree")
+            _require_homomorphism(group, group, img)
         self.group = group
         self.image = img
 
@@ -540,15 +548,9 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
-    """Small generating set: repeatedly adjoin the smallest element outside the closure."""
-    gens: list[int] = []
-    cl = (0,)
-    while len(cl) < G.order:
-        have = set(cl)
-        nxt = next(x for x in range(G.order) if x not in have)
-        gens.append(nxt)
-        cl = G.closure(gens)
-    return gens
+    """Small generating set: repeatedly adjoin the smallest element outside the
+    closure.  Found once per group, while its table is validated."""
+    return list(G.generators)
 
 
 def require_closed(keys: Sequence, compose, identity, message: str) -> list:
@@ -633,18 +635,19 @@ def automorphism_group(G: FiniteGroup, bound: Optional[int] = None) -> list[Grou
     cands = [[x for x in range(G.order) if orders[x] == orders[g]] for g in gens]
     found: list[tuple[int, ...]] = []
 
-    def walk(depth: int, pairs: list[tuple[int, int]]) -> None:
+    # m is the map closed from pairs; each generator list is closed once
+    def walk(depth: int, pairs: list[tuple[int, int]], m: dict[int, int]) -> None:
         if depth == len(gens):
-            m = hom_by_generator_images(G, G, pairs)
-            if m is not None and len(m) == G.order and len(set(m.values())) == G.order:
+            if len(m) == G.order and len(set(m.values())) == G.order:
                 found.append(tuple(m[a] for a in range(G.order)))
             return
         for y in cands[depth]:
             chosen = pairs + [(gens[depth], y)]
-            if hom_by_generator_images(G, G, chosen) is not None:
-                walk(depth + 1, chosen)
+            grown = hom_by_generator_images(G, G, chosen)
+            if grown is not None:
+                walk(depth + 1, chosen, grown)
 
-    walk(0, [])
+    walk(0, [], {0: 0})
     found.sort()
     auts = [GroupAutomorphism(G, img, check=False) for img in found]
     G._automorphisms = auts

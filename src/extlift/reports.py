@@ -172,72 +172,43 @@ def wells_report(ext: ExtensionData) -> dict:
     }
 
 
-def extend_report(ext: ExtensionData, theta: GroupAutomorphism) -> tuple[dict, bool]:
+def _verdict_report(ext: ExtensionData, mode: str, solve, obstruction,
+                    **autos: GroupAutomorphism) -> tuple[dict, bool]:
+    """Verdict, witness and obstruction class for one question about a pair.
+
+    solve and obstruction are the wells witness and class map the mode
+    asks; autos are the named automorphisms it asks about, in their order.
+    """
     try:
-        witness = extend_automorphism(ext, theta)
+        witness = solve(ext, *autos.values())
         compatible = True
     except NotCompatible:
         witness, compatible = None, False
     verdict = witness is not None
-    obstruction = None
-    if compatible and not verdict:
-        obstruction = class_json(lambda1(ext, theta))
     report = {
         "extension": extension_json(ext),
-        "mode": "extend",
-        "theta": automorphism_json(theta),
+        "mode": mode,
+        **{name: automorphism_json(a) for name, a in autos.items()},
         "compatible": compatible,
         "verdict": verdict,
         "witness": automorphism_json(witness) if witness else None,
-        "obstruction": obstruction,
+        "obstruction": (class_json(obstruction(ext, *autos.values()))
+                        if compatible and not verdict else None),
     }
     return report, verdict
+
+
+def extend_report(ext: ExtensionData, theta: GroupAutomorphism) -> tuple[dict, bool]:
+    return _verdict_report(ext, "extend", extend_automorphism, lambda1, theta=theta)
 
 
 def lift_report(ext: ExtensionData, phi: GroupAutomorphism) -> tuple[dict, bool]:
-    try:
-        witness = lift_automorphism(ext, phi)
-        compatible = True
-    except NotCompatible:
-        witness, compatible = None, False
-    verdict = witness is not None
-    obstruction = None
-    if compatible and not verdict:
-        obstruction = class_json(lambda2(ext, phi))
-    report = {
-        "extension": extension_json(ext),
-        "mode": "lift",
-        "phi": automorphism_json(phi),
-        "compatible": compatible,
-        "verdict": verdict,
-        "witness": automorphism_json(witness) if witness else None,
-        "obstruction": obstruction,
-    }
-    return report, verdict
+    return _verdict_report(ext, "lift", lift_automorphism, lambda2, phi=phi)
 
 
 def pair_report(ext: ExtensionData, theta: GroupAutomorphism,
                 phi: GroupAutomorphism) -> tuple[dict, bool]:
-    try:
-        witness = lift_pair(ext, theta, phi)
-        compatible = True
-    except NotCompatible:
-        witness, compatible = None, False
-    verdict = witness is not None
-    obstruction = None
-    if compatible and not verdict:
-        obstruction = class_json(lambda_pair(ext, theta, phi))
-    report = {
-        "extension": extension_json(ext),
-        "mode": "pair",
-        "theta": automorphism_json(theta),
-        "phi": automorphism_json(phi),
-        "compatible": compatible,
-        "verdict": verdict,
-        "witness": automorphism_json(witness) if witness else None,
-        "obstruction": obstruction,
-    }
-    return report, verdict
+    return _verdict_report(ext, "pair", lift_pair, lambda_pair, theta=theta, phi=phi)
 
 
 def sylow_entries(reports) -> list[dict]:

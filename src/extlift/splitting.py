@@ -26,8 +26,8 @@ from .groups import (FiniteGroup, GroupAutomorphism, GroupHomomorphism,
                      Subgroup, _compose_pair, _compose_perm, center,
                      derived_subgroup, generating_set, hom_by_generator_images,
                      require_closed)
-from .wells import ExtensionData, aut_subgroups, compatible_pairs, lambda1, lambda2, \
-    lambda_pair, triple_of
+from .wells import (ExtensionData, aut_subgroups, compatible_pairs, pair_key,
+                    sequence_autos, slice_pair, starred_sets, triple_of)
 
 __all__ = [
     "SplitKernels",
@@ -41,6 +41,9 @@ __all__ = [
     "commutator_form",
     "is_form_preserving",
 ]
+
+
+_ORDINALS = {1: "first", 2: "second", 3: "pair"}
 
 
 class SplitKernels(NamedTuple):
@@ -63,7 +66,8 @@ class Section(NamedTuple):
 
     sequence selects the projection: 1 restricts to N, 2 induces on H,
     3 does both (central case, domain elements are pairs).  images[i] is
-    the automorphism of G assigned to domain[i].
+    the automorphism of G assigned to domain[i].  Domain elements and
+    projections are compared as pairs (theta.image, phi.image).
     """
 
     sequence: int
@@ -90,27 +94,17 @@ def split_kernels(ext: ExtensionData) -> SplitKernels:
     identity |domain| = |kernel| * |starred set| for each sequence; both
     facts are rechecked here against the enumerated automorphism group.
     """
-    pairs, c1, c2 = compatible_pairs(ext)
-    c1_star = tuple(th for th in c1 if lambda1(ext, th).is_trivial)
-    c2_star = tuple(ph for ph in c2 if lambda2(ext, ph).is_trivial)
-    c_star = None
-    if ext.central:
-        c_star = tuple(pr for pr in pairs
-                       if lambda_pair(ext, pr.theta, pr.phi).is_trivial)
-    for seq, star in ((1, c1_star), (2, c2_star), (3, c_star)):
-        if star is not None:
-            require_closed([_domain_key(seq, m) for m in star],
-                           _domain_compose(seq), _domain_identity(ext, seq),
-                           "starred set is not closed under composition")
+    stars = starred_sets(ext, *compatible_pairs(ext))
+    identity = pair_key(ext.id_pair)
+    for which, star in stars.items():
+        require_closed(_pair_keys(ext, which, star), _compose_pair, identity,
+                       "starred set is not closed under composition")
     subs = aut_subgroups(ext)
     kernel = len(subs.aut_upper_N_H)
-    if len(subs.aut_N_H) != kernel * len(c1_star):
-        raise AssertionError("first sequence order identity fails")
-    if len(subs.aut_upper_N) != kernel * len(c2_star):
-        raise AssertionError("second sequence order identity fails")
-    if c_star is not None and len(subs.aut_N_of_G) != kernel * len(c_star):
-        raise AssertionError("pair sequence order identity fails")
-    return SplitKernels(c1_star, c2_star, c_star)
+    for which, star in stars.items():
+        if len(sequence_autos(subs, which)) != kernel * len(star):
+            raise AssertionError(f"{_ORDINALS[which]} sequence order identity fails")
+    return SplitKernels(stars[1], stars[2], stars.get(3))
 
 
 def is_split_extension(ext: ExtensionData) -> tuple[bool, Optional[SplitWitness]]:
@@ -144,31 +138,9 @@ def _decompose(ext: ExtensionData, section: GroupHomomorphism, g: int) -> tuple[
     return x, n
 
 
-def _projection_key(ext: ExtensionData, sequence: int, gamma: GroupAutomorphism):
-    tr = triple_of(ext, gamma)
-    if sequence == 1:
-        return tr.theta.image
-    if sequence == 2:
-        return tr.phi.image
-    return (tr.theta.image, tr.phi.image)
-
-
-def _domain_key(sequence: int, member):
-    if sequence == 3:
-        return (member.theta.image, member.phi.image)
-    return member.image
-
-
-def _domain_compose(sequence: int):
-    return _compose_pair if sequence == 3 else _compose_perm
-
-
-def _domain_identity(ext: ExtensionData, sequence: int):
-    if sequence == 1:
-        return ext.id_N.image
-    if sequence == 2:
-        return ext.id_H.image
-    return (ext.id_N.image, ext.id_H.image)
+def _pair_keys(ext: ExtensionData, which: int, members) -> list[tuple]:
+    """Members of a slice of sequence which, keyed as pairs."""
+    return [pair_key(slice_pair(ext, which, m)) for m in members]
 
 
 def _verify_section(ext: ExtensionData, sec: Section) -> None:
@@ -179,19 +151,18 @@ def _verify_section(ext: ExtensionData, sec: Section) -> None:
     and every s in {1} + S.  Taking s = 1 forces f(1) = id, and induction on
     the length of b as a word in S gives f(a b) = f(a) f(b) for all a, b.
     """
-    keys = [_domain_key(sec.sequence, m) for m in sec.domain]
+    keys = _pair_keys(ext, sec.sequence, sec.domain)
     for i, key in enumerate(keys):
-        if _projection_key(ext, sec.sequence, sec.images[i]) != key:
+        if pair_key(triple_of(ext, sec.images[i])) != key:
             raise AssertionError("section image projects to the wrong element")
-    compose = _domain_compose(sec.sequence)
-    identity = _domain_identity(ext, sec.sequence)
-    gens = require_closed(keys, compose, identity,
+    identity = pair_key(ext.id_pair)
+    gens = require_closed(keys, _compose_pair, identity,
                           "section domain is not closed under composition")
     index = {key: i for i, key in enumerate(keys)}
     images = [f.image for f in sec.images]
     for i, a in enumerate(keys):
         for b in [identity] + gens:
-            prod = index[compose(a, b)]
+            prod = index[_compose_pair(a, b)]
             if _compose_perm(images[i], images[index[b]]) != images[prod]:
                 raise AssertionError("section is not a homomorphism")
 
@@ -201,7 +172,8 @@ def canonical_sections(ext: ExtensionData) -> tuple[Section, Section, Optional[S
 
     Writing every element as g = t'(x) n over a homomorphic transversal t',
     the first section keeps x and applies theta to n, the second applies
-    phi to x and keeps n, and the central pair version does both.
+    phi to x and keeps n, and the central pair version does both: each maps
+    t'(x) n to t'(phi x) theta(n) for its pair (theta, phi).
     """
     ok, witness = is_split_extension(ext)
     if not ok:
@@ -211,23 +183,18 @@ def canonical_sections(ext: ExtensionData) -> tuple[Section, Section, Optional[S
     section = witness.section
     parts = [_decompose(ext, section, g) for g in range(G.order)]
 
-    def build(sequence: int, domain, image_of) -> Section:
-        images = tuple(GroupAutomorphism(G, [image_of(m, x, n) for x, n in parts])
-                       for m in domain)
-        sec = Section(sequence, tuple(domain), images)
+    def build(which: int) -> Section:
+        domain = stars[which - 1]
+        images = []
+        for p in (slice_pair(ext, which, m) for m in domain):
+            images.append(GroupAutomorphism(
+                G, [G.mul(section(p.phi(x)), ext.theta_on_member(p.theta, n))
+                    for x, n in parts]))
+        sec = Section(which, tuple(domain), tuple(images))
         _verify_section(ext, sec)
         return sec
 
-    psi1 = build(1, stars.c1_star,
-                 lambda th, x, n: G.mul(section(x), ext.theta_on_member(th, n)))
-    psi2 = build(2, stars.c2_star,
-                 lambda ph, x, n: G.mul(section(ph(x)), n))
-    psi = None
-    if ext.central:
-        psi = build(3, stars.c_star,
-                    lambda pr, x, n: G.mul(section(pr.phi(x)),
-                                           ext.theta_on_member(pr.theta, n)))
-    return psi1, psi2, psi
+    return build(1), build(2), build(3) if ext.central else None
 
 
 def _abstract_group(keys, compose, identity) -> tuple[FiniteGroup, dict]:
@@ -253,18 +220,15 @@ def section_search(ext: ExtensionData, which: int) -> Optional[Section]:
         raise ParentMismatch(f"sequence selector must be 1, 2 or 3, got {which}")
     if which == 3 and not ext.central:
         raise NotCentral("pair sequence only exists for central extensions")
-    stars = split_kernels(ext)
-    domain = {1: stars.c1_star, 2: stars.c2_star, 3: stars.c_star}[which]
+    domain = split_kernels(ext)[which - 1]
     if len(domain) > config.DEFAULT_SECTION_BOUND:
         raise BoundExceeded(
             f"starred set of order {len(domain)} exceeds the section "
             f"search bound {config.DEFAULT_SECTION_BOUND}")
-    subs = aut_subgroups(ext)
-    cands = {1: subs.aut_N_H, 2: subs.aut_upper_N, 3: subs.aut_N_of_G}[which]
+    cands = sequence_autos(aut_subgroups(ext), which)
 
-    keys = [_domain_key(which, m) for m in domain]
-    S, spos = _abstract_group(keys, _domain_compose(which),
-                              _domain_identity(ext, which))
+    keys = _pair_keys(ext, which, domain)
+    S, spos = _abstract_group(keys, _compose_pair, pair_key(ext.id_pair))
     members = [None] * len(domain)
     for i, m in enumerate(domain):
         members[spos[keys[i]]] = m
@@ -275,7 +239,7 @@ def section_search(ext: ExtensionData, which: int) -> Optional[Section]:
     for g in cands:
         tmembers[cpos[g.image]] = g
 
-    proj = [spos[_projection_key(ext, which, tmembers[i])] for i in range(T.order)]
+    proj = [spos[pair_key(triple_of(ext, tmembers[i]))] for i in range(T.order)]
     fibers = [[i for i in range(T.order) if proj[i] == s] for s in range(S.order)]
     if any(not f for f in fibers):
         raise AssertionError("projection misses a starred element")

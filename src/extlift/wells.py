@@ -17,6 +17,16 @@ N-coordinates (the single sign convention everything below reuses), are
 Whether a compatible (theta, phi) arises from some gamma is controlled by
 cohomology classes of explicit difference cocycles; solving the coboundary
 equation produces the witness chi constructively.
+
+Every question is asked of a pair (theta, phi) in the compatible pairs C.
+Extending theta is the slice C1 of pairs (theta, 1), lifting phi the slice
+C2 of pairs (1, phi), and the central case is all of C; an identity slot
+means "this sequence leaves that side fixed".  So one difference cocycle
+k = mu o (phi x phi) - Theta mu, one witness routine and one exactness loop
+serve all three, and an identity slot skips its gather or matrix product.
+Sequence 1 (gamma -> theta on Aut_N^H G), 2 (gamma -> phi on Aut^N G) and,
+for central extensions, 3 (gamma -> (theta, phi) on Aut_N G) key their
+members and projections as the pair (theta.image, phi.image).
 """
 
 from __future__ import annotations
@@ -57,6 +67,10 @@ __all__ = [
     "lift_automorphism",
     "lift_pair",
     "aut_subgroups",
+    "sequence_autos",
+    "slice_pair",
+    "pair_key",
+    "starred_sets",
     "verify_exactness",
     "h2_conjugation_action",
     "derivation_check",
@@ -72,6 +86,35 @@ class WellsTriple(NamedTuple):
     theta: GroupAutomorphism  # automorphism of the standalone N group
     phi: GroupAutomorphism    # automorphism of H
     chi: OneCochain           # H -> N in coordinates
+
+
+class _Sequence(NamedTuple):
+    pair: str                 # the pairs of the slice, as messages write them
+    free: tuple               # (theta, phi): whether the sequence moves each slot
+    autos: str                # AutSubgroups field: the automorphisms it projects
+    witness: str              # names the witness whose round trip failed
+    moved: str                # exactness violations: a fixed slot moved,
+    kernel: str               # the kernel differs,
+    image: str                # the image differs
+
+
+# 1: extend theta, 2: lift phi, 3: central extensions, both at once
+_SEQUENCES = {
+    1: _Sequence("(theta, 1)", (True, False), "aut_N_H", "extension",
+                 "in the H-fixing set induces a nonidentity quotient map",
+                 "kernel of the restriction map differs from the N,H-fixing subgroup",
+                 "image of the restriction map differs from the unobstructed "
+                 "compatible thetas"),
+    2: _Sequence("(1, phi)", (False, True), "aut_upper_N", "lift",
+                 "in the N-centralizing set moves N",
+                 "kernel of the induction map differs from the N,H-fixing subgroup",
+                 "image of the induction map differs from the unobstructed "
+                 "compatible phis"),
+    # no slot is fixed, and one message names either failure
+    3: _Sequence("(theta, phi)", (True, True), "aut_N_of_G", "pair", "",
+                 "central pair sequence fails exactness",
+                 "central pair sequence fails exactness"),
+}
 
 
 class ExtensionData:
@@ -192,6 +235,10 @@ class ExtensionData:
     def id_H(self) -> GroupAutomorphism:
         return GroupAutomorphism.identity(self.H)
 
+    @property
+    def id_pair(self) -> CompatiblePair:
+        return CompatiblePair(self.id_N, self.id_H)
+
     def n_member(self, coords: Sequence[int]) -> int:
         return self.coeffs.member_of_coords(coords)
 
@@ -233,6 +280,8 @@ def is_compatible(ext: ExtensionData, theta: GroupAutomorphism,
     """Whether theta(n^x) = theta(n)^(phi x) for all x in H, n in N."""
     _check_theta(ext, theta)
     _check_phi(ext, phi)
+    if ext.central:             # every A(x) is the identity
+        return True
     ti = theta.image
     for x in range(ext.H.order):
         if _compose_perm(ti, ext.alpha[x]) != _compose_perm(ext.alpha[phi(x)], ti):
@@ -257,8 +306,8 @@ def compatible_pairs(ext: ExtensionData, verify_closure: bool = True):
         ext._compatible = (pairs, c1, c2, False)
     pairs, c1, c2, closed = ext._compatible
     if verify_closure and not closed:
-        require_closed([(p.theta.image, p.phi.image) for p in pairs],
-                       _compose_pair, (ext.id_N.image, ext.id_H.image),
+        require_closed([pair_key(p) for p in pairs], _compose_pair,
+                       pair_key(ext.id_pair),
                        "compatible pairs are not closed under composition")
         ext._compatible = (pairs, c1, c2, True)
     return list(pairs), list(c1), list(c2)
@@ -270,45 +319,43 @@ def _precomposed(values: np.ndarray, phi: GroupAutomorphism) -> np.ndarray:
     return values[p[:, None], p] if values.ndim == 3 else values[p]
 
 
-def wells_cocycle_theta(ext: ExtensionData, theta: GroupAutomorphism) -> TwoCochain:
-    """k_theta(x,y) = mu(x,y) - Theta mu(x,y); requires (theta, 1) compatible."""
-    if not is_compatible(ext, theta, ext.id_H):
-        raise NotCompatible("(theta, 1) is not a compatible pair")
-    T = restrict_to_matrix(ext.coeffs, theta)
+def _difference_cocycle(ext: ExtensionData, which: int, theta: GroupAutomorphism,
+                        phi: GroupAutomorphism) -> TwoCochain:
+    """k(x,y) = mu(phi x, phi y) - Theta mu(x,y), checked to be a 2-cocycle.
+
+    (theta, phi) must be a compatible pair of sequence which, and sequence 3
+    needs a central extension.  An identity slot skips its gather or matrix
+    product.
+    """
+    if which == 3 and not ext.central:
+        raise NotCentral("the pair cocycle needs a central extension")
+    if not is_compatible(ext, theta, phi):
+        raise NotCompatible(f"{_SEQUENCES[which].pair} is not a compatible pair")
     mu = ext.mu.values
-    k = TwoCochain(ext.H, ext.moduli, mu - mu @ T.T)
+    moved = mu if phi.is_identity else _precomposed(mu, phi)
+    if not theta.is_identity:
+        mu = mu @ restrict_to_matrix(ext.coeffs, theta).T
+    k = TwoCochain(ext.H, ext.moduli, moved - mu)
     defect = two_cocycle_defect(k, ext.cocycle_action)
     if defect is not None:
         raise AssertionError(f"difference cocycle fails the identity at {defect}")
     return k
+
+
+def wells_cocycle_theta(ext: ExtensionData, theta: GroupAutomorphism) -> TwoCochain:
+    """k_theta(x,y) = mu(x,y) - Theta mu(x,y); requires (theta, 1) compatible."""
+    return _difference_cocycle(ext, 1, theta, ext.id_H)
 
 
 def wells_cocycle_phi(ext: ExtensionData, phi: GroupAutomorphism) -> TwoCochain:
     """k_phi(x,y) = mu(phi x, phi y) - mu(x,y); requires (1, phi) compatible."""
-    if not is_compatible(ext, ext.id_N, phi):
-        raise NotCompatible("(1, phi) is not a compatible pair")
-    mu = ext.mu.values
-    k = TwoCochain(ext.H, ext.moduli, _precomposed(mu, phi) - mu)
-    defect = two_cocycle_defect(k, ext.cocycle_action)
-    if defect is not None:
-        raise AssertionError(f"difference cocycle fails the identity at {defect}")
-    return k
+    return _difference_cocycle(ext, 2, ext.id_N, phi)
 
 
 def wells_cocycle_pair(ext: ExtensionData, theta: GroupAutomorphism,
                        phi: GroupAutomorphism) -> TwoCochain:
     """k(x,y) = mu(phi x, phi y) - Theta mu(x,y) for central extensions."""
-    if not ext.central:
-        raise NotCentral("the pair cocycle needs a central extension")
-    _check_theta(ext, theta)
-    _check_phi(ext, phi)
-    T = restrict_to_matrix(ext.coeffs, theta)
-    mu = ext.mu.values
-    k = TwoCochain(ext.H, ext.moduli, _precomposed(mu, phi) - mu @ T.T)
-    defect = two_cocycle_defect(k, None)
-    if defect is not None:
-        raise AssertionError(f"difference cocycle fails the identity at {defect}")
-    return k
+    return _difference_cocycle(ext, 3, theta, phi)
 
 
 def lambda1(ext: ExtensionData, theta: GroupAutomorphism) -> CohomologyClass:
@@ -402,50 +449,40 @@ def automorphism_from_triple(ext: ExtensionData,
     return gamma
 
 
-def extend_automorphism(ext: ExtensionData,
-                        theta: GroupAutomorphism) -> Optional[GroupAutomorphism]:
-    """Automorphism of G restricting to theta and fixing H pointwise, if any.
+def _witness(ext: ExtensionData, which: int, theta: GroupAutomorphism,
+             phi: GroupAutomorphism, k: TwoCochain) -> Optional[GroupAutomorphism]:
+    """gamma inducing (theta, phi) on sequence which, if any.
 
-    Exists iff the class of k_theta vanishes; the witness comes from the
-    coboundary solver, so success is always certified.
+    Exists iff the class of the difference cocycle k vanishes; the witness
+    comes from the coboundary solver and is decomposed again, so success is
+    always certified.
     """
-    k = wells_cocycle_theta(ext, theta)
     chi = ext.cohomology.coboundary_solve(k)
     if chi is None:
         return None
-    gamma = automorphism_from_triple(ext, WellsTriple(theta, ext.id_H, chi))
-    back = triple_of(ext, gamma)
-    if back.theta.image != theta.image or back.phi.image != ext.id_H.image:
-        raise AssertionError("extension witness does not invert the decomposition")
+    gamma = automorphism_from_triple(ext, WellsTriple(theta, phi, chi))
+    if pair_key(triple_of(ext, gamma)) != (theta.image, phi.image):
+        raise AssertionError(f"{_SEQUENCES[which].witness} witness does not "
+                             "invert the decomposition")
     return gamma
+
+
+def extend_automorphism(ext: ExtensionData,
+                        theta: GroupAutomorphism) -> Optional[GroupAutomorphism]:
+    """Automorphism of G restricting to theta and fixing H pointwise, if any."""
+    return _witness(ext, 1, theta, ext.id_H, wells_cocycle_theta(ext, theta))
 
 
 def lift_automorphism(ext: ExtensionData,
                       phi: GroupAutomorphism) -> Optional[GroupAutomorphism]:
     """Automorphism of G fixing N pointwise and inducing phi, if any."""
-    k = wells_cocycle_phi(ext, phi)
-    chi = ext.cohomology.coboundary_solve(k)
-    if chi is None:
-        return None
-    gamma = automorphism_from_triple(ext, WellsTriple(ext.id_N, phi, chi))
-    back = triple_of(ext, gamma)
-    if back.theta.image != ext.id_N.image or back.phi.image != phi.image:
-        raise AssertionError("lift witness does not invert the decomposition")
-    return gamma
+    return _witness(ext, 2, ext.id_N, phi, wells_cocycle_phi(ext, phi))
 
 
 def lift_pair(ext: ExtensionData, theta: GroupAutomorphism,
               phi: GroupAutomorphism) -> Optional[GroupAutomorphism]:
     """Central extensions: automorphism inducing theta on N and phi on H."""
-    k = wells_cocycle_pair(ext, theta, phi)
-    chi = ext.cohomology.coboundary_solve(k)
-    if chi is None:
-        return None
-    gamma = automorphism_from_triple(ext, WellsTriple(theta, phi, chi))
-    back = triple_of(ext, gamma)
-    if back.theta.image != theta.image or back.phi.image != phi.image:
-        raise AssertionError("pair witness does not invert the decomposition")
-    return gamma
+    return _witness(ext, 3, theta, phi, wells_cocycle_pair(ext, theta, phi))
 
 
 @dataclass(frozen=True)
@@ -482,6 +519,44 @@ def aut_subgroups(ext: ExtensionData) -> AutSubgroups:
     return AutSubgroups(aut_N, aut_upper, aut_N_H, aut_both)
 
 
+def sequence_autos(subs: AutSubgroups, which: int) -> tuple:
+    """The automorphisms of G that sequence which projects to its slice."""
+    return getattr(subs, _SEQUENCES[which].autos)
+
+
+def slice_pair(ext: ExtensionData, which: int, member) -> CompatiblePair:
+    """A member of C1 (theta), C2 (phi) or C (a pair) as the pair (theta, phi)."""
+    free_theta, free_phi = _SEQUENCES[which].free
+    if free_theta and free_phi:
+        return member
+    if free_theta:
+        return CompatiblePair(member, ext.id_H)
+    return CompatiblePair(ext.id_N, member)
+
+
+def pair_key(pair) -> tuple:
+    """(theta.image, phi.image) of a CompatiblePair or WellsTriple."""
+    return (pair.theta.image, pair.phi.image)
+
+
+def _obstruction(ext: ExtensionData, which: int, member) -> CohomologyClass:
+    if which == 1:
+        return lambda1(ext, member)
+    if which == 2:
+        return lambda2(ext, member)
+    return lambda_pair(ext, member.theta, member.phi)
+
+
+def starred_sets(ext: ExtensionData, pairs, c1, c2) -> dict[int, tuple]:
+    """C1*, C2* and, for central extensions, C*: the members of C1, C2 and C
+    (as compatible_pairs gives them) with trivial obstruction class, keyed by
+    sequence."""
+    slices = {1: c1, 2: c2, 3: pairs}
+    return {which: tuple(m for m in slices[which]
+                         if _obstruction(ext, which, m).is_trivial)
+            for which in ((1, 2, 3) if ext.central else (1, 2))}
+
+
 def verify_exactness(ext: ExtensionData) -> dict:
     """Elementwise exactness of the restriction/induction sequences.
 
@@ -494,72 +569,34 @@ def verify_exactness(ext: ExtensionData) -> dict:
       - for central extensions, gamma -> (theta, phi) on all of the
         N-normalizers has kernel as above and image the pairs with trivial
         pair class.
+    gamma projects to the pair of triple_of(gamma) with the slot the
+    sequence fixes read as the identity; a moved fixed slot is a violation.
     """
     subs = aut_subgroups(ext)
     pairs, c1, c2 = compatible_pairs(ext)
+    stars = starred_sets(ext, pairs, c1, c2)
     cg = ext.cohomology
     violations: list[str] = []
-
     both_keys = {g.image for g in subs.aut_upper_N_H}
-
-    # gamma -> theta on automorphisms inducing the identity on H
-    id_h = ext.id_H.image
-    id_n = ext.id_N.image
-    im1 = set()
-    ker1 = set()
-    for g in subs.aut_N_H:
-        tr = triple_of(ext, g)
-        if tr.phi.image != id_h:
-            violations.append(f"automorphism {g.image} in the H-fixing set "
-                              "induces a nonidentity quotient map")
-        im1.add(tr.theta.image)
-        if tr.theta.image == id_n:
-            ker1.add(g.image)
-    starred1 = {th.image for th in c1 if lambda1(ext, th).is_trivial}
-    seq_1_1 = ker1 == both_keys and im1 == starred1
-    if ker1 != both_keys:
-        violations.append("kernel of the restriction map differs from the "
-                          "N,H-fixing subgroup")
-    if im1 != starred1:
-        violations.append("image of the restriction map differs from the "
-                          "unobstructed compatible thetas")
-
-    # gamma -> phi on automorphisms fixing N pointwise
-    im2 = set()
-    ker2 = set()
-    for g in subs.aut_upper_N:
-        tr = triple_of(ext, g)
-        if tr.theta.image != id_n:
-            violations.append(f"automorphism {g.image} in the N-centralizing "
-                              "set moves N")
-        im2.add(tr.phi.image)
-        if tr.phi.image == id_h:
-            ker2.add(g.image)
-    starred2 = {ph.image for ph in c2 if lambda2(ext, ph).is_trivial}
-    seq_1_2 = ker2 == both_keys and im2 == starred2
-    if ker2 != both_keys:
-        violations.append("kernel of the induction map differs from the "
-                          "N,H-fixing subgroup")
-    if im2 != starred2:
-        violations.append("image of the induction map differs from the "
-                          "unobstructed compatible phis")
-
-    # central case: gamma -> (theta, phi) on all N-normalizers
-    seq_1_3 = None
-    if ext.central:
-        im3 = set()
-        ker3 = set()
-        for g in subs.aut_N_of_G:
-            tr = triple_of(ext, g)
-            im3.add((tr.theta.image, tr.phi.image))
-            if tr.theta.image == id_n and tr.phi.image == id_h:
-                ker3.add(g.image)
-        starred3 = {(p.theta.image, p.phi.image) for p in pairs
-                    if lambda_pair(ext, p.theta, p.phi).is_trivial}
-        seq_1_3 = ker3 == both_keys and im3 == starred3
-        if not seq_1_3:
-            violations.append("central pair sequence fails exactness")
-
+    identity = pair_key(ext.id_pair)
+    exact: dict[int, Optional[bool]] = {1: None, 2: None, 3: None}
+    for which, star in stars.items():
+        seq = _SEQUENCES[which]
+        image, kernel = set(), set()
+        for g in sequence_autos(subs, which):
+            pair = pair_key(triple_of(ext, g))
+            key = tuple(p if free else i
+                        for p, free, i in zip(pair, seq.free, identity))
+            if key != pair:
+                violations.append(f"automorphism {g.image} {seq.moved}")
+            image.add(key)
+            if key == identity:
+                kernel.add(g.image)
+        starred = {pair_key(slice_pair(ext, which, m)) for m in star}
+        failed = [msg for msg, ok in ((seq.kernel, kernel == both_keys),
+                                      (seq.image, image == starred)) if not ok]
+        exact[which] = not failed
+        violations.extend(dict.fromkeys(failed))    # sequence 3 names both once
     return {
         "aut_N_order": len(subs.aut_N_of_G),
         "aut_upper_N_order": len(subs.aut_upper_N),
@@ -571,9 +608,9 @@ def verify_exactness(ext: ExtensionData) -> dict:
         "z2_order": cg.z2_order,
         "b2_order": cg.b2_order,
         "h2_order": cg.h2_order,
-        "seq_1_1": seq_1_1,
-        "seq_1_2": seq_1_2,
-        "seq_1_3": seq_1_3,
+        "seq_1_1": exact[1],
+        "seq_1_2": exact[2],
+        "seq_1_3": exact[3],
         "violations": violations,
     }
 

@@ -250,6 +250,18 @@ def brute_triple_defect(ext, T, phi_image, chi_values):
     return None
 
 
+def greedy_generating_set(G: FiniteGroup) -> list[int]:
+    """Repeatedly adjoin the smallest element outside the subgroup generated
+    so far (the reference for groups.generating_set)."""
+    gens: list[int] = []
+    cl = (0,)
+    while len(cl) < G.order:
+        have = set(cl)
+        gens.append(next(x for x in range(G.order) if x not in have))
+        cl = G.closure(gens)
+    return gens
+
+
 def require_closed_quadratic(keys, mul) -> None:
     """The all-pairs closure check, the reference for groups.require_closed:
     every product of two members must be a member."""

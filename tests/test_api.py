@@ -1,0 +1,55 @@
+"""Public API guard: every exported name resolves, and the public entry
+points that callers, tests and the benchmark's span tracer reach by name
+stay exported."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import extlift
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(extlift.__path__))
+
+# reached by name: tests import them, the tracer wraps the cocycle and
+# witness names, and the command line builds its reports from these
+WELLS_NAMES = ("wells_cocycle_theta", "wells_cocycle_phi", "wells_cocycle_pair",
+               "lambda1", "lambda2", "lambda_pair", "extend_automorphism",
+               "lift_automorphism", "lift_pair", "triple_of",
+               "automorphism_from_triple", "verify_exactness")
+REPORT_NAMES = ("extend_report", "lift_report", "pair_report", "split_report",
+                "sylow_mode_report", "verify_report")
+
+
+def _module(name):
+    # the package re-exports the function catalog() under its module's name
+    return importlib.import_module(f"extlift.{name}")
+
+
+def test_package_exports_resolve():
+    assert len(extlift.__all__) == len(set(extlift.__all__))
+    missing = [n for n in extlift.__all__ if not hasattr(extlift, n)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from extlift import *", namespace)
+    assert set(extlift.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    module = _module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(exported) == len(set(exported)), name
+    assert [n for n in exported if not hasattr(module, n)] == [], name
+
+
+def test_wrapped_entry_points_stay_exported():
+    wells = _module("wells")
+    for name in WELLS_NAMES:
+        assert name in wells.__all__ and name in extlift.__all__, name
+        assert callable(getattr(extlift, name)), name
+        assert getattr(extlift, name) is getattr(wells, name), name
+    reports = _module("reports")
+    for name in REPORT_NAMES:
+        assert callable(getattr(reports, name)), name
+    assert "generating_set" in extlift.__all__

@@ -265,6 +265,25 @@ STDOUT_SHA256 = [
     (["extend", "--group", "catalog:cyclic(32)",
       "--subgroup", "0,4,8,12,16,20,24,28", "--theta", "aut:2"],
      "be1e048b0c74ec84f2655f54f218c2d497c1f80892f877d7f10ccf8bae423ae2"),
+    # split reports: non-split with all three section searches succeeding
+    # (sequence 3 over 6 pairs), split with canonical sections on a
+    # non-central kernel, and a central k = 2 kernel
+    (["split", "--group", "catalog:quaternion(8)", "--subgroup", "center"],
+     "dc03a24618f2e9058bcea441972ab8d34b2e91742dd67fe850d1907ebc2f2841"),
+    (["split", "--group", "catalog:dihedral(8)", "--subgroup", "0,1,2,3"],
+     "bdb22bf6e13ece071635f9fbf3f4b7a9cff74dc2f2014ef73d26da3f533b4bb8"),
+    (["split", "--group", "catalog:cyclic(2)*dihedral(8)",
+      "--subgroup", "center"],
+     "78c6a04f73a0d308c9a568930dcc215e6c70ecd8163822b482133b68443a0260"),
+    (["lift-pair", "--group", "catalog:quaternion(8)", "--subgroup", "center",
+      "--theta", "id", "--phi", "aut:3"],
+     "0a72fc3249edca7cb2cd056d3f23046afeb4074a0ffa1fb8c56d20e94434903f"),
+    (["sylow", "--group", "catalog:dihedral(12)",
+      "--subgroup", "members:0,1,2,3,4,5", "--phi", "perm:0,1"],
+     "c1f8a1fa8c6138aa0a37274f8f3286d2983e11198bd3d56f6814e73c185697d6"),
+    (["sylow", "--group", "catalog:heisenberg(3)", "--subgroup", "center",
+      "--theta", "inversion"],
+     "33c3495739bd1a7e3eba1ad86226f29910a9ff32eee87558e3f8d7c93b72d426"),
 ]
 
 
@@ -272,8 +291,8 @@ STDOUT_SHA256 = [
                          ids=["-".join(a[0::2]) for a, _ in STDOUT_SHA256])
 def test_stdout_bytes_are_pinned(capsys, argv, digest):
     """Central k = 1, non-central and k = 2 reports, lift/extend witnesses
-    and an obstruction on heisenberg(3) over its centre, and witnesses over
-    Z4 and Z8."""
+    and an obstruction on heisenberg(3) over its centre, witnesses over
+    Z4 and Z8, split reports, a pair lift and both sylow flavours."""
     main(argv)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -11,7 +11,7 @@ import pytest
 
 from extlift import (catalog, compatible_pairs, extension_from,
                      random_transversal, shipped_corpus, split_kernels,
-                     splitting, wells)
+                     wells)
 from extlift.catalog import parse_catalog_expression
 from extlift.groups import _compose_pair, _compose_perm, center, require_closed
 from extlift.reports import corpus_pairs
@@ -138,14 +138,15 @@ def test_starred_set_missing_a_member_is_rejected(monkeypatch):
     ext = extension_from(G, center(G))
     assert len(split_kernels(ext).c2_star) == 6
     dropped = split_kernels(ext).c2_star[-1].image
-    real = splitting.lambda2
+    real = wells.lambda2
 
     def obstructed(ext, phi):
         if phi.image == dropped:
             return SimpleNamespace(is_trivial=False)
         return real(ext, phi)
 
-    monkeypatch.setattr(splitting, "lambda2", obstructed)
+    # the starred sets are filtered in wells (starred_sets)
+    monkeypatch.setattr(wells, "lambda2", obstructed)
     with pytest.raises(AssertionError, match="starred set is not closed "
                                              "under composition"):
         split_kernels(ext)

@@ -23,7 +23,7 @@ from extlift import (BadParameters, BoundExceeded, FiniteGroup,
                      sylow_subgroup)
 from extlift.errors import ClosureBoundExceeded, NoIdentity
 
-from oracles import brute_automorphisms, element_order
+from oracles import brute_automorphisms, element_order, greedy_generating_set
 
 
 def test_table_validation_errors():
@@ -355,3 +355,63 @@ def test_element_orders_lagrange():
             continue
         for a in G.elements():
             assert G.order % element_order(G, a) == 0
+
+
+def _benchmark_groups():
+    """The groups of the benchmark's aut_enum light menu, and the groups of
+    its quotient_large extensions with their quotients."""
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    groups = [parse_catalog_expression(e) for e in module.AUT_ENUM_LIGHT]
+    for _, G, N in module.quotient_extensions():
+        groups += [G, quotient_group(G, N)[0]]
+    return groups
+
+
+def test_generating_set_matches_greedy_closure_loop():
+    groups = list(shipped_corpus()) + _benchmark_groups()
+    assert len(groups) > 60
+    for G in groups:
+        assert generating_set(G) == greedy_generating_set(G), G.name
+
+
+def test_generators_are_found_once_per_group(monkeypatch):
+    from extlift import groups as groups_mod
+    from extlift.reports import h2_report
+    H, coeffs = catalog("dihedral", 8), catalog("cyclic", 4)
+    gens = generating_set(H)
+
+    def found_again(m):
+        raise AssertionError("generators computed again")
+
+    monkeypatch.setattr(groups_mod, "_table_generators", found_again)
+    assert generating_set(H) == gens == list(H.generators)
+    assert len(automorphism_group(H)) == 8
+    assert h2_report(H, coeffs)["z2_order"] > 1
+
+
+def test_automorphism_search_closes_each_generator_list_once(monkeypatch):
+    from extlift import groups as groups_mod
+    real = groups_mod.hom_by_generator_images
+    orders = {"elementary_abelian(2,3)": 168, "quaternion(8)*cyclic(2)": 192,
+              "dihedral(16)": 32, "heisenberg(3)": 432, "cyclic(1)": 1}
+    for expr, order in orders.items():
+        G = parse_catalog_expression(expr)
+        closed = []
+
+        def counting(G_, T, gen_pairs):
+            closed.append(tuple(gen_pairs))
+            return real(G_, T, gen_pairs)
+
+        monkeypatch.setattr(groups_mod, "hom_by_generator_images", counting)
+        auts = automorphism_group(G)
+        monkeypatch.setattr(groups_mod, "hom_by_generator_images", real)
+        assert len(closed) == len(set(closed)), expr
+        images = [a.image for a in auts]
+        assert len(images) == order and images == sorted(images), expr
+        for a in auts:
+            GroupAutomorphism(G, a.image)       # checks the homomorphism law
