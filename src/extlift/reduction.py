@@ -8,6 +8,16 @@ global one.  The bridge is class arithmetic.  A local lift at p forces
 indices taken over all primes dividing |H| are coprime, so local successes
 everywhere kill the class outright.
 
+Extending theta, lifting phi and, for central extensions, lifting the pair
+(theta, phi) are one question about a slice pair (see wells), asked by one
+per-prime loop; a slot the sequence fixes stays the local identity.  The
+Sylows a prime tries are data per sequence.  Extending theta keeps to the
+deterministically grown one: for an incompatible theta, local
+compatibility can differ between conjugate Sylows, so trying more would
+change the reports.  Lifting phi and the pair walk the phi-invariant ones
+until one succeeds.  The global question is asked once and must agree with
+the local verdicts; a global witness restricts to every invariant preimage.
+
 Local data is expressed in the same N coordinates as the ambient extension:
 the members of N sit inside P in the same relative order as inside G, so
 the standalone copies of N built from either side carry identical tables.
@@ -24,8 +34,8 @@ from .errors import (InputError, NotCharacteristic, NotCompatible,
 from .groups import (GroupAutomorphism, Subgroup, automorphism_group,
                      is_commuting_automorphism, is_nilpotent, prime_factors,
                      sylow_subgroup)
-from .wells import (ExtensionData, extend_automorphism, lift_automorphism,
-                    lift_pair, wells_cocycle_phi, wells_cocycle_theta)
+from .wells import (_SEQUENCES, CompatiblePair, ExtensionData, _slice_cocycle,
+                    _witness, slice_pair, wells_cocycle_phi)
 
 __all__ = [
     "SylowReport",
@@ -142,40 +152,52 @@ def _leaves_invariant(phi: GroupAutomorphism, S: Subgroup) -> bool:
     return all(phi(s) in S.member_set for s in S.members)
 
 
-def sylow_lift_check(ext: ExtensionData, phi: GroupAutomorphism) -> SylowCheck:
-    """Settle the lifting of phi in Aut(H) prime by prime.
+# The Sylow p-subgroups of H each sequence tries, in order; the module
+# docstring gives the reasons
+_SYLOWS_TRIED = {
+    1: lambda ext, p: [sylow_subgroup(ext.H, p)],
+    2: quotient_sylows,
+    3: quotient_sylows,
+}
 
-    For each prime dividing |H| the phi-invariant Sylow subgroups are tried
-    in deterministic order until one admits a local lift; the first
-    invariant failure is reported when none does.  A prime without any
-    invariant Sylow raises SylowNotInvariant.  When every prime succeeds
-    the global lift on (G, N) exists and is returned.
+
+def _answer(ext: ExtensionData, which: int, pair: CompatiblePair):
+    """(difference cocycle, witness or None) of a pair of sequence which;
+    (None, None) when the pair is not compatible."""
+    try:
+        k = _slice_cocycle(ext, which, pair)
+    except NotCompatible:
+        return None, None
+    return k, _witness(ext, which, *pair, k)
+
+
+def _sylow_check(ext: ExtensionData, which: int,
+                 pair: CompatiblePair) -> SylowCheck:
+    """The prime-local reduction of a pair of sequence which.
+
+    Each prime dividing |H| tries its Sylows (_SYLOWS_TRIED) in order,
+    skipping those phi moves, until one local question succeeds; the first
+    one tried is reported when none does, and a prime without any invariant
+    Sylow raises SylowNotInvariant.  A global witness must exist exactly
+    when every prime succeeds.
     """
-    if phi.group is not ext.H:
-        raise ParentMismatch("automorphism must act on the quotient group")
+    theta, phi = pair
+    free_theta, free_phi = _SEQUENCES[which].free
     reports = []
     for p in prime_factors(ext.H.order):
         report = None
-        for S in quotient_sylows(ext, p):
-            if not _leaves_invariant(phi, S):
+        for S in _SYLOWS_TRIED[which](ext, p):
+            if free_phi and not _leaves_invariant(phi, S):
                 continue
             local = local_extension(ext, sylow_preimage(ext, p, S))
-            rphi = restrict_to_quotient_sylow(ext, local, phi)
-            index = ext.H.order // local.ext.H.order
-            try:
-                w = lift_automorphism(local.ext, rphi)
-            except NotCompatible:
-                cand = SylowReport(p, local.subgroup, index, False, False,
-                                   None, None)
-            else:
-                if w is None:
-                    cls = local.ext.cohomology.class_of(
-                        wells_cocycle_phi(local.ext, rphi))
-                    cand = SylowReport(p, local.subgroup, index, True, False,
-                                       None, cls)
-                else:
-                    cand = SylowReport(p, local.subgroup, index, True, True,
-                                       w, None)
+            sub = local.ext
+            local_pair = CompatiblePair(
+                _local_theta(ext, local, theta) if free_theta else sub.id_N,
+                restrict_to_quotient_sylow(ext, local, phi) if free_phi else sub.id_H)
+            k, w = _answer(sub, which, local_pair)
+            cls = None if k is None or w is not None else sub.cohomology.class_of(k)
+            cand = SylowReport(p, local.subgroup, ext.H.order // sub.H.order,
+                               k is not None, w is not None, w, cls)
             if report is None or cand.local_ok:
                 report = cand
             if cand.local_ok:
@@ -186,52 +208,33 @@ def sylow_lift_check(ext: ExtensionData, phi: GroupAutomorphism) -> SylowCheck:
                 f"under the automorphism")
         reports.append(report)
     verdict = all(r.local_ok for r in reports)
-    witness = None
-    if verdict:
-        witness = lift_automorphism(ext, phi)
-        if witness is None:
-            raise AssertionError(
-                "every local lift exists but the global lift is missing")
+    _, witness = _answer(ext, which, pair)
+    if verdict != (witness is not None):
+        raise AssertionError(f"local and global {_SEQUENCES[which].witness} "
+                             "verdicts disagree")
     return SylowCheck(verdict, tuple(reports), witness)
+
+
+def sylow_lift_check(ext: ExtensionData, phi: GroupAutomorphism) -> SylowCheck:
+    """Settle the lifting of phi in Aut(H) prime by prime.
+
+    The phi-invariant Sylows of each prime are tried in order; when every
+    prime succeeds the global lift on (G, N) is returned.
+    """
+    if phi.group is not ext.H:
+        raise ParentMismatch("automorphism must act on the quotient group")
+    return _sylow_check(ext, 2, slice_pair(ext, 2, phi))
 
 
 def sylow_extend_check(ext: ExtensionData, theta: GroupAutomorphism) -> SylowCheck:
     """Settle the extension of theta in Aut(N) prime by prime.
 
-    Extensions centralizing the quotient preserve every subgroup between N
-    and G, so the deterministic Sylow choice is as good as any and the local
-    verdicts jointly match the global one in both directions; a mismatch
-    would be a soundness bug and raises.
+    Each prime tries the deterministically grown Sylow only; when every
+    prime succeeds the global extension on (G, N) is returned.
     """
     if theta.group is not ext.n_group:
         raise ParentMismatch("automorphism must act on the standalone N group")
-    reports = []
-    for p in prime_factors(ext.H.order):
-        local = local_extension(ext, sylow_preimage(ext, p))
-        th = _local_theta(ext, local, theta)
-        index = ext.H.order // local.ext.H.order
-        try:
-            w = extend_automorphism(local.ext, th)
-        except NotCompatible:
-            reports.append(SylowReport(p, local.subgroup, index, False, False,
-                                       None, None))
-            continue
-        if w is None:
-            cls = local.ext.cohomology.class_of(
-                wells_cocycle_theta(local.ext, th))
-            reports.append(SylowReport(p, local.subgroup, index, True, False,
-                                       None, cls))
-        else:
-            reports.append(SylowReport(p, local.subgroup, index, True, True,
-                                       w, None))
-    verdict = all(r.local_ok for r in reports)
-    try:
-        witness = extend_automorphism(ext, theta)
-    except NotCompatible:
-        witness = None
-    if verdict != (witness is not None):
-        raise AssertionError("local and global extension verdicts disagree")
-    return SylowCheck(verdict, tuple(reports), witness if verdict else None)
+    return _sylow_check(ext, 1, slice_pair(ext, 1, theta))
 
 
 def _scaled(f: TwoCochain, m: int) -> TwoCochain:
@@ -309,8 +312,10 @@ def corollary_predicates(ext: ExtensionData,
     Sylow subgroup setwise, reported alongside as sylows_phi_invariant.
     central_pair_mode: for central extensions with both maps supplied, runs
     the pair version on each Sylow preimage and cross-checks the global
-    pair lift.
+    pair lift.  A theta, when given, must act on the standalone N group.
     """
+    if theta is not None and theta.group is not ext.n_group:
+        raise ParentMismatch("automorphism must act on the standalone N group")
     out = {
         "quotient_nilpotent": is_nilpotent(ext.H),
         "phi_commuting": None,
@@ -331,33 +336,11 @@ def corollary_predicates(ext: ExtensionData,
         except SylowNotInvariant:
             out["lift_verdict"] = None
     if ext.central and phi is not None and theta is not None:
-        if theta.group is not ext.n_group:
-            raise ParentMismatch("automorphism must act on the standalone N group")
-        locals_ok = True
-        per_prime = []
-        for p in prime_factors(ext.H.order):
-            found = None
-            for S in quotient_sylows(ext, p):
-                if not _leaves_invariant(phi, S):
-                    continue
-                local = local_extension(ext, sylow_preimage(ext, p, S))
-                rphi = restrict_to_quotient_sylow(ext, local, phi)
-                w = lift_pair(local.ext, _local_theta(ext, local, theta), rphi)
-                found = w is not None
-                if found:
-                    break
-            if found is None:
-                raise SylowNotInvariant(
-                    f"no Sylow {p}-subgroup of the quotient is invariant "
-                    f"under the automorphism")
-            per_prime.append({"p": p, "pair_lift": found})
-            locals_ok = locals_ok and found
-        global_w = lift_pair(ext, theta, phi)
-        if locals_ok != (global_w is not None):
-            raise AssertionError("local and global pair verdicts disagree")
+        check = _sylow_check(ext, 3, CompatiblePair(theta, phi))
         out["central_pair_mode"] = {
-            "local_verdict": locals_ok,
-            "primes": per_prime,
-            "global_found": global_w is not None,
+            "local_verdict": check.verdict,
+            "primes": [{"p": r.prime, "pair_lift": r.local_ok}
+                       for r in check.reports],
+            "global_found": check.witness is not None,
         }
     return out

@@ -21,9 +21,12 @@ equation produces the witness chi constructively.
 Every question is asked of a pair (theta, phi) in the compatible pairs C.
 Extending theta is the slice C1 of pairs (theta, 1), lifting phi the slice
 C2 of pairs (1, phi), and the central case is all of C; an identity slot
-means "this sequence leaves that side fixed".  So one difference cocycle
+means "this sequence leaves that side fixed".  So one action
+f -> Theta f o (phi x phi) on cochains, one difference cocycle
 k = mu o (phi x phi) - Theta mu, one witness routine and one exactness loop
 serve all three, and an identity slot skips its gather or matrix product.
+The same action moves H^2 classes, and one composition law
+k_(g1 g2) = k_g1 o (phi2 x phi2) + Theta1 k_g2 is checked on C1 and C2.
 Sequence 1 (gamma -> theta on Aut_N^H G), 2 (gamma -> phi on Aut^N G) and,
 for central extensions, 3 (gamma -> (theta, phi) on Aut_N G) key their
 members and projections as the pair (theta.image, phi.image).
@@ -313,10 +316,18 @@ def compatible_pairs(ext: ExtensionData, verify_closure: bool = True):
     return list(pairs), list(c1), list(c2)
 
 
-def _precomposed(values: np.ndarray, phi: GroupAutomorphism) -> np.ndarray:
-    """Cochain values at (phi x, phi y), or at phi x for a 1-cochain."""
-    p = np.array(phi.image, dtype=np.int64)
-    return values[p[:, None], p] if values.ndim == 3 else values[p]
+def _acted(ext: ExtensionData, values: np.ndarray,
+           theta: Optional[GroupAutomorphism] = None,
+           phi: Optional[GroupAutomorphism] = None) -> np.ndarray:
+    """Theta values o (phi x phi) for the values of a 2-cochain, Theta values
+    o phi for those of a 1-cochain; a slot left out or holding the identity
+    costs nothing."""
+    if phi is not None and not phi.is_identity:
+        p = np.array(phi.image, dtype=np.int64)
+        values = values[p[:, None], p] if values.ndim == 3 else values[p]
+    if theta is not None and not theta.is_identity:
+        values = values @ restrict_to_matrix(ext.coeffs, theta).T
+    return values
 
 
 def _difference_cocycle(ext: ExtensionData, which: int, theta: GroupAutomorphism,
@@ -332,10 +343,8 @@ def _difference_cocycle(ext: ExtensionData, which: int, theta: GroupAutomorphism
     if not is_compatible(ext, theta, phi):
         raise NotCompatible(f"{_SEQUENCES[which].pair} is not a compatible pair")
     mu = ext.mu.values
-    moved = mu if phi.is_identity else _precomposed(mu, phi)
-    if not theta.is_identity:
-        mu = mu @ restrict_to_matrix(ext.coeffs, theta).T
-    k = TwoCochain(ext.H, ext.moduli, moved - mu)
+    k = TwoCochain(ext.H, ext.moduli,
+                   _acted(ext, mu, phi=phi) - _acted(ext, mu, theta=theta))
     defect = two_cocycle_defect(k, ext.cocycle_action)
     if defect is not None:
         raise AssertionError(f"difference cocycle fails the identity at {defect}")
@@ -539,6 +548,16 @@ def pair_key(pair) -> tuple:
     return (pair.theta.image, pair.phi.image)
 
 
+def _slice_cocycle(ext: ExtensionData, which: int, pair) -> TwoCochain:
+    """The difference cocycle of a pair of sequence which, built by the
+    public function of that sequence."""
+    if which == 1:
+        return wells_cocycle_theta(ext, pair.theta)
+    if which == 2:
+        return wells_cocycle_phi(ext, pair.phi)
+    return wells_cocycle_pair(ext, pair.theta, pair.phi)
+
+
 def _obstruction(ext: ExtensionData, which: int, member) -> CohomologyClass:
     if which == 1:
         return lambda1(ext, member)
@@ -617,91 +636,74 @@ def verify_exactness(ext: ExtensionData) -> dict:
 
 def h2_conjugation_action(ext: ExtensionData, aut: GroupAutomorphism,
                           cls: CohomologyClass) -> CohomologyClass:
-    """Action of theta in C1 (pointwise) or phi in C2 (precomposition) on classes."""
+    """Action of theta in C1 (Theta f) or phi in C2 (f o (phi x phi)) on classes."""
     if cls.parent is not ext.cohomology:
         raise ParentMismatch("class belongs to a different cohomology group")
-    rep = cls.representative.values
     if aut.group is ext.n_group:
-        if not is_compatible(ext, aut, ext.id_H):
-            raise NotCompatible("(theta, 1) is not compatible")
-        T = restrict_to_matrix(ext.coeffs, aut)
-        moved = TwoCochain(ext.H, ext.moduli, rep @ T.T)
+        which = 1
     elif aut.group is ext.H:
-        if not is_compatible(ext, ext.id_N, aut):
-            raise NotCompatible("(1, phi) is not compatible")
-        moved = TwoCochain(ext.H, ext.moduli, _precomposed(rep, aut))
+        which = 2
     else:
         raise ParentMismatch("expected an automorphism of the kernel or quotient")
-    return ext.cohomology.class_of(moved)
+    pair = slice_pair(ext, which, aut)
+    if not is_compatible(ext, *pair):
+        raise NotCompatible(f"{_SEQUENCES[which].pair} is not compatible")
+    moved = _acted(ext, cls.representative.values, *pair)
+    return ext.cohomology.class_of(TwoCochain(ext.H, ext.moduli, moved))
 
 
 def derivation_check(ext: ExtensionData) -> dict:
-    """Composition laws of the difference cocycles, at cochain and class level.
+    """Composition law of the difference cocycles, at cochain and class level.
 
-    For theta's: k_(t1 t2) = k_t1 + T1 k_t2 pointwise, and coboundaries move
-    to coboundaries under k -> T1 k.  For phi's: k_(p1 p2) = k_p2 + k_p1 o
-    (p2 x p2), with coboundary invariance under precomposition.
+    A member g of C1 or C2 is the pair (theta, phi), and
+    k_(g1 g2) = k_g1 o (phi2 x phi2) + Theta1 k_g2: on C1 (phi = 1) this is
+    k_(t1 t2) = k_t1 + T1 k_t2, on C2 (theta = 1) k_(p1 p2) = k_p2 +
+    k_p1 o (p2 x p2).  Where the two sides differ their classes are
+    compared too (equal cochains have equal classes).  The action
+    f -> Theta f o (phi x phi) must move coboundaries to coboundaries; that
+    is probed on the first eight members of each slice.
     """
     _, c1, c2 = compatible_pairs(ext)
     m = ext.moduli
     H = ext.H
     cg = ext.cohomology
+    action = ext.cocycle_action
+    slices = ((1, "theta", c1), (2, "phi", c2))
     violations: list[str] = []
 
-    k1 = {th.image: wells_cocycle_theta(ext, th) for th in c1}
-    for t1 in c1:
-        T1 = restrict_to_matrix(ext.coeffs, t1)
-        for t2 in c1:
-            comp = t1.compose(t2)
-            lhs = k1[comp.image]
-            moved = TwoCochain(H, m, k1[t2.image].values @ T1.T)
-            if lhs != k1[t1.image] + moved:
-                violations.append(
-                    f"theta derivation law fails at {t1.image} o {t2.image}")
-            cls = cg.class_of(lhs)
-            rhs_cls = cg.class_of(k1[t1.image] + moved)
-            if cls != rhs_cls:
-                violations.append(
-                    f"theta class law fails at {t1.image} o {t2.image}")
+    for which, name, members in slices:
+        pairs = [slice_pair(ext, which, g) for g in members]
+        kg = {g.image: _slice_cocycle(ext, which, pair)
+              for g, pair in zip(members, pairs)}
+        for g1, (theta1, _) in zip(members, pairs):
+            for g2, (_, phi2) in zip(members, pairs):
+                lhs = kg[g1.compose(g2).image]
+                rhs = TwoCochain(H, m, _acted(ext, kg[g1.image].values, phi=phi2)
+                                 + _acted(ext, kg[g2.image].values, theta=theta1))
+                if lhs != rhs:
+                    at = f"{g1.image} o {g2.image}"
+                    violations.append(f"{name} derivation law fails at {at}")
+                    if cg.class_of(lhs) != cg.class_of(rhs):
+                        violations.append(f"{name} class law fails at {at}")
 
-    k2 = {ph.image: wells_cocycle_phi(ext, ph) for ph in c2}
-    for p1 in c2:
-        for p2 in c2:
-            comp = p1.compose(p2)
-            lhs = k2[comp.image]
-            moved = TwoCochain(H, m, _precomposed(k2[p1.image].values, p2))
-            if lhs != k2[p2.image] + moved:
-                violations.append(
-                    f"phi derivation law fails at {p1.image} o {p2.image}")
-            if cg.class_of(lhs) != cg.class_of(k2[p2.image] + moved):
-                violations.append(
-                    f"phi class law fails at {p1.image} o {p2.image}")
-
-    # coboundary invariance under both actions, probed on the first three
-    # unit cochains (x = 1 + i // k, coordinate i % k) of the B^2 generators
+    # coboundaries stay coboundaries, probed on the first three unit
+    # cochains (x = 1 + i // k, coordinate i % k) of the B^2 generators
     h, k = H.order, len(m)
     probe = []
     for i in range(min(3, (h - 1) * k)):
         unit = np.zeros(h * k, dtype=np.int64)
         unit[k + i] = 1
-        probe.append(OneCochain(H, m, unit.reshape(h, k)))
-    for t1 in c1[:8]:
-        T1 = restrict_to_matrix(ext.coeffs, t1)
-        for chb in probe:
-            delta = coboundary_of(chb, ext.cocycle_action)
-            moved = TwoCochain(H, m, delta.values @ T1.T)
-            chi2 = OneCochain(H, m, chb.values @ T1.T)
-            if moved != coboundary_of(chi2, ext.cocycle_action):
-                violations.append(
-                    f"theta action does not preserve coboundaries at {t1.image}")
-    for p1 in c2[:8]:
-        for chb in probe:
-            delta = coboundary_of(chb, ext.cocycle_action)
-            moved = TwoCochain(H, m, _precomposed(delta.values, p1))
-            chi2 = OneCochain(H, m, _precomposed(chb.values, p1))
-            if moved != coboundary_of(chi2, ext.cocycle_action):
-                violations.append(
-                    f"phi action does not preserve coboundaries at {p1.image}")
+        chb = OneCochain(H, m, unit.reshape(h, k))
+        probe.append((chb.values, coboundary_of(chb, action).values))
+    for which, name, members in slices:
+        for g in members[:8]:
+            pair = slice_pair(ext, which, g)
+            for chb, delta in probe:
+                moved = TwoCochain(H, m, _acted(ext, delta, *pair))
+                chi2 = OneCochain(H, m, _acted(ext, chb, *pair))
+                if moved != coboundary_of(chi2, action):
+                    violations.append(f"{name} action does not preserve "
+                                      f"coboundaries at {g.image}")
 
     return {
         "c1_order": len(c1),

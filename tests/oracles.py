@@ -15,7 +15,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from extlift import FiniteGroup, Subgroup, all_subgroups, automorphism_group
+from extlift import (FiniteGroup, NotCompatible, Subgroup, SylowCheck,
+                     SylowNotInvariant, SylowReport, all_subgroups,
+                     automorphism_group, extend_automorphism,
+                     lift_automorphism, lift_pair, local_extension,
+                     quotient_sylows, restrict_to_quotient_sylow,
+                     sylow_preimage, wells_cocycle_phi, wells_cocycle_theta)
+from extlift.groups import GroupAutomorphism, prime_factors
 from extlift.intlin import ext_gcd
 
 # total normalized-cochain assignments a brute H^2 enumeration may visit
@@ -289,6 +295,115 @@ def section_is_homomorphism(sec) -> bool:
     images = [f.image for f in sec.images]
     return all(mul(images[i], images[j]) == images[index[key_mul(a, b)]]
                for i, a in enumerate(keys) for j, b in enumerate(keys))
+
+
+# The prime-by-prime loops of the Sylow reduction as three separate copies,
+# one per question, kept as the reference for extlift.reduction.
+
+def _reference_local_theta(ext, local, theta):
+    if local.ext is ext:
+        return theta
+    return GroupAutomorphism(local.ext.n_group, theta.image)
+
+
+def _leaves_invariant(phi, S) -> bool:
+    return all(phi(s) in S.member_set for s in S.members)
+
+
+def reference_sylow_lift_check(ext, phi):
+    """Invariant Sylows in order until one lifts; global lift on success."""
+    reports = []
+    for p in prime_factors(ext.H.order):
+        report = None
+        for S in quotient_sylows(ext, p):
+            if not _leaves_invariant(phi, S):
+                continue
+            local = local_extension(ext, sylow_preimage(ext, p, S))
+            rphi = restrict_to_quotient_sylow(ext, local, phi)
+            index = ext.H.order // local.ext.H.order
+            try:
+                w = lift_automorphism(local.ext, rphi)
+            except NotCompatible:
+                cand = SylowReport(p, local.subgroup, index, False, False,
+                                   None, None)
+            else:
+                if w is None:
+                    cls = local.ext.cohomology.class_of(
+                        wells_cocycle_phi(local.ext, rphi))
+                    cand = SylowReport(p, local.subgroup, index, True, False,
+                                       None, cls)
+                else:
+                    cand = SylowReport(p, local.subgroup, index, True, True,
+                                       w, None)
+            if report is None or cand.local_ok:
+                report = cand
+            if cand.local_ok:
+                break
+        if report is None:
+            raise SylowNotInvariant(f"no invariant Sylow {p}-subgroup")
+        reports.append(report)
+    verdict = all(r.local_ok for r in reports)
+    witness = None
+    if verdict:
+        witness = lift_automorphism(ext, phi)
+        assert witness is not None
+    return SylowCheck(verdict, tuple(reports), witness)
+
+
+def reference_sylow_extend_check(ext, theta):
+    """The deterministically grown Sylow only, at every prime."""
+    reports = []
+    for p in prime_factors(ext.H.order):
+        local = local_extension(ext, sylow_preimage(ext, p))
+        th = _reference_local_theta(ext, local, theta)
+        index = ext.H.order // local.ext.H.order
+        try:
+            w = extend_automorphism(local.ext, th)
+        except NotCompatible:
+            reports.append(SylowReport(p, local.subgroup, index, False, False,
+                                       None, None))
+            continue
+        if w is None:
+            cls = local.ext.cohomology.class_of(
+                wells_cocycle_theta(local.ext, th))
+            reports.append(SylowReport(p, local.subgroup, index, True, False,
+                                       None, cls))
+        else:
+            reports.append(SylowReport(p, local.subgroup, index, True, True,
+                                       w, None))
+    verdict = all(r.local_ok for r in reports)
+    try:
+        witness = extend_automorphism(ext, theta)
+    except NotCompatible:
+        witness = None
+    assert verdict == (witness is not None)
+    return SylowCheck(verdict, tuple(reports), witness if verdict else None)
+
+
+def reference_central_pair_mode(ext, theta, phi) -> dict:
+    """The central_pair_mode entry of corollary_predicates."""
+    locals_ok = True
+    per_prime = []
+    for p in prime_factors(ext.H.order):
+        found = None
+        for S in quotient_sylows(ext, p):
+            if not _leaves_invariant(phi, S):
+                continue
+            local = local_extension(ext, sylow_preimage(ext, p, S))
+            rphi = restrict_to_quotient_sylow(ext, local, phi)
+            w = lift_pair(local.ext, _reference_local_theta(ext, local, theta),
+                          rphi)
+            found = w is not None
+            if found:
+                break
+        if found is None:
+            raise SylowNotInvariant(f"no invariant Sylow {p}-subgroup")
+        per_prime.append({"p": p, "pair_lift": found})
+        locals_ok = locals_ok and found
+    global_w = lift_pair(ext, theta, phi)
+    assert locals_ok == (global_w is not None)
+    return {"local_verdict": locals_ok, "primes": per_prime,
+            "global_found": global_w is not None}
 
 
 # The pure-Python lattice engine, kept as the reference for extlift.intlin:

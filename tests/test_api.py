@@ -3,7 +3,9 @@ points that callers, tests and the benchmark's span tracer reach by name
 stay exported."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +55,25 @@ def test_wrapped_entry_points_stay_exported():
     for name in REPORT_NAMES:
         assert callable(getattr(reports, name)), name
     assert "generating_set" in extlift.__all__
+
+
+def _span_targets():
+    """TARGETS of the benchmark's span tracer, loaded from its file alone."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+def test_traced_names_resolve():
+    """Every (layer, module, attribute) the tracer wraps names a callable of
+    extlift, so dropping a traced name fails here and not only in a traced
+    benchmark run."""
+    targets = _span_targets()
+    assert targets
+    for layer, module, attr in targets:
+        owner = _module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), (layer, module, attr)

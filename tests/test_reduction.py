@@ -6,12 +6,16 @@ import pytest
 from extlift import (InputError, NotCharacteristic, NotCompatible,
                      ParentMismatch, Subgroup, SylowNotInvariant,
                      automorphism_group, catalog, characteristic_restriction,
-                     corollary_predicates, direct_product, extension_from,
-                     extend_automorphism, index_kill_check, lift_automorphism,
-                     local_extension, quotient_sylows,
-                     restrict_to_quotient_sylow, sylow_extend_check,
-                     sylow_lift_check, sylow_preimage)
+                     compatible_pairs, corollary_predicates, direct_product,
+                     extension_from, extend_automorphism, index_kill_check,
+                     lift_automorphism, local_extension, quotient_sylows,
+                     restrict_to_quotient_sylow, shipped_corpus,
+                     sylow_extend_check, sylow_lift_check, sylow_preimage)
 from extlift.groups import GroupAutomorphism, center, derived_subgroup
+from extlift.reports import corpus_pairs
+
+from oracles import (reference_central_pair_mode, reference_sylow_extend_check,
+                     reference_sylow_lift_check)
 
 
 def _z3_x_s3():
@@ -267,3 +271,62 @@ def test_parent_and_containment_validation():
         local_extension(ext, Subgroup(z3, [0, 1, 2]))
     with pytest.raises(InputError):
         local_extension(ext, Subgroup(d8, [0, 4]))
+
+
+def _corpus_exts(max_quotient=8):
+    return [extension_from(G, N) for G in shipped_corpus()
+            for N in corpus_pairs(G) if G.order // N.order <= max_quotient]
+
+
+def _outcome(check, *args):
+    """Every field of a SylowCheck, or the name of the exception raised."""
+    try:
+        c = check(*args)
+    except SylowNotInvariant as exc:
+        return type(exc).__name__
+    reports = tuple((r.prime, r.subgroup.members, r.index, r.compatible,
+                     r.local_ok, r.witness and r.witness.image,
+                     r.obstruction and r.obstruction.key) for r in c.reports)
+    return c.verdict, reports, c.witness and c.witness.image
+
+
+def test_reduction_matches_the_three_reference_loops():
+    """Lift, extend and the central pair mode give, on every corpus pair
+    with |H| <= 8, what the three separate per-prime loops gave."""
+    pairs_checked = 0
+    for ext in _corpus_exts():
+        for phi in automorphism_group(ext.H):
+            assert _outcome(sylow_lift_check, ext, phi) == \
+                _outcome(reference_sylow_lift_check, ext, phi)
+        for theta in automorphism_group(ext.n_group):
+            assert _outcome(sylow_extend_check, ext, theta) == \
+                _outcome(reference_sylow_extend_check, ext, theta)
+        if not ext.central:
+            continue
+        pairs, _, _ = compatible_pairs(ext)
+        for theta, phi in pairs:
+            try:
+                want = reference_central_pair_mode(ext, theta, phi)
+            except SylowNotInvariant:
+                with pytest.raises(SylowNotInvariant):
+                    corollary_predicates(ext, phi=phi, theta=theta)
+                continue
+            got = corollary_predicates(ext, phi=phi, theta=theta)
+            assert got["central_pair_mode"] == want
+            pairs_checked += 1
+    assert pairs_checked > 100
+
+
+def test_corollary_predicates_rejects_a_foreign_theta():
+    """theta is checked whether or not the central pair mode runs."""
+    d8 = catalog("dihedral", 8)
+    alien = GroupAutomorphism(catalog("cyclic", 3), [0, 2, 1])
+    rotations = extension_from(d8, Subgroup(d8, [0, 1, 2, 3]))
+    assert not rotations.central
+    with pytest.raises(ParentMismatch):
+        corollary_predicates(rotations, phi=rotations.id_H, theta=alien)
+    central = extension_from(d8, center(d8))
+    with pytest.raises(ParentMismatch):
+        corollary_predicates(central, theta=alien)
+    out = corollary_predicates(central, theta=central.id_N)
+    assert out["central_pair_mode"] is None

@@ -1,6 +1,7 @@
 """Automorphism decomposition, difference cocycles and the two exact
 sequences, checked against exhaustive scans of the full automorphism group."""
 
+import importlib
 import itertools
 import random
 
@@ -11,13 +12,13 @@ from extlift import (DoesNotNormalize, InputError, NotCentral, NotCompatible,
                      OneCochain, ParentMismatch, Subgroup,
                      TripleConditionsFail, WellsTriple, abelian_structure,
                      aut_subgroups, automorphism_from_triple,
-                     automorphism_group, catalog, compatible_pairs,
-                     derivation_check, extend_automorphism, extension_from,
-                     group_from_permutations, h2_conjugation_action,
-                     is_compatible, is_two_cocycle, lambda1, lambda2,
-                     lift_automorphism, lift_pair, random_transversal,
-                     triple_of, verify_exactness, wells_cocycle_pair,
-                     wells_cocycle_phi, wells_cocycle_theta)
+                     automorphism_group, catalog, coboundary_of,
+                     compatible_pairs, derivation_check, extend_automorphism,
+                     extension_from, group_from_permutations,
+                     h2_conjugation_action, is_compatible, is_two_cocycle,
+                     lambda1, lambda2, lift_automorphism, lift_pair,
+                     random_transversal, triple_of, verify_exactness,
+                     wells_cocycle_pair, wells_cocycle_phi, wells_cocycle_theta)
 from extlift.abelian import restrict_to_matrix
 from extlift.groups import (GroupAutomorphism, all_subgroups, center,
                             derived_subgroup)
@@ -219,6 +220,73 @@ def test_derivation_laws_hold():
         ext = extension_from(G, N)
         report = derivation_check(ext)
         assert report["violations"] == []
+
+
+def _shift_cocycles(monkeypatch, ext, target, shift):
+    """Add shift to the difference cocycle of the theta and the phi whose
+    image is target[0] and target[1], through the public cocycle functions."""
+    wells = importlib.import_module("extlift.wells")
+    for name, image in zip(("wells_cocycle_theta", "wells_cocycle_phi"), target):
+        def shifted(e, aut, original=getattr(wells, name), image=image):
+            k = original(e, aut)
+            return k + shift if aut.image == image else k
+        monkeypatch.setattr(wells, name, shifted)
+
+
+def _law_lines(name, pairs, failing_class):
+    out = []
+    for a, b in pairs:
+        out.append(f"{name} derivation law fails at {a} o {b}")
+        if (a, b) in failing_class:
+            out.append(f"{name} class law fails at {a} o {b}")
+    return out
+
+
+def test_derivation_check_reports_shifted_cocycles(monkeypatch):
+    """Shifting one member's difference cocycle by a coboundary breaks only
+    the cochain law; shifting it by a non-coboundary cocycle breaks the
+    class law at exactly the pairs whose classes no longer agree."""
+    z9 = catalog("cyclic", 9)
+    ext = extension_from(z9, Subgroup(z9, [0, 3, 6]))
+    unit = np.zeros((ext.H.order, len(ext.moduli)), dtype=np.int64)
+    unit[1, 0] = 1
+    delta = coboundary_of(OneCochain(ext.H, ext.moduli, unit), ext.cocycle_action)
+    assert not delta.is_zero() and not ext.cohomology.class_of(ext.mu).is_trivial
+    one, inv = (0, 1, 2), (0, 2, 1)
+    every = [(a, b) for a in (one, inv) for b in (one, inv)]
+
+    with monkeypatch.context() as mp:
+        _shift_cocycles(mp, ext, (one, one), delta)
+        report = derivation_check(ext)
+    assert report["violations"] == (_law_lines("theta", every, ())
+                                    + _law_lines("phi", every, ()))
+    assert report["ok"] is False
+
+    with monkeypatch.context() as mp:
+        _shift_cocycles(mp, ext, (one, one), ext.mu)
+        report = derivation_check(ext)
+    assert report["violations"] == (_law_lines("theta", every, every)
+                                    + _law_lines("phi", every, every))
+
+    # phi = inv: only inv o inv moves, and its classes still agree
+    with monkeypatch.context() as mp:
+        _shift_cocycles(mp, ext, (None, inv), ext.mu)
+        assert derivation_check(ext)["violations"] == [
+            f"phi derivation law fails at {inv} o {inv}"]
+    assert derivation_check(ext)["violations"] == []
+
+
+def test_derivation_check_class_law_only_where_classes_differ(monkeypatch):
+    z16 = catalog("cyclic", 16)
+    ext = extension_from(z16, Subgroup(z16, range(0, 16, 2)))
+    _, c1, c2 = compatible_pairs(ext)
+    one, a, b, c = (t.image for t in c1)
+    assert [p.image for p in c2] == [(0, 1)]
+    with monkeypatch.context() as mp:
+        _shift_cocycles(mp, ext, (a, None), ext.mu)
+        report = derivation_check(ext)
+    moved = [(a, b), (a, c), (b, a), (b, c), (c, a), (c, b)]
+    assert report["violations"] == _law_lines("theta", [(a, a)] + moved, moved)
 
 
 def test_verdicts_stable_under_transversal_change():
