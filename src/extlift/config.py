@@ -10,6 +10,9 @@ DEFAULT_MAX_ORDER = 512
 DEFAULT_MAX_UNKNOWNS = 20000
 DEFAULT_CLOSURE_BOUND = 20000
 DEFAULT_SECTION_BOUND = 120
+# partial maps automorphism_group may build, summed over its levels, and the
+# product |Aut N| * |Aut H| compatible_pairs may scan; no flag changes it
+AUT_SEARCH_BOUND = 1 << 20
 
 _ENV_MAX_ORDER = "EXTLIFT_MAX_ORDER"
 

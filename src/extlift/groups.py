@@ -398,7 +398,25 @@ class Subgroup:
 
 def _require_homomorphism(source: FiniteGroup, target: FiniteGroup,
                           img: Sequence[int]) -> None:
-    """Raise InputError naming the first pair (a, b) with img(ab) != img(a)img(b)."""
+    """Raise InputError naming the first pair (a, b) with img(ab) != img(a)img(b).
+
+    img(a*s) = img(a) img(s) for every a and every s in {1} and the
+    generators makes img a homomorphism: s = 1 gives img(1) = 1, and then
+    img(a*b) = img(a) img(b) by induction on the length of a positive word
+    for b (as in hom_by_generator_images).  Only when this fails are all
+    pairs scanned, to name the first bad one.
+    """
+    ts, tt = source.table, target.table
+    gens = (0,) + source.generators
+    for a in range(source.order):
+        row, ia = ts[a], tt[img[a]]
+        for s in gens:
+            if img[row[s]] != ia[img[s]]:
+                _raise_first_bad_pair(source, target, img)
+
+
+def _raise_first_bad_pair(source: FiniteGroup, target: FiniteGroup,
+                          img: Sequence[int]) -> None:
     ts, tt = source.table, target.table
     for a in range(source.order):
         ia = img[a]
@@ -470,6 +488,13 @@ class GroupAutomorphism:
             raise InputError("cannot compose automorphisms of different groups")
         return GroupAutomorphism(
             self.group, tuple(self.image[v] for v in other.image), check=False)
+
+    @classmethod
+    def _trusted(cls, group: FiniteGroup, image: tuple[int, ...]) -> "GroupAutomorphism":
+        """An automorphism whose image tuple the caller has already checked."""
+        self = cls.__new__(cls)
+        self.group, self.image = group, image
+        return self
 
     @staticmethod
     def identity(group: FiniteGroup) -> "GroupAutomorphism":
@@ -622,6 +647,132 @@ def hom_by_generator_images(G: FiniteGroup, T: FiniteGroup,
     return m
 
 
+# partial maps per block of the automorphism search; memory is O(block * |G|)
+_SEARCH_CHUNK = 512
+
+
+class _Level:
+    """The closure program of K_d = <g_1..g_d> from K_(d-1), built once.
+
+    gen is g_d and cands its candidate images (the elements of its order);
+    old lists K_(d-1).  The BFS from K_(d-1) and g_d reaches each new member
+    b of K_d by a tree edge b = a*s, s in g_1..g_d; each BFS layer is a
+    stage, and stage i fills its members from columns filled before it.  The
+    products a*s still to test are those with s = g_d or a new, less the
+    tree edges and 1*g_d; each is tested at the first stage after which a,
+    s and a*s are all filled.  stages holds (fill, checks), each a (b, a, s)
+    triple of arrays or None; stage 0 fills nothing, and a stage with
+    nothing to fill or test is left out.
+    """
+
+    def __init__(self, G: FiniteGroup, gens: Sequence[int], d: int,
+                 old: list[int]):
+        t, g, step = G.table, gens[d], gens[:d + 1]
+        orders = G.element_orders()
+        self.gen = g
+        self.cands = np.array([x for x in range(G.order) if orders[x] == orders[g]])
+        self.old, known = np.array(old), set(old)
+        stage = dict.fromkeys(old + [g], 0)       # the stage filling each member
+        layer, tree, fills = old + [g], {(0, g)}, [[]]
+        while layer:
+            edges = []
+            for a in layer:
+                for s in step:
+                    b = t[a][s]
+                    if b not in stage:
+                        stage[b] = len(fills)
+                        tree.add((a, s))
+                        edges.append((b, a, s))
+            fills.append(edges)
+            layer = [b for b, _, _ in edges]
+        checks = [[] for _ in fills]
+        for a in sorted(stage):
+            for s in step:
+                if (s == g or a not in known) and (a, s) not in tree:
+                    b = t[a][s]
+                    checks[max(stage[b], stage[a], stage[s])].append((b, a, s))
+        self.members = sorted(stage)
+        self.stages = [tuple(tuple(np.array(c) for c in zip(*e)) if e else None
+                             for e in pair)
+                       for pair in zip(fills, checks) if pair != ([], [])]
+
+
+def _automorphism_rows(G: FiniteGroup) -> np.ndarray:
+    """Image tuples of all automorphisms of G, one row each, unsorted.
+
+    Level d extends each partial map on K_(d-1) = <g_1..g_(d-1)> by an image
+    y of g_d (the generators of G), fills the members of K_d along the BFS
+    tree edges, img(a*s) = img(a) img(s), and keeps the maps that are
+    injective homomorphisms on K_d.  Why this finds every automorphism and
+    nothing else:
+
+    - Homomorphism: a map with img(1) = 1 and img(a*s) = img(a) img(s) for
+      every a in K_d and every s in g_1..g_d is a homomorphism on K_d, by
+      induction on the length of a positive word for b in img(a*b) =
+      img(a) img(b) (hom_by_generator_images makes the same argument).  The
+      pairs with a in K_(d-1) and s in g_1..g_(d-1) held at level d-1, the
+      tree edges hold by construction, the rest are checked.
+    - Injective: a homomorphism is injective exactly when its kernel is
+      trivial.  The members of K_(d-1) other than 1 already have images
+      other than 1, and y is not 1 (the image of 1 is taken), so only the
+      members each stage fills are tested.
+    - Pruning: an automorphism restricts to an injective homomorphism on
+      every K_d, and g_d lies outside K_(d-1), so dropping the non-injective
+      maps and the images y already taken by K_(d-1) loses none, and y must
+      have the order of g_d.
+    - At the last level K_r = G, and an injective map of G to itself is a
+      bijection.
+
+    The search runs depth first.  A block extends _SEARCH_CHUNK // |cands|
+    maps (at least one), so it builds at most max(_SEARCH_CHUNK, |G|) maps
+    and memory is O(_SEARCH_CHUNK * |G|) per level.  Every map built counts
+    against config.AUT_SEARCH_BOUND; passing it raises BoundExceeded.
+    """
+    gens, n = list(G.generators), G.order
+    levels, old = [], [0]
+    for d in range(len(gens)):
+        levels.append(_Level(G, gens, d, old))
+        old = levels[-1].members
+    mul = G.cayley.astype(np.int32).ravel()      # a*b at a*n + b < 2**31
+    bound, built, found = config.AUT_SEARCH_BOUND, 0, []
+
+    def search(d: int, maps: np.ndarray) -> None:
+        # maps[a, j] is the image of a under map j, for a in K_(d-1)
+        nonlocal built
+        if d == len(levels):
+            found.append(maps.T)
+            return
+        lv = levels[d]
+        per = max(1, _SEARCH_CHUNK // len(lv.cands))     # maps per block
+        for lo in range(0, maps.shape[1], per):
+            block = maps[:, lo:lo + per]
+            taken = np.zeros((block.shape[1], n), dtype=bool)
+            taken[np.arange(block.shape[1]), block[lv.old]] = True
+            j, y = np.nonzero(~taken[:, lv.cands])
+            built += len(j)
+            if built > bound:
+                raise BoundExceeded(
+                    f"automorphism search of {G.name} passed {bound} partial maps")
+            x = block[:, j]
+            x[lv.gen] = lv.cands[y]
+            for fill, checks in lv.stages:
+                keep = np.ones(x.shape[1], dtype=bool)
+                if fill is not None:
+                    b, a, s = fill
+                    x[b] = mul.take(x[a] * n + x[s])
+                    keep &= (x[b] != 0).all(axis=0)
+                if checks is not None:
+                    b, a, s = checks
+                    keep &= (x[b] == mul.take(x[a] * n + x[s])).all(axis=0)
+                if not keep.all():
+                    x = x[:, keep]
+            if x.shape[1]:
+                search(d + 1, x)
+
+    search(0, np.zeros((n, 1), dtype=np.int32))
+    return np.concatenate(found)
+
+
 def automorphism_group(G: FiniteGroup, bound: Optional[int] = None) -> list[GroupAutomorphism]:
     """All automorphisms, sorted lexicographically by image tuple."""
     if G._automorphisms is not None:
@@ -630,26 +781,15 @@ def automorphism_group(G: FiniteGroup, bound: Optional[int] = None) -> list[Grou
     if G.order > limit:
         raise BoundExceeded(
             f"automorphism enumeration limited to order {limit}, got {G.order}")
-    gens = generating_set(G)
-    orders = G.element_orders()
-    cands = [[x for x in range(G.order) if orders[x] == orders[g]] for g in gens]
-    found: list[tuple[int, ...]] = []
-
-    # m is the map closed from pairs; each generator list is closed once
-    def walk(depth: int, pairs: list[tuple[int, int]], m: dict[int, int]) -> None:
-        if depth == len(gens):
-            if len(m) == G.order and len(set(m.values())) == G.order:
-                found.append(tuple(m[a] for a in range(G.order)))
-            return
-        for y in cands[depth]:
-            chosen = pairs + [(gens[depth], y)]
-            grown = hom_by_generator_images(G, G, chosen)
-            if grown is not None:
-                walk(depth + 1, chosen, grown)
-
-    walk(0, [], {0: 0})
-    found.sort()
-    auts = [GroupAutomorphism(G, img, check=False) for img in found]
+    rows = _automorphism_rows(G)
+    # one array check for what GroupAutomorphism checks per object: each
+    # row of |G| entries takes every value
+    hit = np.zeros(rows.shape, dtype=bool)
+    hit[np.arange(len(rows))[:, None], rows] = True
+    if not hit.all():
+        raise AssertionError(f"automorphism search of {G.name} built a non-permutation")
+    auts = [GroupAutomorphism._trusted(G, img)
+            for img in sorted(map(tuple, rows.tolist()))]
     G._automorphisms = auts
     return list(auts)
 

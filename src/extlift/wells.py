@@ -39,12 +39,13 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import config
 from .abelian import (AbelianStructure, Vector, abelian_structure,
                       matrix_of_endomorphism, restrict_to_matrix)
 from .cohomology import (CohomologyClass, CohomologyGroup, OneCochain,
                          TwoCochain, coboundary_of, two_cocycle_defect)
-from .errors import (DoesNotNormalize, InputError, NotCentral, NotCompatible,
-                     ParentMismatch, TripleConditionsFail)
+from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotCentral,
+                     NotCompatible, ParentMismatch, TripleConditionsFail)
 from .groups import (FiniteGroup, GroupAutomorphism, Subgroup, _compose_pair,
                      _compose_perm, automorphism_group, center, quotient_group,
                      require_closed)
@@ -302,6 +303,10 @@ def compatible_pairs(ext: ExtensionData, verify_closure: bool = True):
     if ext._compatible is None:
         auts_n = automorphism_group(ext.n_group)
         auts_h = automorphism_group(ext.H)
+        if len(auts_n) * len(auts_h) > config.AUT_SEARCH_BOUND:
+            raise BoundExceeded(
+                f"compatible pairs: |Aut N| * |Aut H| = {len(auts_n)} * "
+                f"{len(auts_h)} passes {config.AUT_SEARCH_BOUND}")
         pairs = tuple(CompatiblePair(th, ph) for th in auts_n for ph in auts_h
                       if is_compatible(ext, th, ph))
         c1 = tuple(p.theta for p in pairs if p.phi.image == ext.id_H.image)
@@ -558,21 +563,13 @@ def _slice_cocycle(ext: ExtensionData, which: int, pair) -> TwoCochain:
     return wells_cocycle_pair(ext, pair.theta, pair.phi)
 
 
-def _obstruction(ext: ExtensionData, which: int, member) -> CohomologyClass:
-    if which == 1:
-        return lambda1(ext, member)
-    if which == 2:
-        return lambda2(ext, member)
-    return lambda_pair(ext, member.theta, member.phi)
-
-
 def starred_sets(ext: ExtensionData, pairs, c1, c2) -> dict[int, tuple]:
     """C1*, C2* and, for central extensions, C*: the members of C1, C2 and C
     (as compatible_pairs gives them) with trivial obstruction class, keyed by
     sequence."""
-    slices = {1: c1, 2: c2, 3: pairs}
-    return {which: tuple(m for m in slices[which]
-                         if _obstruction(ext, which, m).is_trivial)
+    slices, cg = {1: c1, 2: c2, 3: pairs}, ext.cohomology
+    return {which: tuple(m for m in slices[which] if cg.class_of(
+                _slice_cocycle(ext, which, slice_pair(ext, which, m))).is_trivial)
             for which in ((1, 2, 3) if ext.central else (1, 2))}
 
 

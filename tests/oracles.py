@@ -18,6 +18,7 @@ import numpy as np
 from extlift import (FiniteGroup, NotCompatible, Subgroup, SylowCheck,
                      SylowNotInvariant, SylowReport, all_subgroups,
                      automorphism_group, extend_automorphism,
+                     generating_set, hom_by_generator_images,
                      lift_automorphism, lift_pair, local_extension,
                      quotient_sylows, restrict_to_quotient_sylow,
                      sylow_preimage, wells_cocycle_phi, wells_cocycle_theta)
@@ -266,6 +267,33 @@ def greedy_generating_set(G: FiniteGroup) -> list[int]:
         gens.append(next(x for x in range(G.order) if x not in have))
         cl = G.closure(gens)
     return gens
+
+
+def reference_automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """Image tuples of Aut G, sorted: the recursive search groups.automorphism_group
+    used before its level-by-level array search (the reference for it).
+    Each generator image is tried in turn and the map closed from the
+    identity by hom_by_generator_images; a full map is kept when bijective."""
+    gens = generating_set(G)
+    orders = G.element_orders()
+    cands = [[x for x in range(G.order) if orders[x] == orders[g]] for g in gens]
+    found: list[tuple[int, ...]] = []
+
+    # m is the map closed from pairs; each generator list is closed once
+    def walk(depth: int, pairs: list[tuple[int, int]], m: dict[int, int]) -> None:
+        if depth == len(gens):
+            if len(m) == G.order and len(set(m.values())) == G.order:
+                found.append(tuple(m[a] for a in range(G.order)))
+            return
+        for y in cands[depth]:
+            chosen = pairs + [(gens[depth], y)]
+            grown = hom_by_generator_images(G, G, chosen)
+            if grown is not None:
+                walk(depth + 1, chosen, grown)
+
+    walk(0, [], {0: 0})
+    found.sort()
+    return found
 
 
 def require_closed_quadratic(keys, mul) -> None:

@@ -307,6 +307,18 @@ def test_max_order_flag_trips_bound(capsys):
     assert report["kind"] == "BoundExceeded"
 
 
+def test_automorphism_search_bound_exits_3(capsys):
+    """Aut of elementary_abelian(2,5) has about 10^7 members; aut:1 needs
+    all of them, and the search stops at its bound."""
+    code, report, _ = run(capsys, "extend", "--group",
+                          "catalog:elementary_abelian(2,5)", "--subgroup",
+                          "center", "--theta", "aut:1")
+    assert code == 3
+    assert report == {"error": "automorphism search of elemab2_5 passed "
+                               f"{config.AUT_SEARCH_BOUND} partial maps",
+                      "kind": "BoundExceeded"}
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog", "--expr", "cyclic(6)"],
     ["h2", "--group", "catalog:cyclic(300)", "--coeffs", "cyclic(2)"]])

@@ -5,13 +5,13 @@ import importlib.util
 import math
 import pathlib
 import random
-from types import SimpleNamespace
 
 import pytest
 
-from extlift import (catalog, compatible_pairs, extension_from,
+from extlift import (BoundExceeded, automorphism_group, catalog,
+                     compatible_pairs, config, extension_from,
                      random_transversal, shipped_corpus, split_kernels,
-                     wells)
+                     splitting, wells)
 from extlift.catalog import parse_catalog_expression
 from extlift.groups import _compose_pair, _compose_perm, center, require_closed
 from extlift.reports import corpus_pairs
@@ -137,16 +137,14 @@ def test_starred_set_missing_a_member_is_rejected(monkeypatch):
     G = catalog("quaternion", 8)
     ext = extension_from(G, center(G))
     assert len(split_kernels(ext).c2_star) == 6
-    dropped = split_kernels(ext).c2_star[-1].image
-    real = wells.lambda2
+    real = splitting.starred_sets
 
-    def obstructed(ext, phi):
-        if phi.image == dropped:
-            return SimpleNamespace(is_trivial=False)
-        return real(ext, phi)
+    def missing_one(*args):
+        stars = real(*args)
+        return {**stars, 2: stars[2][:-1]}
 
-    # the starred sets are filtered in wells (starred_sets)
-    monkeypatch.setattr(wells, "lambda2", obstructed)
+    # the starred sets split_kernels checks, one member short
+    monkeypatch.setattr(splitting, "starred_sets", missing_one)
     with pytest.raises(AssertionError, match="starred set is not closed "
                                              "under composition"):
         split_kernels(ext)
@@ -156,3 +154,20 @@ def test_compatible_pairs_of_extraspecial_plus_2_over_its_centre():
     G = parse_catalog_expression("extraspecial_plus(2)")
     pairs, c1, c2 = compatible_pairs(extension_from(G, center(G)))
     assert (len(pairs), len(c1), len(c2)) == (20160, 1, 20160)
+
+
+def test_compatible_pairs_bound_applies_before_the_product_loop(monkeypatch):
+    """|Aut N| * |Aut H| = 1 * 20160 passes a bound of 20159 before any pair
+    is tested, and fits one of 20160."""
+    G = parse_catalog_expression("extraspecial_plus(2)")
+    ext = extension_from(G, center(G))
+    automorphism_group(ext.n_group), automorphism_group(ext.H)   # cached now
+    tested = []
+    monkeypatch.setattr(wells, "is_compatible",
+                        lambda *args: tested.append(args) or True)
+    monkeypatch.setattr(config, "AUT_SEARCH_BOUND", 20159)
+    with pytest.raises(BoundExceeded, match=r"1 \* 20160 passes 20159"):
+        compatible_pairs(ext, verify_closure=False)
+    assert tested == []
+    monkeypatch.setattr(config, "AUT_SEARCH_BOUND", 20160)
+    assert len(compatible_pairs(ext, verify_closure=False)[0]) == 20160

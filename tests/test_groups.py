@@ -6,6 +6,8 @@ here on every group of order <= 8 we care about.
 """
 
 import math
+import random
+import time
 
 import pytest
 
@@ -21,9 +23,12 @@ from extlift import (BadParameters, BoundExceeded, FiniteGroup,
                      nilpotency_class, parse_catalog_expression,
                      quotient_group, semidirect_product, shipped_corpus,
                      sylow_subgroup)
+from extlift import config
+from extlift import groups as groups_mod
 from extlift.errors import ClosureBoundExceeded, NoIdentity
 
-from oracles import brute_automorphisms, element_order, greedy_generating_set
+from oracles import (brute_automorphisms, element_order, greedy_generating_set,
+                     reference_automorphisms)
 
 
 def test_table_validation_errors():
@@ -395,7 +400,6 @@ def test_generators_are_found_once_per_group(monkeypatch):
 
 
 def test_automorphism_search_closes_each_generator_list_once(monkeypatch):
-    from extlift import groups as groups_mod
     real = groups_mod.hom_by_generator_images
     orders = {"elementary_abelian(2,3)": 168, "quaternion(8)*cyclic(2)": 192,
               "dihedral(16)": 32, "heisenberg(3)": 432, "cyclic(1)": 1}
@@ -410,8 +414,108 @@ def test_automorphism_search_closes_each_generator_list_once(monkeypatch):
         monkeypatch.setattr(groups_mod, "hom_by_generator_images", counting)
         auts = automorphism_group(G)
         monkeypatch.setattr(groups_mod, "hom_by_generator_images", real)
-        assert len(closed) == len(set(closed)), expr
+        assert closed == [], expr       # the level search closes none at all
         images = [a.image for a in auts]
         assert len(images) == order and images == sorted(images), expr
         for a in auts:
             GroupAutomorphism(G, a.image)       # checks the homomorphism law
+
+
+# the groups of the benchmark's aut_enum menus (heavy first, then light)
+AUT_ENUM_MENU = (
+    "heisenberg(5)", "elementary_abelian(2,4)", "cyclic(3)^3",
+    "quaternion(8)*cyclic(2)^2",
+    "cyclic(2)^3", "cyclic(4)^2", "elementary_abelian(3,2)", "cyclic(5)^2",
+    "cyclic(6)^2", "cyclic(2)*cyclic(4)", "cyclic(2)*cyclic(8)",
+    "cyclic(4)*cyclic(8)", "cyclic(3)*cyclic(9)", "cyclic(2)^2*cyclic(3)",
+    "cyclic(2)^2*cyclic(4)", "cyclic(2)^3*cyclic(3)", "dihedral(8)",
+    "dihedral(12)", "dihedral(16)", "dihedral(18)", "dihedral(20)",
+    "dihedral(24)", "dihedral(32)", "quaternion(8)", "quaternion(16)",
+    "quaternion(32)", "extraspecial_plus(1)", "extraspecial_minus(1)",
+    "heisenberg(3)", "dihedral(8)*cyclic(2)", "dihedral(8)*cyclic(3)",
+    "dihedral(8)*cyclic(4)", "quaternion(8)*cyclic(2)",
+    "quaternion(8)*cyclic(3)", "dihedral(6)*cyclic(2)^2",
+    "dihedral(6)*dihedral(6)",
+)
+
+
+def _fresh_groups(skip=()):
+    """Newly built groups (cold automorphism caches) by label: the shipped
+    corpus and the aut_enum menus."""
+    out = [(f"corpus {G.name}", G) for G in shipped_corpus()]
+    out += [(e, parse_catalog_expression(e)) for e in AUT_ENUM_MENU if e not in skip]
+    return out
+
+
+def test_automorphism_search_matches_the_recursive_reference(monkeypatch):
+    """Same image lists in the same order as the recursive search, also
+    when every block of the level search extends a single partial map."""
+    reference = {}
+    for label, G in _fresh_groups():
+        reference[label] = reference_automorphisms(G)
+        assert [a.image for a in automorphism_group(G)] == reference[label], label
+    assert len(reference) == 28 + len(AUT_ENUM_MENU)
+    monkeypatch.setattr(groups_mod, "_SEARCH_CHUNK", 1)
+    for label, G in _fresh_groups(skip=("heisenberg(5)",)):   # 303 004 maps
+        assert [a.image for a in automorphism_group(G)] == reference[label], label
+
+
+def test_automorphism_search_bound_counts_partial_maps(monkeypatch):
+    """elementary_abelian(2,4) builds 15 + 15*14 + 210*12 + 2520*8 = 22 905
+    partial maps, one per level-by-level search node."""
+    monkeypatch.setattr(config, "AUT_SEARCH_BOUND", 22904)
+    with pytest.raises(BoundExceeded, match="passed 22904 partial maps"):
+        automorphism_group(parse_catalog_expression("elementary_abelian(2,4)"))
+    monkeypatch.setattr(config, "AUT_SEARCH_BOUND", 22905)
+    G = parse_catalog_expression("elementary_abelian(2,4)")
+    assert len(automorphism_group(G)) == 20160
+
+
+def test_automorphism_search_of_elementary_abelian_2_5_is_bounded():
+    """About 10^7 automorphisms: the search stops at the bound, in seconds."""
+    G = parse_catalog_expression("elementary_abelian(2,5)")
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match="automorphism search"):
+        automorphism_group(G)
+    assert time.perf_counter() - start < 30
+    assert G._automorphisms is None
+
+
+def _first_bad_pair(source, target, img):
+    """The first (a, b) in row order with img(ab) != img(a) img(b)."""
+    for a in range(source.order):
+        for b in range(source.order):
+            if img[source.mul(a, b)] != target.mul(img[a], img[b]):
+                return a, b
+    return None
+
+
+def test_homomorphism_check_names_the_first_bad_pair():
+    """The generator-cost check accepts exactly the homomorphisms and names
+    the same first pair as the all-pairs scan."""
+    rng = random.Random(8)
+    cases = [(G, G) for G in shipped_corpus() if G.order <= 16]
+    cases += [(catalog("cyclic", 12), catalog("cyclic", 4)),
+              (catalog("dihedral", 8), catalog("cyclic", 2)),
+              (catalog("quaternion", 8), catalog("elementary_abelian", 2, 2))]
+    checked = 0
+    for G, T in cases:
+        maps = [tuple(rng.randrange(T.order) for _ in range(G.order))
+                for _ in range(20)]
+        if G is T:
+            for a in automorphism_group(G)[:5]:
+                swapped = list(a.image)
+                i, j = rng.sample(range(1, G.order), 2) if G.order > 2 else (0, 1)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                maps += [a.image, tuple(swapped)]
+        for img in maps:
+            bad = _first_bad_pair(G, T, img)
+            if bad is None:
+                GroupHomomorphism(G, T, img)
+                continue
+            with pytest.raises(InputError) as info:
+                GroupHomomorphism(G, T, img)
+            assert str(info.value) == (
+                f"not a homomorphism: images of {bad[0]}*{bad[1]} disagree")
+            checked += 1
+    assert checked > 300
