@@ -33,9 +33,10 @@ from .splitting import (CommutatorForm, Section, SplitKernels, SplitWitness,
                         canonical_sections, commutator_form,
                         is_form_preserving, is_split_extension,
                         section_search, split_kernels)
-from .wells import (AutSubgroups, CompatiblePair, ExtensionData, WellsTriple,
-                    automorphism_from_triple, aut_subgroups, compatible_pairs,
-                    derivation_check, extend_automorphism, extension_from,
+from .wells import (Answer, AutSubgroups, CompatiblePair, ExtensionData,
+                    WellsTriple, answer, automorphism_from_triple,
+                    aut_subgroups, compatible_pairs, derivation_check,
+                    extend_automorphism, extension_from,
                     h2_conjugation_action, is_compatible, lambda1, lambda2,
                     lambda_pair, lift_automorphism, lift_pair,
                     random_transversal, triple_of, verify_exactness,
@@ -63,8 +64,8 @@ __all__ = [
     "CommutatorForm", "Section", "SplitKernels", "SplitWitness",
     "canonical_sections", "commutator_form", "is_form_preserving",
     "is_split_extension", "section_search", "split_kernels",
-    "AutSubgroups", "CompatiblePair", "ExtensionData", "WellsTriple",
-    "automorphism_from_triple", "aut_subgroups", "compatible_pairs",
+    "Answer", "AutSubgroups", "CompatiblePair", "ExtensionData", "WellsTriple",
+    "answer", "automorphism_from_triple", "aut_subgroups", "compatible_pairs",
     "derivation_check", "extend_automorphism", "extension_from",
     "h2_conjugation_action", "is_compatible", "lambda1", "lambda2",
     "lambda_pair", "lift_automorphism", "lift_pair", "random_transversal",

@@ -7,6 +7,7 @@ the identity at index 0; every output goes through full table validation.
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Optional, Sequence
 
 from . import config
@@ -26,18 +27,6 @@ __all__ = [
     "shipped_corpus",
     "CATALOG_NAMES",
 ]
-
-CATALOG_NAMES = (
-    "cyclic",
-    "dihedral",
-    "generalized_quaternion",
-    "elementary_abelian",
-    "heisenberg_mod_p",
-    "extraspecial_plus",
-    "extraspecial_minus",
-    "direct_product",
-    "semidirect_product",
-)
 
 _ALIASES = {
     "heisenberg": "heisenberg_mod_p",
@@ -212,42 +201,38 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup,
     return FiniteGroup(table, name=name or f"sdp_{N.name}_{H.name}")
 
 
+def _same(value):
+    return value
+
+
+# name -> (constructor, how each parameter is parsed)
+_BUILDERS = {
+    "cyclic": (_cyclic, (int,)),
+    "dihedral": (_dihedral, (int,)),
+    "generalized_quaternion": (_generalized_quaternion, (int,)),
+    "elementary_abelian": (_elementary_abelian, (int, int)),
+    "heisenberg_mod_p": (_heisenberg, (int,)),
+    "extraspecial_plus": (partial(_extraspecial, plus=True), (int,)),
+    "extraspecial_minus": (partial(_extraspecial, plus=False), (int,)),
+    "direct_product": (direct_product, (_same, _same)),
+    "semidirect_product": (semidirect_product, (_same, _same, _same)),
+}
+CATALOG_NAMES = tuple(_BUILDERS)
+
+
 def catalog(name: str, *params) -> FiniteGroup:
     """Construct a named catalog group; see CATALOG_NAMES for valid names."""
     key = _ALIASES.get(name, name)
-    if key not in CATALOG_NAMES:
+    if key not in _BUILDERS:
         raise UnknownName(f"unknown catalog group {name!r}")
+    build, parsers = _BUILDERS[key]
     try:
-        if key == "cyclic":
-            (n,) = params
-            return _cyclic(int(n))
-        if key == "dihedral":
-            (m,) = params
-            return _dihedral(int(m))
-        if key == "generalized_quaternion":
-            (m,) = params
-            return _generalized_quaternion(int(m))
-        if key == "elementary_abelian":
-            p, r = params
-            return _elementary_abelian(int(p), int(r))
-        if key == "heisenberg_mod_p":
-            (p,) = params
-            return _heisenberg(int(p))
-        if key == "extraspecial_plus":
-            (n,) = params
-            return _extraspecial(int(n), plus=True)
-        if key == "extraspecial_minus":
-            (n,) = params
-            return _extraspecial(int(n), plus=False)
-        if key == "direct_product":
-            A, B = params
-            return direct_product(A, B)
-        if key == "semidirect_product":
-            N, H, action = params
-            return semidirect_product(N, H, action)
-    except ValueError as exc:
+        if len(params) != len(parsers):
+            raise ValueError("wrong number of parameters")
+        args = [parse(v) for parse, v in zip(parsers, params)]
+    except (TypeError, ValueError) as exc:
         raise BadParameters(f"bad parameters for {name}: {params!r}") from exc
-    raise AssertionError("unreachable")
+    return build(*args)
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|[(),*^])")

@@ -6,6 +6,8 @@ import os
 from contextvars import ContextVar
 from typing import Optional
 
+from .errors import InputError
+
 DEFAULT_MAX_ORDER = 512
 DEFAULT_MAX_UNKNOWNS = 20000
 DEFAULT_CLOSURE_BOUND = 20000
@@ -30,8 +32,8 @@ def max_order() -> int:
         return DEFAULT_MAX_ORDER
     try:
         value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_MAX_ORDER} must be an integer, got {raw!r}") from exc
+    except ValueError:
+        value = 0                 # refused below, as any value under 1 is
     if value < 1:
-        raise ValueError(f"{_ENV_MAX_ORDER} must be positive, got {value}")
+        raise InputError(f"{_ENV_MAX_ORDER} must be a positive integer, got {raw!r}")
     return value

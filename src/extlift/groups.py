@@ -85,16 +85,12 @@ class FiniteGroup:
     generators the greedy generating set found while validating it.
     """
 
-    def __init__(self, table: Sequence[Sequence[int]], name: str = "G",
-                 labels: Optional[Sequence[str]] = None):
+    def __init__(self, table: Sequence[Sequence[int]], name: str = "G"):
         tab = tuple(tuple(int(v) for v in row) for row in table)
         self.cayley, self.generators = _validate_table(tab)
         self.table = tab
         self.order = len(tab)
         self.name = name
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.order:
-            raise InputError("labels length must match group order")
         inverse = [0] * self.order
         for a, row in enumerate(tab):
             inverse[a] = row.index(0)
@@ -281,12 +277,11 @@ def _compose_pair(p, q) -> tuple:
 
 
 def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
-                            name: str = "G",
-                            closure_bound: Optional[int] = None) -> FiniteGroup:
+                            name: str = "G") -> FiniteGroup:
     """Close permutation generators under composition; element order is BFS order."""
     if degree < 1:
         raise InputError("degree must be positive")
-    bound = config.DEFAULT_CLOSURE_BOUND if closure_bound is None else closure_bound
+    bound = config.DEFAULT_CLOSURE_BOUND
     gens = []
     for gi, g in enumerate(generators):
         p = tuple(int(v) for v in g)
@@ -773,11 +768,11 @@ def _automorphism_rows(G: FiniteGroup) -> np.ndarray:
     return np.concatenate(found)
 
 
-def automorphism_group(G: FiniteGroup, bound: Optional[int] = None) -> list[GroupAutomorphism]:
+def automorphism_group(G: FiniteGroup) -> list[GroupAutomorphism]:
     """All automorphisms, sorted lexicographically by image tuple."""
     if G._automorphisms is not None:
         return list(G._automorphisms)
-    limit = config.max_order() if bound is None else bound
+    limit = config.max_order()
     if G.order > limit:
         raise BoundExceeded(
             f"automorphism enumeration limited to order {limit}, got {G.order}")

@@ -10,8 +10,8 @@ everywhere kill the class outright.
 
 Extending theta, lifting phi and, for central extensions, lifting the pair
 (theta, phi) are one question about a slice pair (see wells), asked by one
-per-prime loop; a slot the sequence fixes stays the local identity.  The
-Sylows a prime tries are data per sequence.  Extending theta keeps to the
+per-prime loop; a slot the sequence fixes stays the local identity.  Which
+Sylows a prime tries is a flag of the sequence.  Extending theta keeps to the
 deterministically grown one: for an incompatible theta, local
 compatibility can differ between conjugate Sylows, so trying more would
 change the reports.  Lifting phi and the pair walk the phi-invariant ones
@@ -29,13 +29,13 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .cohomology import CohomologyClass, TwoCochain
-from .errors import (InputError, NotCharacteristic, NotCompatible,
-                     ParentMismatch, SylowNotInvariant)
+from .errors import (InputError, NotCharacteristic, ParentMismatch,
+                     SylowNotInvariant)
 from .groups import (GroupAutomorphism, Subgroup, automorphism_group,
                      is_commuting_automorphism, is_nilpotent, prime_factors,
                      sylow_subgroup)
-from .wells import (_SEQUENCES, CompatiblePair, ExtensionData, _slice_cocycle,
-                    _witness, slice_pair, wells_cocycle_phi)
+from .wells import (_SEQUENCES, CompatiblePair, ExtensionData, answer,
+                    slice_pair, wells_cocycle_phi)
 
 __all__ = [
     "SylowReport",
@@ -152,41 +152,26 @@ def _leaves_invariant(phi: GroupAutomorphism, S: Subgroup) -> bool:
     return all(phi(s) in S.member_set for s in S.members)
 
 
-# The Sylow p-subgroups of H each sequence tries, in order; the module
-# docstring gives the reasons
-_SYLOWS_TRIED = {
-    1: lambda ext, p: [sylow_subgroup(ext.H, p)],
-    2: quotient_sylows,
-    3: quotient_sylows,
-}
-
-
-def _answer(ext: ExtensionData, which: int, pair: CompatiblePair):
-    """(difference cocycle, witness or None) of a pair of sequence which;
-    (None, None) when the pair is not compatible."""
-    try:
-        k = _slice_cocycle(ext, which, pair)
-    except NotCompatible:
-        return None, None
-    return k, _witness(ext, which, *pair, k)
-
-
 def _sylow_check(ext: ExtensionData, which: int,
                  pair: CompatiblePair) -> SylowCheck:
     """The prime-local reduction of a pair of sequence which.
 
-    Each prime dividing |H| tries its Sylows (_SYLOWS_TRIED) in order,
+    Each prime dividing |H| tries its Sylows in order (all of them, or the
+    deterministically grown one only, as the sequence's all_sylows says),
     skipping those phi moves, until one local question succeeds; the first
     one tried is reported when none does, and a prime without any invariant
     Sylow raises SylowNotInvariant.  A global witness must exist exactly
     when every prime succeeds.
     """
     theta, phi = pair
-    free_theta, free_phi = _SEQUENCES[which].free
+    seq = _SEQUENCES[which]
+    free_theta, free_phi = seq.free
     reports = []
     for p in prime_factors(ext.H.order):
         report = None
-        for S in _SYLOWS_TRIED[which](ext, p):
+        tried = (quotient_sylows(ext, p) if seq.all_sylows
+                 else [sylow_subgroup(ext.H, p)])
+        for S in tried:
             if free_phi and not _leaves_invariant(phi, S):
                 continue
             local = local_extension(ext, sylow_preimage(ext, p, S))
@@ -194,10 +179,10 @@ def _sylow_check(ext: ExtensionData, which: int,
             local_pair = CompatiblePair(
                 _local_theta(ext, local, theta) if free_theta else sub.id_N,
                 restrict_to_quotient_sylow(ext, local, phi) if free_phi else sub.id_H)
-            k, w = _answer(sub, which, local_pair)
-            cls = None if k is None or w is not None else sub.cohomology.class_of(k)
+            got = answer(sub, which, local_pair)
             cand = SylowReport(p, local.subgroup, ext.H.order // sub.H.order,
-                               k is not None, w is not None, w, cls)
+                               got.compatible, got.witness is not None,
+                               got.witness, got.obstruction)
             if report is None or cand.local_ok:
                 report = cand
             if cand.local_ok:
@@ -208,10 +193,9 @@ def _sylow_check(ext: ExtensionData, which: int,
                 f"under the automorphism")
         reports.append(report)
     verdict = all(r.local_ok for r in reports)
-    _, witness = _answer(ext, which, pair)
+    witness = answer(ext, which, pair).witness
     if verdict != (witness is not None):
-        raise AssertionError(f"local and global {_SEQUENCES[which].witness} "
-                             "verdicts disagree")
+        raise AssertionError(f"local and global {seq.witness} verdicts disagree")
     return SylowCheck(verdict, tuple(reports), witness)
 
 

@@ -21,18 +21,16 @@ from typing import Optional, Sequence
 from .abelian import abelian_structure
 from .catalog import shipped_corpus
 from .cohomology import CohomologyClass, CohomologyGroup
-from .errors import (BoundExceeded, ExtliftError, InputError, NotCompatible,
-                     SylowNotInvariant)
+from .errors import BoundExceeded, ExtliftError, InputError, SylowNotInvariant
 from .groups import (FiniteGroup, GroupAutomorphism, Subgroup,
                      abelian_normal_subgroups, group_from_cayley,
                      group_from_permutations)
 from .reduction import index_kill_check, sylow_extend_check, sylow_lift_check
 from .splitting import (canonical_sections, is_split_extension, section_search,
                         split_kernels)
-from .wells import (ExtensionData, compatible_pairs, derivation_check,
-                    extend_automorphism, extension_from, lambda1, lambda2,
-                    lambda_pair, lift_automorphism, lift_pair,
-                    random_transversal, verify_exactness)
+from .wells import (CompatiblePair, ExtensionData, answer, compatible_pairs,
+                    derivation_check, extension_from, random_transversal,
+                    slice_pair, verify_exactness)
 
 # C1/C2 larger than this are skipped by the quadratic checks (derivation
 # identities, transversal stability, per-automorphism cross-validation).
@@ -55,6 +53,20 @@ def group_json(G: FiniteGroup) -> dict:
     return {"name": G.name, "cayley": [list(row) for row in G.table]}
 
 
+def _is_integer(value: object) -> bool:
+    """A JSON integer: neither a boolean nor a float."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer_rows(rows: object, source: str, field: str) -> list:
+    if not isinstance(rows, list):
+        raise InputError(f"{source}: '{field}' must be a list of rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not all(map(_is_integer, row)):
+            raise InputError(f"{source}: '{field}' entry {i} must be a list of integers")
+    return rows
+
+
 def group_from_json(data: object, source: str = "group") -> FiniteGroup:
     """Build a group from the file format; errors name the offending field."""
     if not isinstance(data, dict):
@@ -63,17 +75,16 @@ def group_from_json(data: object, source: str = "group") -> FiniteGroup:
     if not isinstance(name, str):
         raise InputError(f"{source}: 'name' must be a string")
     if "cayley" in data:
-        table = data["cayley"]
-        if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
-            raise InputError(f"{source}: 'cayley' must be a list of rows")
+        table = _integer_rows(data["cayley"], source, "cayley")
         return group_from_cayley(table, name=name)
     if "perm_degree" in data or "generators" in data:
         degree = data.get("perm_degree")
         gens = data.get("generators")
-        if not isinstance(degree, int) or degree < 1:
+        if not _is_integer(degree) or degree < 1:
             raise InputError(f"{source}: 'perm_degree' must be a positive integer")
         if not isinstance(gens, list) or not gens:
             raise InputError(f"{source}: 'generators' must be a nonempty list")
+        gens = _integer_rows(gens, source, "generators")
         return group_from_permutations(degree, gens, name=name)
     raise InputError(f"{source}: need either 'cayley' or 'perm_degree'+'generators'")
 
@@ -140,19 +151,15 @@ def wells_report(ext: ExtensionData) -> dict:
     """Full per-extension analysis: orders, verdicts, obstructions, exactness."""
     _, c1, c2 = compatible_pairs(ext)
     ver = verify_exactness(ext)
-    extendable: list[int] = []
-    liftable: list[int] = []
+    verdicts: dict[int, list[int]] = {1: [], 2: []}
     obstructions: dict[str, dict] = {}
-    for i, theta in enumerate(c1):
-        if extend_automorphism(ext, theta) is not None:
-            extendable.append(i)
-        else:
-            obstructions[f"theta:{i}"] = class_json(lambda1(ext, theta))
-    for j, phi in enumerate(c2):
-        if lift_automorphism(ext, phi) is not None:
-            liftable.append(j)
-        else:
-            obstructions[f"phi:{j}"] = class_json(lambda2(ext, phi))
+    for which, name, members in ((1, "theta", c1), (2, "phi", c2)):
+        for i, member in enumerate(members):
+            got = answer(ext, which, slice_pair(ext, which, member))
+            if got.witness is not None:
+                verdicts[which].append(i)
+            else:
+                obstructions[f"{name}:{i}"] = class_json(got.obstruction)
     return {
         "extension": extension_json(ext),
         "c1": [automorphism_json(a) for a in c1],
@@ -160,8 +167,8 @@ def wells_report(ext: ExtensionData) -> dict:
         "c1_order": ver["c1_order"],
         "c2_order": ver["c2_order"],
         "h2_order": ver["h2_order"],
-        "extendable": extendable,
-        "liftable": liftable,
+        "extendable": verdicts[1],
+        "liftable": verdicts[2],
         "obstructions": obstructions,
         "exactness": {
             "seq_1_1": ver["seq_1_1"],
@@ -172,43 +179,39 @@ def wells_report(ext: ExtensionData) -> dict:
     }
 
 
-def _verdict_report(ext: ExtensionData, mode: str, solve, obstruction,
+def _verdict_report(ext: ExtensionData, mode: str, which: int,
                     **autos: GroupAutomorphism) -> tuple[dict, bool]:
     """Verdict, witness and obstruction class for one question about a pair.
 
-    solve and obstruction are the wells witness and class map the mode
-    asks; autos are the named automorphisms it asks about, in their order.
+    autos are the named automorphisms sequence which asks about, in their
+    order; the slot it fixes is the identity.
     """
-    try:
-        witness = solve(ext, *autos.values())
-        compatible = True
-    except NotCompatible:
-        witness, compatible = None, False
-    verdict = witness is not None
+    got = answer(ext, which, CompatiblePair(autos.get("theta", ext.id_N),
+                                            autos.get("phi", ext.id_H)))
+    verdict = got.witness is not None
     report = {
         "extension": extension_json(ext),
         "mode": mode,
         **{name: automorphism_json(a) for name, a in autos.items()},
-        "compatible": compatible,
+        "compatible": got.compatible,
         "verdict": verdict,
-        "witness": automorphism_json(witness) if witness else None,
-        "obstruction": (class_json(obstruction(ext, *autos.values()))
-                        if compatible and not verdict else None),
+        "witness": automorphism_json(got.witness) if verdict else None,
+        "obstruction": class_json(got.obstruction),
     }
     return report, verdict
 
 
 def extend_report(ext: ExtensionData, theta: GroupAutomorphism) -> tuple[dict, bool]:
-    return _verdict_report(ext, "extend", extend_automorphism, lambda1, theta=theta)
+    return _verdict_report(ext, "extend", 1, theta=theta)
 
 
 def lift_report(ext: ExtensionData, phi: GroupAutomorphism) -> tuple[dict, bool]:
-    return _verdict_report(ext, "lift", lift_automorphism, lambda2, phi=phi)
+    return _verdict_report(ext, "lift", 2, phi=phi)
 
 
 def pair_report(ext: ExtensionData, theta: GroupAutomorphism,
                 phi: GroupAutomorphism) -> tuple[dict, bool]:
-    return _verdict_report(ext, "pair", lift_pair, lambda_pair, theta=theta, phi=phi)
+    return _verdict_report(ext, "pair", 3, theta=theta, phi=phi)
 
 
 def sylow_entries(reports) -> list[dict]:
@@ -226,27 +229,19 @@ def sylow_mode_report(ext: ExtensionData,
     """Prime-local reduction report, lift flavor (phi) or extend flavor (theta)."""
     if (phi is None) == (theta is None):
         raise InputError("need exactly one of phi (lift) or theta (extend)")
-    if phi is not None:
-        check = sylow_lift_check(ext, phi)
-        report = {
-            "extension": extension_json(ext),
-            "mode": "lift",
-            "phi": automorphism_json(phi),
-            "verdict": check.verdict,
-            "sylow_reduction": sylow_entries(check.reports),
-            "witness": automorphism_json(check.witness) if check.witness else None,
-            "index_kill": index_kill_check(ext, phi, check),
-        }
-        return report, check.verdict
-    check = sylow_extend_check(ext, theta)
+    lift = phi is not None
+    mode, name, aut = ("lift", "phi", phi) if lift else ("extend", "theta", theta)
+    check = sylow_lift_check(ext, phi) if lift else sylow_extend_check(ext, theta)
     report = {
         "extension": extension_json(ext),
-        "mode": "extend",
-        "theta": automorphism_json(theta),
+        "mode": mode,
+        name: automorphism_json(aut),
         "verdict": check.verdict,
         "sylow_reduction": sylow_entries(check.reports),
         "witness": automorphism_json(check.witness) if check.witness else None,
     }
+    if lift:
+        report["index_kill"] = index_kill_check(ext, phi, check)
     return report, check.verdict
 
 
@@ -297,12 +292,11 @@ def split_report(ext: ExtensionData,
 
 
 def _verdict_pattern(ext: ExtensionData, c1, c2) -> tuple:
-    """Everything Lemma-level transversal independence promises to preserve."""
-    ext_ok = tuple(extend_automorphism(ext, th) is not None for th in c1)
-    lift_ok = tuple(lift_automorphism(ext, ph) is not None for ph in c2)
-    l1 = tuple(lambda1(ext, th).is_trivial for th in c1)
-    l2 = tuple(lambda2(ext, ph).is_trivial for ph in c2)
-    return ext_ok, lift_ok, l1, l2
+    """Everything Lemma-level transversal independence promises to preserve:
+    which members of C1 and C2 are induced (answer checks that exactly
+    those have a trivial class)."""
+    return tuple(answer(ext, which, slice_pair(ext, which, m)).witness is not None
+                 for which, members in ((1, c1), (2, c2)) for m in members)
 
 
 def _transversal_stability(ext: ExtensionData, seed: int, draws: int,

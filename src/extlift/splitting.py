@@ -26,8 +26,9 @@ from .groups import (FiniteGroup, GroupAutomorphism, GroupHomomorphism,
                      Subgroup, _compose_pair, _compose_perm, center,
                      derived_subgroup, generating_set, hom_by_generator_images,
                      require_closed)
-from .wells import (ExtensionData, aut_subgroups, compatible_pairs, pair_key,
-                    sequence_autos, slice_pair, starred_sets, triple_of)
+from .wells import (_SEQUENCES, ExtensionData, aut_subgroups, compatible_pairs,
+                    pair_key, sequence_autos, slice_pair, starred_sets,
+                    triple_of)
 
 __all__ = [
     "SplitKernels",
@@ -41,9 +42,6 @@ __all__ = [
     "commutator_form",
     "is_form_preserving",
 ]
-
-
-_ORDINALS = {1: "first", 2: "second", 3: "pair"}
 
 
 class SplitKernels(NamedTuple):
@@ -103,7 +101,8 @@ def split_kernels(ext: ExtensionData) -> SplitKernels:
     kernel = len(subs.aut_upper_N_H)
     for which, star in stars.items():
         if len(sequence_autos(subs, which)) != kernel * len(star):
-            raise AssertionError(f"{_ORDINALS[which]} sequence order identity fails")
+            raise AssertionError(
+                f"{_SEQUENCES[which].ordinal} sequence order identity fails")
     return SplitKernels(stars[1], stars[2], stars.get(3))
 
 

@@ -34,6 +34,7 @@ members and projections as the pair (theta.image, phi.image).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -70,6 +71,8 @@ __all__ = [
     "extend_automorphism",
     "lift_automorphism",
     "lift_pair",
+    "Answer",
+    "answer",
     "aut_subgroups",
     "sequence_autos",
     "slice_pair",
@@ -92,11 +95,21 @@ class WellsTriple(NamedTuple):
     chi: OneCochain           # H -> N in coordinates
 
 
+class Answer(NamedTuple):
+    """One question about a pair: is it compatible, which gamma induces it,
+    and, when none does, the nontrivial class of its difference cocycle."""
+    compatible: bool
+    witness: Optional[GroupAutomorphism]
+    obstruction: Optional[CohomologyClass]
+
+
 class _Sequence(NamedTuple):
     pair: str                 # the pairs of the slice, as messages write them
     free: tuple               # (theta, phi): whether the sequence moves each slot
     autos: str                # AutSubgroups field: the automorphisms it projects
     witness: str              # names the witness whose round trip failed
+    ordinal: str              # names the sequence whose order identity failed
+    all_sylows: bool          # the Sylow reduction tries every invariant Sylow
     moved: str                # exactness violations: a fixed slot moved,
     kernel: str               # the kernel differs,
     image: str                # the image differs
@@ -104,19 +117,19 @@ class _Sequence(NamedTuple):
 
 # 1: extend theta, 2: lift phi, 3: central extensions, both at once
 _SEQUENCES = {
-    1: _Sequence("(theta, 1)", (True, False), "aut_N_H", "extension",
-                 "in the H-fixing set induces a nonidentity quotient map",
+    1: _Sequence("(theta, 1)", (True, False), "aut_N_H", "extension", "first",
+                 False, "in the H-fixing set induces a nonidentity quotient map",
                  "kernel of the restriction map differs from the N,H-fixing subgroup",
                  "image of the restriction map differs from the unobstructed "
                  "compatible thetas"),
-    2: _Sequence("(1, phi)", (False, True), "aut_upper_N", "lift",
+    2: _Sequence("(1, phi)", (False, True), "aut_upper_N", "lift", "second", True,
                  "in the N-centralizing set moves N",
                  "kernel of the induction map differs from the N,H-fixing subgroup",
                  "image of the induction map differs from the unobstructed "
                  "compatible phis"),
     # no slot is fixed, and one message names either failure
-    3: _Sequence("(theta, phi)", (True, True), "aut_N_of_G", "pair", "",
-                 "central pair sequence fails exactness",
+    3: _Sequence("(theta, phi)", (True, True), "aut_N_of_G", "pair", "pair", True,
+                 "", "central pair sequence fails exactness",
                  "central pair sequence fails exactness"),
 }
 
@@ -124,77 +137,51 @@ _SEQUENCES = {
 class ExtensionData:
     """A group G with abelian normal N, quotient H, transversal and factor set.
 
-    The transversal defaults to the minimal G-index in each coset.  The
-    conjugation action of H on N does not depend on the transversal (N is
-    abelian), so rebuilding with a different transversal shares the
-    coordinate structure, the action, the cohomology solver and the
-    compatible pairs.
+    The transversal is the minimal G-index in each coset; with_transversal
+    gives the same extension over another one.  The conjugation action of H
+    on N does not depend on the transversal (N is abelian), so such a copy
+    shares the coordinate structure, the action, the cohomology solver and
+    the compatible pairs.
 
     action is the read-only (h, k, k) int64 array of the matrices A(x) of the
     conjugation action, and mu the factor set, a TwoCochain whose values are
     a read-only (h, h, k) int64 array.
     """
 
-    def __init__(self, G: FiniteGroup, N: Subgroup,
-                 transversal: Optional[Sequence[int]] = None,
-                 _share: Optional["ExtensionData"] = None):
+    def __init__(self, G: FiniteGroup, N: Subgroup):
         if N.group is not G:
             raise ParentMismatch("subgroup belongs to a different group")
         N.require_abelian()
         N.require_normal()
         self.G = G
         self.N = N
-        if _share is not None:
-            self.H = _share.H
-            self.pi = _share.pi
-            self.coeffs = _share.coeffs
-            self.n_group = _share.n_group
-            self.alpha = _share.alpha
-            self.action = _share.action
-            self.central = _share.central
-            self._cohomology = _share._cohomology
-            self._compatible = _share._compatible
-        else:
-            self.H, self.pi = quotient_group(G, N)
-            self.coeffs: AbelianStructure = abelian_structure(N)
-            self.n_group = self.coeffs.n_group
-            self._cohomology: Optional[CohomologyGroup] = None
-            # (pairs, c1, c2, closure checked), see compatible_pairs
-            self._compatible: Optional[tuple] = None
-            self._build_action()
-        h = self.H.order
-        if transversal is None:
-            t = [-1] * h
-            for g in range(G.order):
-                x = self.pi(g)
-                if t[x] < 0:
-                    t[x] = g
-        else:
-            t = [int(v) for v in transversal]
-            if len(t) != h:
-                raise InputError(f"transversal must list {h} elements")
-            if t[0] != 0:
-                raise InputError("transversal must send the identity to the identity")
-            for x, g in enumerate(t):
-                if not 0 <= g < G.order or self.pi(g) != x:
-                    raise InputError(f"transversal value {g} is not in coset {x}")
+        self.H, self.pi = quotient_group(G, N)
+        self.coeffs: AbelianStructure = abelian_structure(N)
+        self.n_group = self.coeffs.n_group
+        self._cohomology: Optional[CohomologyGroup] = None
+        # (pairs, c1, c2, closure checked), see compatible_pairs
+        self._compatible: Optional[tuple] = None
+        t = [-1] * self.H.order
+        for g in range(G.order):
+            x = self.pi(g)
+            if t[x] < 0:
+                t[x] = g
         self.transversal = tuple(t)
+        self._build_action()
         self.mu = self._build_mu()
 
     def _build_action(self) -> None:
         G, N = self.G, self.N
         pos = N.position
-        alpha = []
-        for x in range(self.H.order):
-            tx = min(g for g in range(G.order) if self.pi(g) == x)
-            alpha.append(tuple(pos[G.conjugate(m, tx)] for m in N.members))
-        self.alpha = tuple(alpha)
+        self.alpha = tuple(tuple(pos[G.conjugate(m, tx)] for m in N.members)
+                           for tx in self.transversal)
         ident = tuple(range(self.n_group.order))
-        self.central = all(a == ident for a in alpha)
+        self.central = all(a == ident for a in self.alpha)
         in_center = N.member_set <= center(G).member_set
         if self.central != in_center:
             raise AssertionError("centrality flag disagrees with the center test")
-        self.action = np.stack([matrix_of_endomorphism(self.coeffs, a) for a in alpha])
+        self.action = np.stack([matrix_of_endomorphism(self.coeffs, a)
+                                for a in self.alpha])
         self.action.flags.writeable = False
 
     def _build_mu(self) -> TwoCochain:
@@ -229,7 +216,20 @@ class ExtensionData:
         return self._cohomology
 
     def with_transversal(self, transversal: Sequence[int]) -> "ExtensionData":
-        return ExtensionData(self.G, self.N, transversal, _share=self)
+        """A shallow copy over another transversal; only mu is rebuilt."""
+        h, G = self.H.order, self.G
+        t = tuple(int(v) for v in transversal)
+        if len(t) != h:
+            raise InputError(f"transversal must list {h} elements")
+        if t[0] != 0:
+            raise InputError("transversal must send the identity to the identity")
+        for x, g in enumerate(t):
+            if not 0 <= g < G.order or self.pi(g) != x:
+                raise InputError(f"transversal value {g} is not in coset {x}")
+        other = copy.copy(self)
+        other.transversal = t
+        other.mu = other._build_mu()
+        return other
 
     @property
     def id_N(self) -> GroupAutomorphism:
@@ -497,6 +497,28 @@ def lift_pair(ext: ExtensionData, theta: GroupAutomorphism,
               phi: GroupAutomorphism) -> Optional[GroupAutomorphism]:
     """Central extensions: automorphism inducing theta on N and phi on H."""
     return _witness(ext, 3, theta, phi, wells_cocycle_pair(ext, theta, phi))
+
+
+def answer(ext: ExtensionData, which: int, pair) -> Answer:
+    """Whether a pair of sequence which is induced, with witness or class.
+
+    The difference cocycle is built once.  A witness is certified by
+    _witness; only without one is the class taken, and it must then be
+    nontrivial, or the solver and the class key disagree.  An incompatible
+    pair is answered as such.
+    """
+    try:
+        k = _slice_cocycle(ext, which, pair)
+    except NotCompatible:
+        return Answer(False, None, None)
+    witness = _witness(ext, which, *pair, k)
+    if witness is not None:
+        return Answer(True, witness, None)
+    cls = ext.cohomology.class_of(k)
+    if cls.is_trivial:
+        raise AssertionError(f"no {_SEQUENCES[which].witness} witness found "
+                             "for a trivial class")
+    return Answer(True, None, cls)
 
 
 @dataclass(frozen=True)

@@ -284,6 +284,13 @@ STDOUT_SHA256 = [
     (["sylow", "--group", "catalog:heisenberg(3)", "--subgroup", "center",
       "--theta", "inversion"],
      "33c3495739bd1a7e3eba1ad86226f29910a9ff32eee87558e3f8d7c93b72d426"),
+    # an incompatible theta ("compatible": false, no obstruction, exit 1)
+    # and a section search that exhausts ("seq_4_2_splits": false)
+    (["extend", "--group", "dihedral(8)", "--subgroup", "0,2,4,6",
+      "--theta", "aut:2"],
+     "e38849bcbe57245f3ec95d32a6087e3adcf62fb8a4d31910dc8be32fc5b38d3b"),
+    (["split", "--group", "cyclic(16)", "--subgroup", "0,8"],
+     "673bbeddd5e2aca79a8524db6838d1548adca7b52ae0a5aceb3fa7e40c78b3b4"),
 ]
 
 
@@ -339,7 +346,8 @@ def test_max_order_flag_is_scoped_to_one_call(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("exc", [
     AssertionError("recovered witness does not reproduce the cocycle"),
-    MemoryError(), RecursionError("maximum recursion depth exceeded")])
+    MemoryError(), RecursionError("maximum recursion depth exceeded"),
+    KeyError("unexpected")])
 def test_internal_error_exits_4(capsys, monkeypatch, exc):
     def broken(args):
         raise exc
@@ -350,6 +358,47 @@ def test_internal_error_exits_4(capsys, monkeypatch, exc):
     # MemoryError() has no message: the record names subcommand and kind
     assert report == {"error": str(exc) or "h2: MemoryError",
                       "kind": type(exc).__name__}
+
+
+# entries of a group file must be JSON integers; a float such as 0.5 is
+# refused, not truncated
+BAD_GROUP_FILES = [
+    ({"cayley": [["a"]]}, "'cayley' entry 0"),
+    ({"cayley": [[0, 1], [1, None]]}, "'cayley' entry 1"),
+    ({"cayley": [[0, 1], [1, 0.5]]}, "'cayley' entry 1"),
+    ({"cayley": [[True, 1], [1, 0]]}, "'cayley' entry 0"),
+    ({"perm_degree": 3, "generators": [["a", 1, 2]]}, "'generators' entry 0"),
+    ({"perm_degree": 3, "generators": [1]}, "'generators' entry 0"),
+]
+
+
+@pytest.mark.parametrize("data,field", BAD_GROUP_FILES,
+                         ids=[f for _, f in BAD_GROUP_FILES])
+def test_group_file_entries_must_be_integers(capsys, tmp_path, data, field):
+    """Alone or in a verify-all corpus, the file exits 2 with an InputError
+    naming the file and the field."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for argv in (["analyze", "--group", str(path), "--subgroup", "center"],
+                 ["verify-all", "--corpus", str(tmp_path)]):
+        code, report, _ = run(capsys, *argv)
+        assert code == 2, argv
+        assert report["kind"] == "InputError"
+        assert report["error"].startswith(f"{path}: {field} ")
+
+
+def test_bad_max_order_variable_is_an_input_error(capsys, monkeypatch, tmp_path):
+    """Both the catalog and a group file reach config.max_order(); each names
+    the variable rather than a catalog parameter or a traceback."""
+    path = tmp_path / "d8.json"
+    path.write_text(dumps(group_json(catalog("dihedral", 8))), encoding="utf-8")
+    monkeypatch.setenv("EXTLIFT_MAX_ORDER", "abc")
+    for argv in (["catalog", "--expr", "cyclic(2)"],
+                 ["analyze", "--group", str(path), "--subgroup", "center"]):
+        code, report, _ = run(capsys, *argv)
+        assert code == 2, argv
+        assert report == {"error": "EXTLIFT_MAX_ORDER must be a positive "
+                                   "integer, got 'abc'", "kind": "InputError"}
 
 
 def test_input_error_paths(capsys):

@@ -3,25 +3,30 @@ sequences, checked against exhaustive scans of the full automorphism group."""
 
 import importlib
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
-from extlift import (DoesNotNormalize, InputError, NotCentral, NotCompatible,
-                     OneCochain, ParentMismatch, Subgroup,
+from extlift import (CohomologyGroup, DoesNotNormalize, InputError, NotCentral,
+                     NotCompatible, OneCochain, ParentMismatch, Subgroup,
                      TripleConditionsFail, WellsTriple, abelian_structure,
-                     aut_subgroups, automorphism_from_triple,
+                     answer, aut_subgroups, automorphism_from_triple,
                      automorphism_group, catalog, coboundary_of,
                      compatible_pairs, derivation_check, extend_automorphism,
                      extension_from, group_from_permutations,
                      h2_conjugation_action, is_compatible, is_two_cocycle,
-                     lambda1, lambda2, lift_automorphism, lift_pair,
-                     random_transversal, triple_of, verify_exactness,
-                     wells_cocycle_pair, wells_cocycle_phi, wells_cocycle_theta)
+                     lambda1, lambda2, lambda_pair, lift_automorphism,
+                     lift_pair, random_transversal, shipped_corpus, triple_of,
+                     verify_exactness, wells_cocycle_pair, wells_cocycle_phi,
+                     wells_cocycle_theta)
 from extlift.abelian import restrict_to_matrix
+from extlift.cli import main
 from extlift.groups import (GroupAutomorphism, all_subgroups, center,
                             derived_subgroup)
+from extlift.reports import corpus_pairs
+from extlift.wells import slice_pair
 
 from oracles import (aut_normalizing, brute_triple_defect,
                      extension_witnesses, lift_witnesses, pair_witnesses)
@@ -333,6 +338,66 @@ def test_conjugation_action_on_classes():
                                          moved)
             assert back == cls
             assert h2_conjugation_action(ext, aut, cg.zero_class()).is_trivial
+
+
+# the one-question functions of each sequence: (witness, class, arguments)
+_ONE_QUESTION = {
+    1: (extend_automorphism, lambda1, lambda pair: (pair.theta,)),
+    2: (lift_automorphism, lambda2, lambda pair: (pair.phi,)),
+    3: (lift_pair, lambda_pair, tuple),
+}
+
+
+def test_answer_matches_the_one_question_functions():
+    """On every shipped-corpus pair with |H| <= 8, over all of Aut N, Aut H
+    and, for central kernels, C: the same compatibility, witness image and
+    class key as the public function of the sequence."""
+    asked = 0
+    for G in shipped_corpus():
+        for N in corpus_pairs(G):
+            ext = extension_from(G, N)
+            if ext.H.order > 8:
+                continue
+            pairs, _, _ = compatible_pairs(ext)
+            questions = ([(1, t) for t in automorphism_group(ext.n_group)]
+                         + [(2, p) for p in automorphism_group(ext.H)]
+                         + [(3, pair) for pair in pairs if ext.central])
+            for which, member in questions:
+                pair = slice_pair(ext, which, member)
+                got = answer(ext, which, pair)
+                solve, klass, args = _ONE_QUESTION[which]
+                try:
+                    witness = solve(ext, *args(pair))
+                except NotCompatible:
+                    assert got == (False, None, None)
+                    continue
+                cls = klass(ext, *args(pair))
+                assert got.compatible
+                if witness is None:
+                    assert got.witness is None
+                    assert got.obstruction.key == cls.key
+                    assert not cls.is_trivial
+                else:
+                    assert got.witness.image == witness.image
+                    assert got.obstruction is None and cls.is_trivial
+                asked += 1
+    assert asked > 1000
+
+
+def test_answer_refuses_a_missed_witness(capsys, monkeypatch):
+    """A solver that finds no witness for a trivial class contradicts the
+    class key: answer raises, and verify exits 4, not 1."""
+    d8 = catalog("dihedral", 8)
+    ext = extension_from(d8, center(d8))
+    assert ext.cohomology.class_of(wells_cocycle_theta(ext, ext.id_N)).is_trivial
+    monkeypatch.setattr(CohomologyGroup, "coboundary_solve", lambda self, f: None)
+    with pytest.raises(AssertionError, match="trivial class"):
+        answer(ext, 1, ext.id_pair)
+    code = main(["verify", "--group", "dihedral(8)", "--subgroup", "center"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "no extension witness found for a trivial class",
+        "kind": "AssertionError"}
 
 
 def test_incompatible_theta_is_rejected():
