@@ -16,6 +16,7 @@ from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     group_from_permutations,
+    is_integer,
     is_prime,
 )
 
@@ -205,15 +206,24 @@ def _same(value):
     return value
 
 
+def _integer(value) -> int:
+    """An integer parameter, or a string of digits; a float or a bool is refused."""
+    if isinstance(value, str):
+        return int(value)
+    if not is_integer(value):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 # name -> (constructor, how each parameter is parsed)
 _BUILDERS = {
-    "cyclic": (_cyclic, (int,)),
-    "dihedral": (_dihedral, (int,)),
-    "generalized_quaternion": (_generalized_quaternion, (int,)),
-    "elementary_abelian": (_elementary_abelian, (int, int)),
-    "heisenberg_mod_p": (_heisenberg, (int,)),
-    "extraspecial_plus": (partial(_extraspecial, plus=True), (int,)),
-    "extraspecial_minus": (partial(_extraspecial, plus=False), (int,)),
+    "cyclic": (_cyclic, (_integer,)),
+    "dihedral": (_dihedral, (_integer,)),
+    "generalized_quaternion": (_generalized_quaternion, (_integer,)),
+    "elementary_abelian": (_elementary_abelian, (_integer, _integer)),
+    "heisenberg_mod_p": (_heisenberg, (_integer,)),
+    "extraspecial_plus": (partial(_extraspecial, plus=True), (_integer,)),
+    "extraspecial_minus": (partial(_extraspecial, plus=False), (_integer,)),
     "direct_product": (direct_product, (_same, _same)),
     "semidirect_product": (semidirect_product, (_same, _same, _same)),
 }

@@ -10,14 +10,33 @@ held in a lattice whose rows remember how they were assembled (witnesses chi
 with coboundary f), class keys are its canonical remainders, and |Z^2| is the
 determinant of the lattice spanned by the dual of the constraint system.
 
-Unknowns are the values f(x, y) for x, y != 1 only; normalization fixes the
-rest.  The cocycle system is first re-parametrized by the values f(x, s) on
-a generating set of second arguments, which keeps the kernel computation
-small even when |H| is large relative to |N|.
+The cocycle identity is asked only at generator middle arguments.  Write
 
-The cocycle identity check (two_cocycle_defect) gathers the four terms of
-the identity over H's Cayley array, one block of first arguments at a time,
-so memory stays O(h^2 k).
+    D(x, y, z) = f(xy, z) + A(z) f(x, y) - f(x, yz) - f(y, z),
+
+so f is a 2-cocycle when D vanishes.  For a well-defined right action
+(A(wz) = A(z) A(w)) and any 2-cochain f, expanding the terms gives
+
+    D(x, sw, z) = D(xs, w, z) + D(x, s, wz) - A(z) D(x, s, w) - D(s, w, z).
+
+Every y != 1 is a positive word s w in the generators S of H, with w one
+letter shorter, so if D(x, s, z) = 0 for every s in S and all x, z, then
+induction on the word length of y gives D = 0 everywhere (a triple with an
+identity argument holds by normalization, using A(1) = 1).  Hence f is a
+2-cocycle iff the identity holds at the (h-1)^2 |S| triples (x, s, z).
+Both uses of the identity rest on this:
+
+- |Z^2|: unknowns are the values f(x, y) for x, y != 1 only; normalization
+  fixes the rest.  The system is re-parametrized by the slice values
+  f(x, s), s in S, peeling the second argument along a breadth-first
+  spanning tree, and the identity is imposed at the (x, s, z) only:
+  (h-1)^2 |S| k congruences instead of (h-1)^3 k, less the (x, s, w) of
+  the tree edges w -> s w, which hold by construction.  kernel_order
+  dedupes them.
+- two_cocycle_defect tests the (x, s, z) in one gather of shape
+  (h-1, |S|, h-1, k).  Only when one fails does it scan all (h-1)^3
+  triples, a block of first arguments at a time in O(h^2 k) memory, to
+  name the lexicographically first failing one.
 """
 
 from __future__ import annotations
@@ -25,13 +44,14 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from typing import Optional, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from . import config
 from .abelian import Vector
 from .errors import BoundExceeded, InputError, NotACocycle, ParentMismatch
-from .groups import FiniteGroup, GroupAutomorphism, generating_set
+from .groups import FiniteGroup, GroupAutomorphism
 from .intlin import TriangularLattice, kernel_order
 
 __all__ = [
@@ -279,24 +299,88 @@ def _parse_cochain_json(group: FiniteGroup, data: dict, arity: int):
     return tuple(moduli), out
 
 
-# upper bound on the triples (x, y, z) gathered at once by two_cocycle_defect
+# upper bound on the triples (x, y, z) the full scan gathers at once
 _CHECK_BLOCK_TRIPLES = 2 ** 15
+
+# per group: index arrays of its generator triples (x, s, z)
+_GENERATOR_TRIPLES: WeakKeyDictionary = WeakKeyDictionary()
+# per group: the last read-only action array proven a right action, with
+# the moduli array it was proven over and its nonidentity matrices mod d
+_PROVEN_ACTIONS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _generator_triples(group: FiniteGroup):
+    """(s, xs, x, sz): generators s, products xs as (h-1, |S|), first
+    arguments x as (h-1, 1, 1) and products sz as (|S|, h-1), x, z != 1."""
+    out = _GENERATOR_TRIPLES.get(group)
+    if out is None:
+        tab = group.cayley
+        s = np.array(group.generators, dtype=np.intp)
+        out = (s, tab[1:, s], np.arange(1, group.order)[:, None, None], tab[s, 1:])
+        _GENERATOR_TRIPLES[group] = out
+    return out
+
+
+def _right_action_mod(group: FiniteGroup, moduli: tuple[int, ...], action
+                      ) -> Optional[np.ndarray]:
+    """A(z) mod d for z != 1 when validate_action accepts action (the lemma
+    in the module docstring needs a well-defined right action), else None.
+    A read-only array it accepts is remembered for its group."""
+    d = _moduli_array(moduli)
+    hit = _PROVEN_ACTIONS.get(group)
+    if hit is not None and hit[0] is action and hit[1] is d:
+        return hit[2]
+    try:
+        A = validate_action(group, moduli, action)
+    except InputError:
+        return None
+    R = A[1:] % d[None, :, None]
+    if A is action:
+        _PROVEN_ACTIONS[group] = (action, d, R)
+    return R
 
 
 def two_cocycle_defect(f: TwoCochain, action: Action):
     """First (x, y, z) where the cocycle identity fails, or None.
 
+    Triples with an identity argument hold by normalization and are
+    skipped, so the answer is the lexicographically first failing triple of
+    non-identity elements.  When _holds_at_generator_triples proves f a
+    cocycle that is None; otherwise _first_defect scans every triple.
+    """
+    if f.group.order <= 1 or not f.moduli or _holds_at_generator_triples(f, action):
+        return None
+    return _first_defect(f, action)
+
+
+def _holds_at_generator_triples(f: TwoCochain, action: Action) -> bool:
+    """True when action is None or a well-defined right action and the
+    identity holds at every (x, s, z) with s a generator, tested in one
+    gather of shape (h-1, |S|, h-1, k); f is then a cocycle (module
+    docstring).  False says only that this test does not prove it."""
+    d = _moduli_array(f.moduli)
+    A = None if action is None else _right_action_mod(f.group, f.moduli, action)
+    if action is not None and A is None:
+        return False
+    F = f.values
+    s, xs, x, sz = _generator_triples(f.group)
+    fxs = F[1:, s]                           # f(x, s): (h-1, |S|, k)
+    if A is None:
+        acted = fxs[:, :, None, :]
+    else:
+        acted = np.einsum("zij,xsj->xszi", A, fxs)
+    diff = F[xs, 1:] + acted - F[x, sz] - F[s, 1:]
+    return not (diff % d).any()
+
+
+def _first_defect(f: TwoCochain, action: Action):
+    """The lexicographically first failing triple of non-identity elements.
+
     The four terms f(xy,z), A(z) f(x,y), f(x,yz) and f(y,z) are gathered as
     int64 arrays for a block of first arguments x at a time, sized so a block
     holds at most _CHECK_BLOCK_TRIPLES triples; memory stays O(h^2 k).
-    Triples with an identity argument hold by normalization and are skipped,
-    so the answer is the lexicographically first failing triple of
-    non-identity elements.
     """
     h = f.group.order
-    k = len(f.moduli)
-    if h <= 1 or k == 0:
-        return None
     d = _moduli_array(f.moduli)
     F = f.values
     tab = f.group.cayley
@@ -463,55 +547,49 @@ class CohomologyGroup:
         if h == 1 or k == 0:
             return 1
         G = self.group
-        mul = G.mul
-        tab = G.cayley
-        d = np.array(self.moduli, dtype=np.int64)
-        gens = generating_set(G)
-        ns = len(gens)
+        d = _moduli_array(self.moduli)
+        s, xs, x, sz = _generator_triples(G)
+        ns = s.size
         r = (h - 1) * ns * k
         mats = trivial_action(G, self.moduli) if self.action is None else self.action
 
         # express every f(x, y) linearly in the slice values f(x, s), s a
         # generator, by peeling the second argument along a breadth-first
-        # spanning tree: f(x, s w) = f(x s, w) + A(w) f(x, s) - f(s, w)
+        # spanning tree: f(x, s w) = f(x s, w) + A(w) f(x, s) - f(s, w).
+        # E[y, x, c] is coordinate c of f(x, y); f(x, s) for the si-th
+        # generator s is slice unknown ((x-1)*ns + si)*k + c
         dmod = d.reshape(1, k, 1)
-        # f(x, s) for the si-th generator s is slice unknown ((x-1)*ns + si)*k + c
-        slice_units = np.eye(r, dtype=np.int64).reshape(h - 1, ns, k, r)
-        E: dict[int, np.ndarray] = {0: np.zeros((h, k, r), dtype=np.int64)}
+        E = np.zeros((h, h, k, r), dtype=np.int64)
+        E[s, 1:] = np.eye(r, dtype=np.int64).reshape(h - 1, ns, k, r).swapaxes(0, 1)
+        # tree[w, si]: s w was reached from w, so the identity at (x, s, w)
+        # holds by the construction of E[s w] and gives no congruence
+        tree = np.zeros((h, ns), dtype=bool)
+        reached = {0}
         queue = deque([0])
         while queue:
             w = queue.popleft()
-            for si, s in enumerate(gens):
-                y = mul(s, w)
-                if y in E:
+            for si, g in enumerate(s.tolist()):
+                y = G.mul(g, w)
+                if y in reached:
                     continue
-                if w == 0:
-                    E[y] = np.concatenate([E[0][:1], slice_units[:, si]])
-                else:
-                    E[y] = (E[w][tab[:, s]]
-                            + np.einsum("ci,xir->xcr", mats[w], E[s])
-                            - E[w][s][None, :, :]) % dmod
+                reached.add(y)
+                if w:
+                    tree[w, si] = True
+                    E[y] = (E[w][G.cayley[:, g]]
+                            + np.einsum("ci,xir->xcr", mats[w], E[g])
+                            - E[w][g][None, :, :]) % dmod
                 queue.append(y)
-        if len(E) != h:
+        if len(reached) != h:
             raise AssertionError("generating set does not reach the whole group")
 
-        found: dict[bytes, tuple[np.ndarray, int]] = {}
-        flat_mod = np.tile(d, h - 1)
-        for y in range(1, h):
-            Ey = E[y]
-            for z in range(1, h):
-                Ez = E[z]
-                yz = mul(y, z)
-                block = (Ez[tab[:, y]]
-                         + np.einsum("ci,xir->xcr", mats[z], Ey)
-                         - E[yz]
-                         - Ez[y][None, :, :])[1:]
-                flat = block.reshape((h - 1) * k, r) % flat_mod[:, None]
-                # identical congruences are common: keep one of each
-                for i in np.flatnonzero(flat.any(axis=1)).tolist():
-                    found.setdefault(flat[i].tobytes() + bytes([i % k]),
-                                     (flat[i], int(flat_mod[i])))
-        rows = np.array([row for row, _ in found.values()], dtype=np.int64)
-        return kernel_order(rows.reshape(-1, r), [m for _, m in found.values()],
+        # the identity f(xs, z) + A(z) f(x, s) - f(x, sz) - f(s, z) = 0 at
+        # the other triples (x, s, z), as (pair, x, c) rows
+        zp, sp = np.nonzero(~tree[1:])
+        zp += 1
+        xcol = x.reshape(-1)
+        rows = E[zp[:, None], xs[:, sp].T]
+        rows += np.einsum("pci,pxir->pxcr", mats[zp], E[s[sp], 1:])
+        rows -= E[sz[sp, zp - 1][:, None], xcol]
+        rows -= E[zp, s[sp]][:, None]
+        return kernel_order(rows.reshape(-1, r), np.tile(d, zp.size * (h - 1)),
                             np.tile(d, (h - 1) * ns))
-

@@ -8,6 +8,7 @@ always produce byte-identical downstream reports.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -86,8 +87,8 @@ class FiniteGroup:
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G"):
-        tab = tuple(tuple(int(v) for v in row) for row in table)
-        self.cayley, self.generators = _validate_table(tab)
+        self.cayley, self.generators = _validate_table(table)
+        tab = tuple(map(tuple, self.cayley.tolist()))
         self.table = tab
         self.order = len(tab)
         self.name = name
@@ -183,14 +184,24 @@ class FiniteGroup:
         return Subgroup(self, members)
 
 
+def is_integer(value: object) -> bool:
+    """An integer that is not a boolean: a float or a bool never truncates
+    into a table entry or a parameter."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _table_array(table) -> np.ndarray:
-    """A square table with entries in [0, n) as an int64 array."""
+    """A square table of integers in [0, n) as an int64 array."""
     n = len(table)
     if n == 0:
         raise InputError("Cayley table must be nonempty")
     for i, row in enumerate(table):
         if len(row) != n:
             raise InputError(f"Cayley table row {i} has length {len(row)}, expected {n}")
+    kinds = set(map(type, chain.from_iterable(table)))
+    if any(not issubclass(t, (int, np.integer)) or issubclass(t, bool) for t in kinds):
+        i = next(i for i, row in enumerate(table) if not all(map(is_integer, row)))
+        raise InputError(f"Cayley table row {i} must be a list of integers")
     try:
         m = np.array(table, dtype=np.int64)
     except OverflowError:
@@ -279,11 +290,13 @@ def _compose_pair(p, q) -> tuple:
 def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
                             name: str = "G") -> FiniteGroup:
     """Close permutation generators under composition; element order is BFS order."""
-    if degree < 1:
-        raise InputError("degree must be positive")
+    if not is_integer(degree) or degree < 1:
+        raise InputError("degree must be a positive integer")
     bound = config.DEFAULT_CLOSURE_BOUND
     gens = []
     for gi, g in enumerate(generators):
+        if not all(map(is_integer, g)):
+            raise InputError(f"generator {gi} must be a list of integers")
         p = tuple(int(v) for v in g)
         if sorted(p) != list(range(degree)):
             raise InputError(f"generator {gi} is not a permutation of 0..{degree - 1}")

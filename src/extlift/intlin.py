@@ -248,7 +248,8 @@ def kernel_order(rows, row_moduli, col_moduli) -> int:
     if mat.shape[0] != rm.size:
         raise ValueError("one modulus per row required")
     _fits(int(rm.max(initial=0)) * int(col.max()))
-    # dedupe (row, modulus) pairs; identical congruences are common here
+    # the only dedupe of (row, modulus) pairs: callers pass every congruence
+    # they build, and identical ones are common
     stacked = np.unique(np.concatenate([mat % rm[:, None], rm[:, None]], axis=1), axis=0)
     for start in range(0, len(stacked), _KERNEL_BLOCK_ROWS):
         part = stacked[start:start + _KERNEL_BLOCK_ROWS]

@@ -24,7 +24,7 @@ from .cohomology import CohomologyClass, CohomologyGroup
 from .errors import BoundExceeded, ExtliftError, InputError, SylowNotInvariant
 from .groups import (FiniteGroup, GroupAutomorphism, Subgroup,
                      abelian_normal_subgroups, group_from_cayley,
-                     group_from_permutations)
+                     group_from_permutations, is_integer)
 from .reduction import index_kill_check, sylow_extend_check, sylow_lift_check
 from .splitting import (canonical_sections, is_split_extension, section_search,
                         split_kernels)
@@ -53,16 +53,11 @@ def group_json(G: FiniteGroup) -> dict:
     return {"name": G.name, "cayley": [list(row) for row in G.table]}
 
 
-def _is_integer(value: object) -> bool:
-    """A JSON integer: neither a boolean nor a float."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _integer_rows(rows: object, source: str, field: str) -> list:
     if not isinstance(rows, list):
         raise InputError(f"{source}: '{field}' must be a list of rows")
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or not all(map(_is_integer, row)):
+        if not isinstance(row, list) or not all(map(is_integer, row)):
             raise InputError(f"{source}: '{field}' entry {i} must be a list of integers")
     return rows
 
@@ -80,7 +75,7 @@ def group_from_json(data: object, source: str = "group") -> FiniteGroup:
     if "perm_degree" in data or "generators" in data:
         degree = data.get("perm_degree")
         gens = data.get("generators")
-        if not _is_integer(degree) or degree < 1:
+        if not is_integer(degree) or degree < 1:
             raise InputError(f"{source}: 'perm_degree' must be a positive integer")
         if not isinstance(gens, list) or not gens:
             raise InputError(f"{source}: 'generators' must be a nonempty list")

@@ -10,6 +10,7 @@ in test_groups.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from math import prod
 from typing import Optional, Sequence
 
@@ -22,8 +23,9 @@ from extlift import (FiniteGroup, NotCompatible, Subgroup, SylowCheck,
                      lift_automorphism, lift_pair, local_extension,
                      quotient_sylows, restrict_to_quotient_sylow,
                      sylow_preimage, wells_cocycle_phi, wells_cocycle_theta)
+from extlift.cohomology import trivial_action
 from extlift.groups import GroupAutomorphism, prime_factors
-from extlift.intlin import ext_gcd
+from extlift.intlin import ext_gcd, kernel_order
 
 # total normalized-cochain assignments a brute H^2 enumeration may visit
 H2_SPACE_BOUND = 2 ** 16
@@ -255,6 +257,68 @@ def brute_triple_defect(ext, T, phi_image, chi_values):
                 if (left - right) % moduli[i]:
                     return ("(2)", (x, y))
     return None
+
+
+def reference_z2_order(H: FiniteGroup, moduli: tuple[int, ...], action=None) -> int:
+    """|Z^2| with the cocycle identity imposed at every (y, z): the body
+    CohomologyGroup._z2_order had before it imposed it at generator middle
+    arguments only (the reference for it).  action is a validated
+    (h, k, k) array or None."""
+    h, k = H.order, len(moduli)
+    if h == 1 or k == 0:
+        return 1
+    G = H
+    mul = G.mul
+    tab = G.cayley
+    d = np.array(moduli, dtype=np.int64)
+    gens = generating_set(G)
+    ns = len(gens)
+    r = (h - 1) * ns * k
+    mats = trivial_action(G, moduli) if action is None else action
+
+    # express every f(x, y) linearly in the slice values f(x, s), s a
+    # generator, by peeling the second argument along a breadth-first
+    # spanning tree: f(x, s w) = f(x s, w) + A(w) f(x, s) - f(s, w)
+    dmod = d.reshape(1, k, 1)
+    # f(x, s) for the si-th generator s is slice unknown ((x-1)*ns + si)*k + c
+    slice_units = np.eye(r, dtype=np.int64).reshape(h - 1, ns, k, r)
+    E: dict[int, np.ndarray] = {0: np.zeros((h, k, r), dtype=np.int64)}
+    queue = deque([0])
+    while queue:
+        w = queue.popleft()
+        for si, s in enumerate(gens):
+            y = mul(s, w)
+            if y in E:
+                continue
+            if w == 0:
+                E[y] = np.concatenate([E[0][:1], slice_units[:, si]])
+            else:
+                E[y] = (E[w][tab[:, s]]
+                        + np.einsum("ci,xir->xcr", mats[w], E[s])
+                        - E[w][s][None, :, :]) % dmod
+            queue.append(y)
+    if len(E) != h:
+        raise AssertionError("generating set does not reach the whole group")
+
+    found: dict[bytes, tuple[np.ndarray, int]] = {}
+    flat_mod = np.tile(d, h - 1)
+    for y in range(1, h):
+        Ey = E[y]
+        for z in range(1, h):
+            Ez = E[z]
+            yz = mul(y, z)
+            block = (Ez[tab[:, y]]
+                     + np.einsum("ci,xir->xcr", mats[z], Ey)
+                     - E[yz]
+                     - Ez[y][None, :, :])[1:]
+            flat = block.reshape((h - 1) * k, r) % flat_mod[:, None]
+            # identical congruences are common: keep one of each
+            for i in np.flatnonzero(flat.any(axis=1)).tolist():
+                found.setdefault(flat[i].tobytes() + bytes([i % k]),
+                                 (flat[i], int(flat_mod[i])))
+    rows = np.array([row for row, _ in found.values()], dtype=np.int64)
+    return kernel_order(rows.reshape(-1, r), [m for _, m in found.values()],
+                        np.tile(d, (h - 1) * ns))
 
 
 def greedy_generating_set(G: FiniteGroup) -> list[int]:

@@ -4,19 +4,22 @@ import json
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from extlift import (BoundExceeded, CohomologyGroup, InputError, NotACocycle,
                      OneCochain, ParentMismatch, Subgroup, TwoCochain, catalog,
                      coboundary_of, extension_from, is_two_cocycle,
                      trivial_action, two_cocycle_defect)
-from extlift.cohomology import (_CHECK_BLOCK_TRIPLES, class_eq,
+from extlift.catalog import shipped_corpus
+from extlift.cohomology import (_CHECK_BLOCK_TRIPLES, _first_defect,
+                                _holds_at_generator_triples, class_eq,
                                 validate_action)
 from extlift.groups import all_subgroups, center
-from extlift.reports import class_json
+from extlift.reports import class_json, corpus_pairs
 
 from oracles import (H2_SPACE_BOUND, brute_cocycle_defect, brute_cohomology,
-                     h2_search_space)
+                     h2_search_space, reference_z2_order)
 
 Z2 = catalog("cyclic", 2)
 Z3 = catalog("cyclic", 3)
@@ -61,6 +64,43 @@ def test_orders_match_brute_force_conjugation_action(G, members):
     cg = ext.cohomology
     assert (cg.z2_order, cg.b2_order, cg.h2_order) == \
         brute_cohomology(ext.H, ext.moduli, ext.action)
+
+
+def _corpus_extensions():
+    return [extension_from(G, N) for G in shipped_corpus() for N in corpus_pairs(G)]
+
+
+def _reference_cases():
+    """Every corpus extension with |H| <= 16, the conjugation cases above,
+    and S3 acting on V4 (k = 2 under a nontrivial action)."""
+    from extlift import group_from_permutations
+    s4 = group_from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)], name="sym4")
+    klein = next(S for S in all_subgroups(s4) if S.order == 4 and S.is_normal())
+    return ([ext for ext in _corpus_extensions() if ext.H.order <= 16]
+            + [extension_from(G, Subgroup(G, m)) for G, m in _extension_cases()]
+            + [extension_from(s4, klein)])
+
+
+def test_z2_order_matches_the_all_triples_reference():
+    """The Z^2 system asked at generator middle arguments only counts what
+    the system asked at every (y, z) counts."""
+    cases = _reference_cases()
+    assert any(not ext.central and len(ext.moduli) >= 2 for ext in cases)
+    for ext in cases:
+        cg = ext.cohomology
+        ref = reference_z2_order(ext.H, ext.moduli, cg.action)
+        assert cg.z2_order == ref, (ext.G.name, ext.N.members)
+        assert cg.b2_order * cg.h2_order == ref
+        assert cg.h2_order == ref // cg.b2_order
+
+
+def test_large_builds_keep_their_orders():
+    """|H| = 49 and 64, beyond every brute oracle: the orders the all-triples
+    system gave."""
+    cg = CohomologyGroup(catalog("elementary_abelian", 7, 2), (7,))
+    assert (cg.z2_order, cg.b2_order, cg.h2_order) == (7 ** 49, 7 ** 46, 343)
+    cg = CohomologyGroup(catalog("cyclic", 64), (2,))
+    assert (cg.z2_order, cg.b2_order, cg.h2_order) == (2 ** 63, 2 ** 62, 2)
 
 
 def test_pinned_klein_four_value():
@@ -166,6 +206,96 @@ def test_cocycle_defect_matches_brute_force_on_perturbed_factor_sets(ext, label)
             got = two_cocycle_defect(f, ext.cocycle_action)
             assert got == brute_cocycle_defect(f, ext.cocycle_action)
             assert got is not None and all(type(v) is int for v in got)
+
+
+def _perturbed(ext, a, b, c, by=1):
+    vals = ext.mu.values.copy()
+    vals[a, b, c] += by
+    return TwoCochain(ext.H, ext.moduli, vals)
+
+
+def test_first_failing_triple_with_a_non_generator_middle_argument():
+    """The generator triples only decide pass or fail; the triple named is
+    still the first of all, also when its middle argument is no generator."""
+    seen = 0
+    for G in (catalog("heisenberg", 3), catalog("dihedral", 16)):
+        ext = extension_from(G, center(G))
+        H = ext.H
+        for a in range(1, H.order):
+            for b in range(1, H.order):
+                f = _perturbed(ext, a, b, 0)
+                got = two_cocycle_defect(f, ext.cocycle_action)
+                assert got == brute_cocycle_defect(f, ext.cocycle_action)
+                seen += got[1] not in H.generators
+    assert seen
+
+
+def test_generator_stage_agrees_with_the_full_scan_on_corpus_perturbations():
+    """Every corpus factor set passes both, and so does its shift by a
+    coboundary; perturbed at one slot and coordinate, it passes both or
+    fails both."""
+    rng = random.Random(10)
+    failed = 0
+    for ext in _corpus_extensions():
+        H, m, act = ext.H, ext.moduli, ext.cocycle_action
+        if H.order == 1:
+            continue
+        assert _holds_at_generator_triples(ext.mu, act)
+        assert _first_defect(ext.mu, act) is None
+        for _ in range(4):
+            a, b = rng.randrange(1, H.order), rng.randrange(1, H.order)
+            c = rng.randrange(len(m))
+            f = _perturbed(ext, a, b, c, by=rng.randrange(1, m[c]))
+            holds = _holds_at_generator_triples(f, act)
+            assert holds == (_first_defect(f, act) is None)
+            failed += not holds
+        chi = OneCochain(H, m, [(0,) * len(m)] + [
+            tuple(rng.randrange(d) for d in m) for _ in range(H.order - 1)])
+        f = ext.mu + coboundary_of(chi, act)
+        assert _holds_at_generator_triples(f, act)
+        assert _first_defect(f, act) is None
+    assert failed > 300
+
+
+def test_cocycle_defect_matches_brute_force_on_every_small_cochain():
+    """Every normalized cochain of four small cases, one under Z3 permuting
+    V4: the same first failing triple as the definition, or None."""
+    import itertools
+    from extlift import group_from_permutations
+    from oracles import element_order
+    a4 = group_from_permutations(4, [(1, 2, 0, 3), (0, 2, 3, 1)], name="alt4")
+    ext = extension_from(a4, Subgroup(a4, [g for g in range(12)
+                                           if element_order(a4, g) <= 2]))
+    cases = [(V4, (2,), None), (Z4, (2,), None), (Z3, (3,), None),
+             (ext.H, ext.moduli, ext.cocycle_action)]
+    for H, m, action in cases:
+        h, k = H.order, len(m)
+        cocycles = 0
+        for combo in itertools.product(*[range(d) for d in m] * (h - 1) ** 2):
+            vals = np.zeros((h, h, k), dtype=np.int64)
+            vals[1:, 1:] = np.reshape(combo, (h - 1, h - 1, k))
+            f = TwoCochain(H, m, vals)
+            got = two_cocycle_defect(f, action)
+            assert got == brute_cocycle_defect(f, action)
+            cocycles += got is None
+        assert cocycles == CohomologyGroup(H, m, action).z2_order
+
+
+def test_matrix_family_that_is_no_action_gets_the_full_scan():
+    """The generator triples prove a cocycle only for a right action.  On
+    Z4 with the non-multiplicative family 1, 1, 2, 2 on Z/5 this f holds at
+    every (x, 1, z) but fails at (1, 2, 1)."""
+    H = catalog("cyclic", 4)
+    assert H.generators == (1,)
+    family = [((1,),), ((1,),), ((2,),), ((2,),)]
+    vals = [[0, 0, 0, 0], [0, 1, 0, 2], [0, 0, 0, 0], [0, 1, 0, 2]]
+    f = TwoCochain(H, (5,), [[(v,) for v in row] for row in vals])
+    t = H.table
+    assert all((vals[t[x][1]][z] + family[z][0][0] * vals[x][1]
+                - vals[x][t[1][z]] - vals[1][z]) % 5 == 0
+               for x in range(1, 4) for z in range(1, 4))
+    assert not _holds_at_generator_triples(f, family)
+    assert two_cocycle_defect(f, family) == brute_cocycle_defect(f, family) == (1, 2, 1)
 
 
 def test_cocycle_defect_found_in_last_block_of_first_arguments():

@@ -9,6 +9,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from extlift import (BadParameters, BoundExceeded, FiniteGroup,
@@ -104,6 +105,42 @@ def test_catalog_names_and_errors():
         catalog("elementary_abelian", 4, 2)
     with pytest.raises(BoundExceeded):
         catalog("cyclic", 100000)
+
+
+def test_cayley_tables_refuse_non_integers():
+    """Floats and booleans are refused, not truncated, as in group files;
+    numpy integers are integers."""
+    for bad in ([[0, 1], [1, 0.5]], [[0, 1], [1, 0.0]], [[0, 1], [1, True]],
+                [[0, 1], ["1", 0]]):
+        with pytest.raises(InputError,
+                           match=r"^Cayley table row 1 must be a list of integers$"):
+            group_from_cayley(bad)
+        with pytest.raises(InputError, match="must be a list of integers"):
+            FiniteGroup(bad)
+    assert group_from_cayley(np.array([[0, 1], [1, 0]])).table == ((0, 1), (1, 0))
+    assert FiniteGroup([[0, 1], [1, np.int64(0)]]).table == ((0, 1), (1, 0))
+
+
+def test_catalog_parameters_refuse_non_integers():
+    for params in ((2.7,), (2.0,), (True,), ("2.5",)):
+        with pytest.raises(BadParameters, match=r"^bad parameters for cyclic: "):
+            catalog("cyclic", *params)
+    with pytest.raises(BadParameters):
+        catalog("elementary_abelian", 2, 2.0)
+    assert catalog("cyclic", "12").order == 12
+    assert catalog("elementary_abelian", np.int64(3), 2).order == 9
+
+
+def test_permutation_generators_refuse_non_integers():
+    with pytest.raises(InputError,
+                       match=r"^generator 0 must be a list of integers$"):
+        group_from_permutations(3, [[1.0, 2.9, 0]])
+    with pytest.raises(InputError, match="generator 1 must be a list of integers"):
+        group_from_permutations(3, [[1, 2, 0], [False, 2, 1]])
+    for degree in (3.0, True, 0):
+        with pytest.raises(InputError, match=r"^degree must be a positive integer$"):
+            group_from_permutations(degree, [[1, 2, 0]])
+    assert group_from_permutations(np.int64(3), [np.array([1, 2, 0])]).order == 3
 
 
 def test_catalog_expression_parser():
