@@ -519,11 +519,14 @@ class CohomologyGroup:
         return TwoCochain(self.group, self.moduli, vals)
 
     def coboundary_solve(self, f: TwoCochain) -> Optional[OneCochain]:
-        """chi with coboundary_of(chi) = f, or None when f is not a coboundary."""
-        if two_cocycle_defect(f, self.action) is not None:
-            raise NotACocycle("coboundary_solve requires a 2-cocycle")
+        """chi with coboundary_of(chi) = f, or None when f is not a coboundary.
+
+        A found chi is checked, and d(chi) = f makes f a cocycle; so the
+        cocycle identity is asked only when f does not reduce to zero."""
         expr = self._lattice.reduce(self.vector_of(f))
         if expr is None:
+            if two_cocycle_defect(f, self.action) is not None:
+                raise NotACocycle("coboundary_solve requires a 2-cocycle")
             return None
         vals = np.zeros((self._h, self._k), dtype=np.int64)
         vals[1:] = expr.reshape(self._h - 1, self._k)

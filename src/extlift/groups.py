@@ -190,6 +190,24 @@ def is_integer(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _integer_kinds(values) -> bool:
+    """Whether every value is an integer and none a boolean, asked once per
+    value type rather than once per value."""
+    return all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+               for t in set(map(type, values)))
+
+
+def _integers(values, message: str) -> tuple[int, ...]:
+    """values as a tuple of Python ints, or InputError(message) when one is
+    a float, a boolean or another non-integer (never truncated)."""
+    vals = tuple(values)
+    if set(map(type, vals)) <= {int}:       # nothing to check or convert
+        return vals
+    if not _integer_kinds(vals):
+        raise InputError(message)
+    return tuple(map(int, vals))
+
+
 def _table_array(table) -> np.ndarray:
     """A square table of integers in [0, n) as an int64 array."""
     n = len(table)
@@ -198,8 +216,7 @@ def _table_array(table) -> np.ndarray:
     for i, row in enumerate(table):
         if len(row) != n:
             raise InputError(f"Cayley table row {i} has length {len(row)}, expected {n}")
-    kinds = set(map(type, chain.from_iterable(table)))
-    if any(not issubclass(t, (int, np.integer)) or issubclass(t, bool) for t in kinds):
+    if not _integer_kinds(chain.from_iterable(table)):
         i = next(i for i, row in enumerate(table) if not all(map(is_integer, row)))
         raise InputError(f"Cayley table row {i} must be a list of integers")
     try:
@@ -325,7 +342,7 @@ class Subgroup:
     """A subgroup of a FiniteGroup, stored as a sorted member tuple."""
 
     def __init__(self, group: FiniteGroup, members: Iterable[int]):
-        mem = tuple(sorted(set(int(v) for v in members)))
+        mem = tuple(sorted(set(_integers(members, "subgroup members must be integers"))))
         if not mem or mem[0] != 0:
             raise InputError("subgroup must contain the identity 0")
         for v in mem:
@@ -439,7 +456,7 @@ class GroupHomomorphism:
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup,
                  image: Sequence[int], check: bool = True):
-        img = tuple(int(v) for v in image)
+        img = _integers(image, "homomorphism image must be a list of integers")
         if len(img) != source.order:
             raise InputError("homomorphism image list has wrong length")
         for v in img:
@@ -465,7 +482,7 @@ class GroupAutomorphism:
     """A verified automorphism of a finite group."""
 
     def __init__(self, group: FiniteGroup, image: Sequence[int], check: bool = True):
-        img = tuple(int(v) for v in image)
+        img = _integers(image, "automorphism image must be a list of integers")
         if len(img) != group.order or sorted(img) != list(range(group.order)):
             raise InputError("automorphism image is not a permutation of the group")
         if check:

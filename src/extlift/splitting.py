@@ -26,9 +26,9 @@ from .groups import (FiniteGroup, GroupAutomorphism, GroupHomomorphism,
                      Subgroup, _compose_pair, _compose_perm, center,
                      derived_subgroup, generating_set, hom_by_generator_images,
                      require_closed)
-from .wells import (_SEQUENCES, ExtensionData, aut_subgroups, compatible_pairs,
-                    pair_key, sequence_autos, slice_pair, starred_sets,
-                    triple_of)
+from .wells import (_SEQUENCES, ExtensionData, _induced_pair, aut_subgroups,
+                    compatible_pairs, pair_key, sequence_autos, slice_pair,
+                    starred_sets)
 
 __all__ = [
     "SplitKernels",
@@ -118,8 +118,8 @@ def is_split_extension(ext: ExtensionData) -> tuple[bool, Optional[SplitWitness]
     if chi is None:
         return False, None
     G = ext.G
-    minus_chi = (-chi.values).tolist()     # n_member reduces the coordinates
-    members = [G.mul(ext.transversal[x], ext.n_member(minus_chi[x]))
+    minus_chi = (-chi.values).tolist()     # member_of_coords reduces them
+    members = [G.mul(ext.transversal[x], ext.coeffs.member_of_coords(minus_chi[x]))
                for x in range(ext.H.order)]
     section = GroupHomomorphism(ext.H, G, members)
     complement = Subgroup(G, members)
@@ -143,7 +143,7 @@ def _pair_keys(ext: ExtensionData, which: int, members) -> list[tuple]:
 
 
 def _verify_section(ext: ExtensionData, sec: Section) -> None:
-    """Check sec is a homomorphism landing in the right fiber everywhere.
+    """Check sec is a homomorphism whose images project onto their domain.
 
     The domain is checked to be a group and a generating set S of it is
     grown (require_closed); then f(a s) = f(a) f(s) is checked for every a
@@ -152,7 +152,7 @@ def _verify_section(ext: ExtensionData, sec: Section) -> None:
     """
     keys = _pair_keys(ext, sec.sequence, sec.domain)
     for i, key in enumerate(keys):
-        if pair_key(triple_of(ext, sec.images[i])) != key:
+        if _induced_pair(ext, sec.images[i]) != key:
             raise AssertionError("section image projects to the wrong element")
     identity = pair_key(ext.id_pair)
     gens = require_closed(keys, _compose_pair, identity,
@@ -178,7 +178,7 @@ def canonical_sections(ext: ExtensionData) -> tuple[Section, Section, Optional[S
     if not ok:
         raise NotSplit("extension has no complement, canonical sections unavailable")
     stars = split_kernels(ext)
-    G = ext.G
+    G, N = ext.G, ext.N
     section = witness.section
     parts = [_decompose(ext, section, g) for g in range(G.order)]
 
@@ -187,7 +187,7 @@ def canonical_sections(ext: ExtensionData) -> tuple[Section, Section, Optional[S
         images = []
         for p in (slice_pair(ext, which, m) for m in domain):
             images.append(GroupAutomorphism(
-                G, [G.mul(section(p.phi(x)), ext.theta_on_member(p.theta, n))
+                G, [G.mul(section(p.phi(x)), N.members[p.theta(N.position[n])])
                     for x, n in parts]))
         sec = Section(which, tuple(domain), tuple(images))
         _verify_section(ext, sec)
@@ -238,7 +238,7 @@ def section_search(ext: ExtensionData, which: int) -> Optional[Section]:
     for g in cands:
         tmembers[cpos[g.image]] = g
 
-    proj = [spos[pair_key(triple_of(ext, tmembers[i]))] for i in range(T.order)]
+    proj = [spos[_induced_pair(ext, tmembers[i])] for i in range(T.order)]
     fibers = [[i for i in range(T.order) if proj[i] == s] for s in range(S.order)]
     if any(not f for f in fibers):
         raise AssertionError("projection misses a starred element")

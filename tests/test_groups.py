@@ -143,6 +143,27 @@ def test_permutation_generators_refuse_non_integers():
     assert group_from_permutations(np.int64(3), [np.array([1, 2, 0])]).order == 3
 
 
+def test_subgroups_and_maps_refuse_non_integers():
+    """Members and image entries are refused, not truncated; numpy integers
+    are integers."""
+    z4 = catalog("cyclic", 4)
+    with pytest.raises(InputError, match=r"^subgroup members must be integers$"):
+        Subgroup(z4, [0, 2.7])
+    with pytest.raises(InputError, match=r"^subgroup members must be integers$"):
+        Subgroup(z4, [0, True])
+    with pytest.raises(InputError,
+                       match=r"^automorphism image must be a list of integers$"):
+        GroupAutomorphism(z4, [0, 3.2, 2, 1])
+    with pytest.raises(InputError,
+                       match=r"^automorphism image must be a list of integers$"):
+        GroupAutomorphism(z4, [False, 3, 2, 1])
+    with pytest.raises(InputError,
+                       match=r"^homomorphism image must be a list of integers$"):
+        GroupHomomorphism(z4, z4, [0, 2.0, 0, 2])
+    assert Subgroup(z4, np.array([0, 2])).members == (0, 2)
+    assert GroupAutomorphism(z4, np.array([0, 3, 2, 1])).image == (0, 3, 2, 1)
+
+
 def test_catalog_expression_parser():
     G = parse_catalog_expression("cyclic(2)^2*dihedral(8)")
     assert G.order == 32

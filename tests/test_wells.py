@@ -26,7 +26,7 @@ from extlift.cli import main
 from extlift.groups import (GroupAutomorphism, all_subgroups, center,
                             derived_subgroup)
 from extlift.reports import corpus_pairs
-from extlift.wells import slice_pair
+from extlift.wells import _induced_pair, pair_key, slice_pair
 
 from oracles import (aut_normalizing, brute_triple_defect,
                      extension_witnesses, lift_witnesses, pair_witnesses)
@@ -107,6 +107,7 @@ def test_triple_round_trip_is_identity():
             tr = triple_of(ext, gamma)
             back = automorphism_from_triple(ext, tr)
             assert back.image == gamma.image
+            assert _induced_pair(ext, gamma) == pair_key(tr)
             key = (tr.theta.image, tr.phi.image, tr.chi)
             assert key not in triples, "two automorphisms share a triple"
             triples[key] = gamma.image
@@ -400,6 +401,22 @@ def test_answer_refuses_a_missed_witness(capsys, monkeypatch):
         "kind": "AssertionError"}
 
 
+@pytest.mark.parametrize("which,word", [(1, "extension"), (2, "lift"),
+                                        (3, "pair")])
+def test_witness_that_misses_its_pair_is_refused(monkeypatch, which, word):
+    """A witness is certified by the pair it induces: a member of Aut_N(G)
+    inducing another pair is refused on every sequence."""
+    d8 = catalog("dihedral", 8)
+    ext = extension_from(d8, center(d8))
+    other = next(g for g in aut_subgroups(ext).aut_N_of_G
+                 if pair_key(triple_of(ext, g)) != pair_key(ext.id_pair))
+    wells = importlib.import_module("extlift.wells")
+    monkeypatch.setattr(wells, "automorphism_from_triple", lambda e, tr: other)
+    with pytest.raises(AssertionError,
+                       match=f"^{word} witness does not invert the decomposition$"):
+        answer(ext, which, ext.id_pair)
+
+
 def test_incompatible_theta_is_rejected():
     a4 = _alt4()
     ext = extension_from(a4, derived_subgroup(a4))
@@ -425,7 +442,8 @@ def test_triple_of_rejects_non_normalizing_automorphism():
     v4 = catalog("elementary_abelian", 2, 2)
     ext = extension_from(v4, Subgroup(v4, [0, 1]))
     moving = GroupAutomorphism(v4, [0, 2, 1, 3])
-    with pytest.raises(DoesNotNormalize):
+    with pytest.raises(DoesNotNormalize,
+                       match=r"^gamma\(1\) = 2 leaves the subgroup$"):
         triple_of(ext, moving)
 
 
