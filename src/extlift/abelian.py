@@ -51,6 +51,7 @@ class AbelianStructure:
         self._coords = _coordinate_table(self.n_group, self.generators,
                                          self.invariant_factors)
         self._from_coords = {c: i for i, c in enumerate(self._coords)}
+        self._matrices: dict[tuple, np.ndarray] = {}   # see restrict_to_matrix
         if len(self._from_coords) != self.order:
             raise AssertionError("coordinate map is not injective")
 
@@ -193,7 +194,16 @@ def matrix_of_endomorphism(structure: AbelianStructure,
 
 def restrict_to_matrix(structure: AbelianStructure,
                        theta: GroupAutomorphism) -> np.ndarray:
-    """Coordinate matrix of an automorphism of the standalone subgroup group."""
+    """Coordinate matrix of an automorphism of the standalone subgroup group.
+
+    Read-only, and built once per image: the structure keeps at most
+    |Aut N| such (k, k) arrays.
+    """
     if theta.group is not structure.n_group:
         raise ParentMismatch("automorphism is not defined on this subgroup")
-    return matrix_of_endomorphism(structure, theta.image)
+    M = structure._matrices.get(theta.image)
+    if M is None:
+        M = matrix_of_endomorphism(structure, theta.image)
+        M.flags.writeable = False
+        structure._matrices[theta.image] = M
+    return M

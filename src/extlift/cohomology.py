@@ -225,7 +225,11 @@ class TwoCochain(_Cochain):
         self.group = group
         self.moduli = tuple(moduli)
         h = group.order
-        if len(values) != h or any(len(row) != h for row in values):
+        if isinstance(values, np.ndarray):     # _reduced checks the full shape
+            ragged = values.shape[:2] != (h, h)
+        else:
+            ragged = len(values) != h or any(len(row) != h for row in values)
+        if ragged:
             raise InputError(f"expected {h}x{h} values")
         k = len(self.moduli)
         vals = _reduced(values, self.moduli, (h, h, k),

@@ -26,9 +26,9 @@ from .groups import (FiniteGroup, GroupAutomorphism, GroupHomomorphism,
                      Subgroup, _compose_pair, _compose_perm, center,
                      derived_subgroup, generating_set, hom_by_generator_images,
                      require_closed)
-from .wells import (_SEQUENCES, ExtensionData, _induced_pair, aut_subgroups,
-                    compatible_pairs, pair_key, sequence_autos, slice_pair,
-                    starred_sets)
+from .wells import (_SEQUENCES, ExtensionData, _fact, _induced_pair,
+                    aut_subgroups, compatible_pairs, pair_key, sequence_autos,
+                    slice_pair, starred_sets)
 
 __all__ = [
     "SplitKernels",
@@ -90,20 +90,23 @@ def split_kernels(ext: ExtensionData) -> SplitKernels:
     Exactness makes each starred set the image of a group under the
     projection, hence closed under composition, and forces the order
     identity |domain| = |kernel| * |starred set| for each sequence; both
-    facts are rechecked here against the enumerated automorphism group.
+    facts are rechecked here against the enumerated automorphism group,
+    once per extension.
     """
-    stars = starred_sets(ext, *compatible_pairs(ext))
-    identity = pair_key(ext.id_pair)
-    for which, star in stars.items():
-        require_closed(_pair_keys(ext, which, star), _compose_pair, identity,
-                       "starred set is not closed under composition")
-    subs = aut_subgroups(ext)
-    kernel = len(subs.aut_upper_N_H)
-    for which, star in stars.items():
-        if len(sequence_autos(subs, which)) != kernel * len(star):
-            raise AssertionError(
-                f"{_SEQUENCES[which].ordinal} sequence order identity fails")
-    return SplitKernels(stars[1], stars[2], stars.get(3))
+    def build() -> SplitKernels:
+        stars = starred_sets(ext, *compatible_pairs(ext))
+        identity = pair_key(ext.id_pair)
+        for which, star in stars.items():
+            require_closed(_pair_keys(ext, which, star), _compose_pair, identity,
+                           "starred set is not closed under composition")
+        subs = aut_subgroups(ext)
+        kernel = len(subs.aut_upper_N_H)
+        for which, star in stars.items():
+            if len(sequence_autos(subs, which)) != kernel * len(star):
+                raise AssertionError(
+                    f"{_SEQUENCES[which].ordinal} sequence order identity fails")
+        return SplitKernels(stars[1], stars[2], stars.get(3))
+    return _fact(ext, "split_kernels", build)
 
 
 def is_split_extension(ext: ExtensionData) -> tuple[bool, Optional[SplitWitness]]:

@@ -140,12 +140,19 @@ class ExtensionData:
     The transversal is the minimal G-index in each coset; with_transversal
     gives the same extension over another one.  The conjugation action of H
     on N does not depend on the transversal (N is abelian), so such a copy
-    shares the coordinate structure, the action, the cohomology solver and
-    the compatible pairs.
+    shares the coordinate structure (with its cached theta matrices), the
+    action, the identity automorphisms id_N, id_H and id_pair, the
+    cohomology solver and the compatible pairs.
 
     action is the read-only (h, k, k) int64 array of the matrices A(x) of the
     conjugation action, and mu the factor set, a TwoCochain whose values are
     a read-only (h, h, k) int64 array.
+
+    Some facts are computed once per instance and kept in one table
+    (_fact): each answer(ext, which, pair), keyed by (which, theta.image,
+    phi.image), and starred_sets, split_kernels and aut_subgroups.
+    with_transversal starts the copy with an empty table, so every verdict
+    and self-check is found again over the new factor set.
     """
 
     def __init__(self, G: FiniteGroup, N: Subgroup):
@@ -161,6 +168,10 @@ class ExtensionData:
         self._cohomology: Optional[CohomologyGroup] = None
         # (pairs, c1, c2, closure checked), see compatible_pairs
         self._compatible: Optional[tuple] = None
+        self._facts: dict = {}
+        self.id_N = GroupAutomorphism.identity(self.n_group)
+        self.id_H = GroupAutomorphism.identity(self.H)
+        self.id_pair = CompatiblePair(self.id_N, self.id_H)
         t = [-1] * self.H.order
         for g in range(G.order):
             x = self.pi(g)
@@ -216,7 +227,8 @@ class ExtensionData:
         return self._cohomology
 
     def with_transversal(self, transversal: Sequence[int]) -> "ExtensionData":
-        """A shallow copy over another transversal; only mu is rebuilt."""
+        """A shallow copy over another transversal; mu is rebuilt and the
+        fact table starts empty."""
         h, G = self.H.order, self.G
         t = tuple(int(v) for v in transversal)
         if len(t) != h:
@@ -228,24 +240,21 @@ class ExtensionData:
                 raise InputError(f"transversal value {g} is not in coset {x}")
         other = copy.copy(self)
         other.transversal = t
+        other._facts = {}
         other.mu = other._build_mu()
         return other
-
-    @property
-    def id_N(self) -> GroupAutomorphism:
-        return GroupAutomorphism.identity(self.n_group)
-
-    @property
-    def id_H(self) -> GroupAutomorphism:
-        return GroupAutomorphism.identity(self.H)
-
-    @property
-    def id_pair(self) -> CompatiblePair:
-        return CompatiblePair(self.id_N, self.id_H)
 
     def __repr__(self) -> str:
         return (f"ExtensionData(|G|={self.G.order}, |N|={self.N.order}, "
                 f"|H|={self.H.order}{', central' if self.central else ''})")
+
+
+def _fact(ext: ExtensionData, key, build):
+    """The fact of ext stored under key, built by build() on first use."""
+    facts = ext._facts
+    if key not in facts:
+        facts[key] = build()
+    return facts[key]
 
 
 def extension_from(G: FiniteGroup, N: Subgroup) -> ExtensionData:
@@ -451,15 +460,17 @@ def automorphism_from_triple(ext: ExtensionData,
     if bad is not None:
         raise TripleConditionsFail(
             f"triple condition {bad[0]} fails at {bad[1]}")
-    G, N = ext.G, ext.N
-    t = ext.transversal
-    img = [0] * G.order
-    for x in range(ext.H.order):
-        base = G.mul(t[phi(x)], ext.coeffs.member_of_coords(chi(x)))
-        for i, mem in enumerate(N.members):
-            img[G.mul(t[x], mem)] = G.mul(base, N.members[theta(i)])
+    G, cayley = ext.G, ext.G.cayley
+    members = np.array(ext.N.members, dtype=np.int64)
+    t = np.array(ext.transversal, dtype=np.int64)
+    chi_members = [ext.coeffs.member_of_coords(v) for v in chi.values.tolist()]
+    # t(phi x) chi(x), then t(x) n -> t(phi x) chi(x) theta(n) for all (x, n)
+    base = cayley[t[list(phi.image)], chi_members]
+    img = np.zeros(G.order, dtype=np.int64)
+    img[cayley[t[:, None], members]] = cayley[base[:, None],
+                                              members[list(theta.image)]]
     try:
-        gamma = GroupAutomorphism(G, img)
+        gamma = GroupAutomorphism(G, img.tolist())
     except InputError as exc:
         raise AssertionError(f"triple produced a non-automorphism: {exc}") from exc
     return gamma
@@ -512,8 +523,16 @@ def answer(ext: ExtensionData, which: int, pair) -> Answer:
     The difference cocycle is built once.  A witness is certified by
     _witness; only without one is the class taken, and it must then be
     nontrivial, or the solver and the class key disagree.  An incompatible
-    pair is answered as such.
+    pair is answered as such.  Each question is answered once per
+    extension; the parents of theta and phi are checked on every call.
     """
+    _check_theta(ext, pair.theta)
+    _check_phi(ext, pair.phi)
+    return _fact(ext, (which, pair.theta.image, pair.phi.image),
+                 lambda: _answer(ext, which, pair))
+
+
+def _answer(ext: ExtensionData, which: int, pair) -> Answer:
     try:
         k = _slice_cocycle(ext, which, pair)
     except NotCompatible:
@@ -538,15 +557,19 @@ class AutSubgroups:
 
 
 def aut_subgroups(ext: ExtensionData) -> AutSubgroups:
-    members, member_set = ext.N.members, ext.N.member_set
-    aut_N = tuple(g for g in automorphism_group(ext.G)
-                  if {g.image[m] for m in members} == member_set)
-    pairs = [_induced_pair(ext, g) for g in aut_N]
-    id_theta, id_phi = pair_key(ext.id_pair)
-    aut_upper = tuple(g for g, p in zip(aut_N, pairs) if p[0] == id_theta)
-    aut_N_H = tuple(g for g, p in zip(aut_N, pairs) if p[1] == id_phi)
-    aut_both = tuple(g for g, p in zip(aut_N, pairs) if p == (id_theta, id_phi))
-    return AutSubgroups(aut_N, aut_upper, aut_N_H, aut_both)
+    """The four sets of ext, found once per extension."""
+    def build() -> AutSubgroups:
+        members, member_set = ext.N.members, ext.N.member_set
+        aut_N = tuple(g for g in automorphism_group(ext.G)
+                      if {g.image[m] for m in members} == member_set)
+        pairs = [_induced_pair(ext, g) for g in aut_N]
+        id_theta, id_phi = pair_key(ext.id_pair)
+        aut_upper = tuple(g for g, p in zip(aut_N, pairs) if p[0] == id_theta)
+        aut_N_H = tuple(g for g, p in zip(aut_N, pairs) if p[1] == id_phi)
+        aut_both = tuple(g for g, p in zip(aut_N, pairs)
+                         if p == (id_theta, id_phi))
+        return AutSubgroups(aut_N, aut_upper, aut_N_H, aut_both)
+    return _fact(ext, "aut_subgroups", build)
 
 
 def sequence_autos(subs: AutSubgroups, which: int) -> tuple:
@@ -582,11 +605,14 @@ def _slice_cocycle(ext: ExtensionData, which: int, pair) -> TwoCochain:
 def starred_sets(ext: ExtensionData, pairs, c1, c2) -> dict[int, tuple]:
     """C1*, C2* and, for central extensions, C*: the members of C1, C2 and C
     (as compatible_pairs gives them) with trivial obstruction class, keyed by
-    sequence."""
-    slices, cg = {1: c1, 2: c2, 3: pairs}, ext.cohomology
-    return {which: tuple(m for m in slices[which] if cg.class_of(
-                _slice_cocycle(ext, which, slice_pair(ext, which, m))).is_trivial)
-            for which in ((1, 2, 3) if ext.central else (1, 2))}
+    sequence.  They are found once per extension and handed out as a fresh
+    dict."""
+    def build() -> dict[int, tuple]:
+        slices, cg = {1: c1, 2: c2, 3: pairs}, ext.cohomology
+        return {which: tuple(m for m in slices[which] if cg.class_of(
+                    _slice_cocycle(ext, which, slice_pair(ext, which, m))).is_trivial)
+                for which in ((1, 2, 3) if ext.central else (1, 2))}
+    return dict(_fact(ext, "starred_sets", build))
 
 
 def verify_exactness(ext: ExtensionData) -> dict:
@@ -603,6 +629,7 @@ def verify_exactness(ext: ExtensionData) -> dict:
         pair class.
     gamma projects to the pair of triple_of(gamma) with the slot the
     sequence fixes read as the identity; a moved fixed slot is a violation.
+    Each gamma is decomposed once per call, whichever sequences project it.
     """
     subs = aut_subgroups(ext)
     pairs, c1, c2 = compatible_pairs(ext)
@@ -612,11 +639,14 @@ def verify_exactness(ext: ExtensionData) -> dict:
     both_keys = {g.image for g in subs.aut_upper_N_H}
     identity = pair_key(ext.id_pair)
     exact: dict[int, Optional[bool]] = {1: None, 2: None, 3: None}
+    decomposed: dict[tuple, tuple] = {}     # gamma.image -> its pair
     for which, star in stars.items():
         seq = _SEQUENCES[which]
         image, kernel = set(), set()
         for g in sequence_autos(subs, which):
-            pair = pair_key(triple_of(ext, g))
+            pair = decomposed.get(g.image)
+            if pair is None:
+                pair = decomposed[g.image] = pair_key(triple_of(ext, g))
             key = tuple(p if free else i
                         for p, free, i in zip(pair, seq.free, identity))
             if key != pair:

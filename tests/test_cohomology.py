@@ -345,6 +345,21 @@ def test_normalization_is_enforced():
         TwoCochain(Z2, (3,), [[(0,), (1,)], [(0,), (0,)]])
 
 
+def test_two_cochain_shapes_are_checked():
+    """A ragged list and an array of the wrong shape are refused with the
+    same messages; only a list is scanned row by row."""
+    zero = [(0,)] * 3
+    for ragged in ([zero, zero, zero[:2]], [zero, zero], [zero, zero, zero + [(0,)]]):
+        with pytest.raises(InputError, match=r"^expected 3x3 values$"):
+            TwoCochain(Z3, (3,), ragged)
+    for shape in ((3, 2, 1), (2, 3, 1), (3,), ()):
+        with pytest.raises(InputError, match=r"^expected 3x3 values$"):
+            TwoCochain(Z3, (3,), np.zeros(shape, dtype=np.int64))
+    with pytest.raises(InputError, match=r"^expected 3x3 values of 1 coordinates$"):
+        TwoCochain(Z3, (3,), np.zeros((3, 3, 2), dtype=np.int64))
+    assert TwoCochain(Z3, (3,), np.zeros((3, 3, 1), dtype=np.int64)).is_zero()
+
+
 def test_cochain_arithmetic_and_parents():
     f = TwoCochain.from_function(Z3, (3,), lambda x, y: ((x * y) % 3,))
     g = TwoCochain.zero(Z3, (3,))
