@@ -644,25 +644,28 @@ def require_closed(keys: Sequence, compose, identity, message: str) -> list:
 def hom_by_generator_images(G: FiniteGroup, T: FiniteGroup,
                             gen_pairs: Sequence[tuple[int, int]]
                             ) -> Optional[dict[int, int]]:
+    """close_generator_images over the Cayley tables of G and T."""
+    return close_generator_images(0, 0, gen_pairs, G.mul, T.mul)
+
+
+def close_generator_images(identity, target_identity, gen_pairs, mul,
+                           target_mul) -> Optional[dict]:
     """Map determined by generator images, or None if inconsistent.
 
+    Elements are hashable keys multiplied by mul, images by target_mul.
     Closes {identity} under right multiplication by the given generators,
     propagating images; a collision with a differing image means no
     homomorphism has those generator images.  A consistent result is a
     genuine homomorphism on the generated subgroup (induction on word
     length), so no quadratic recheck is needed.
     """
-    m = {0: 0}
-    queue = [0]
-    head = 0
-    ts, tt = G.table, T.table
-    while head < len(queue):
-        a = queue[head]
-        head += 1
+    m = {identity: target_identity}
+    queue = [identity]
+    for a in queue:                 # runs over appended members too
         fa = m[a]
         for g, y in gen_pairs:
-            b = ts[a][g]
-            c = tt[fa][y]
+            b = mul(a, g)
+            c = target_mul(fa, y)
             got = m.get(b)
             if got is None:
                 m[b] = c

@@ -14,6 +14,7 @@ pins down the starred set on that family.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -24,8 +25,7 @@ from .errors import (BoundExceeded, NotCentral, NotExtraspecialShape,
                      NotSplit, ParentMismatch)
 from .groups import (FiniteGroup, GroupAutomorphism, GroupHomomorphism,
                      Subgroup, _compose_pair, _compose_perm, center,
-                     derived_subgroup, generating_set, hom_by_generator_images,
-                     require_closed)
+                     close_generator_images, derived_subgroup, require_closed)
 from .wells import (_SEQUENCES, ExtensionData, _fact, _induced_pair,
                     aut_subgroups, compatible_pairs, pair_key, sequence_autos,
                     slice_pair, starred_sets)
@@ -199,24 +199,24 @@ def canonical_sections(ext: ExtensionData) -> tuple[Section, Section, Optional[S
     return build(1), build(2), build(3) if ext.central else None
 
 
-def _abstract_group(keys, compose, identity) -> tuple[FiniteGroup, dict]:
-    """Composition table over hashable keys; the identity is placed first."""
-    if identity not in keys:
-        raise AssertionError("candidate set has no identity element")
-    ordered = [identity] + [k for k in keys if k != identity]
-    pos = {k: i for i, k in enumerate(ordered)}
-    table = [[pos[compose(a, b)] for b in ordered] for a in ordered]
-    return FiniteGroup(table, name=f"abstract{len(keys)}"), pos
+def _order(key, compose, identity) -> int:
+    """Order of a group element, by repeated composition."""
+    k, x = 1, key
+    while x != identity:
+        x = compose(x, key)
+        k += 1
+    return k
 
 
 def section_search(ext: ExtensionData, which: int) -> Optional[Section]:
     """Search for a homomorphic section of sequence 1, 2 or 3.
 
-    Generators of the starred group get images from their projection
-    fibers, constrained to matching element order (sections are injective),
-    and each full assignment is extended by word closure; the first
-    consistent extension is returned verified.  None means exhaustion, so
-    the sequence genuinely does not split.
+    Over pair keys (theta.image, phi.image) and image tuples, the identity
+    first in both, generators of the starred group get images from their
+    projection fibers, constrained to matching element order (sections are
+    injective); each full assignment is extended by the generator closure,
+    and the first consistent extension is returned verified.  None means
+    exhaustion, so the sequence genuinely does not split.
     """
     if which not in (1, 2, 3):
         raise ParentMismatch(f"sequence selector must be 1, 2 or 3, got {which}")
@@ -229,43 +229,36 @@ def section_search(ext: ExtensionData, which: int) -> Optional[Section]:
             f"search bound {config.DEFAULT_SECTION_BOUND}")
     cands = sequence_autos(aut_subgroups(ext), which)
 
+    identity = pair_key(ext.id_pair)
     keys = _pair_keys(ext, which, domain)
-    S, spos = _abstract_group(keys, _compose_pair, pair_key(ext.id_pair))
-    members = [None] * len(domain)
-    for i, m in enumerate(domain):
-        members[spos[keys[i]]] = m
+    gens = require_closed(keys, _compose_pair, identity,
+                          "starred set is not closed under composition")
+    members = dict(zip(keys, domain))
+    keys = [identity] + [k for k in keys if k != identity]
 
-    ckeys = [g.image for g in cands]
-    T, cpos = _abstract_group(ckeys, _compose_perm, tuple(range(ext.G.order)))
-    tmembers = [None] * len(cands)
+    fibers = {k: [] for k in keys}       # cands is sorted: the identity first
     for g in cands:
-        tmembers[cpos[g.image]] = g
-
-    proj = [spos[_induced_pair(ext, tmembers[i])] for i in range(T.order)]
-    fibers = [[i for i in range(T.order) if proj[i] == s] for s in range(S.order)]
-    if any(not f for f in fibers):
+        fibers[_induced_pair(ext, g)].append(g.image)
+    if not all(fibers.values()):
         raise AssertionError("projection misses a starred element")
+    by_image = {g.image: g for g in cands}
+    id_image = tuple(range(ext.G.order))
+    choices = []
+    for g in gens:
+        order = _order(g, _compose_pair, identity)
+        choices.append([c for c in fibers[g]
+                        if _order(c, _compose_perm, id_image) == order])
 
-    gens = generating_set(S)
-    s_orders = S.element_orders()
-    t_orders = T.element_orders()
-    choices = [[c for c in fibers[g] if t_orders[c] == s_orders[g]] for g in gens]
-
-    def walk(depth: int, picked: list) -> Optional[dict]:
-        if depth == len(gens):
-            return hom_by_generator_images(S, T, list(zip(gens, picked)))
-        for c in choices[depth]:
-            got = walk(depth + 1, picked + [c])
-            if got is not None:
-                return got
-        return None
-
-    found = walk(0, [])
+    closed = (close_generator_images(identity, id_image, list(zip(gens, picked)),
+                                     _compose_pair, _compose_perm)
+              for picked in product(*choices))
+    found = next((m for m in closed if m is not None), None)
     if found is None:
         return None
-    sec = Section(which,
-                  tuple(members),
-                  tuple(tmembers[found[i]] for i in range(S.order)))
+    images = tuple(by_image.get(found[k]) for k in keys)
+    if None in images:
+        raise AssertionError("section image is not a candidate automorphism")
+    sec = Section(which, tuple(members[k] for k in keys), images)
     _verify_section(ext, sec)
     return sec
 

@@ -328,11 +328,11 @@ def _acted(ext: ExtensionData, values: np.ndarray,
            phi: Optional[GroupAutomorphism] = None) -> np.ndarray:
     """Theta values o (phi x phi) for the values of a 2-cochain, Theta values
     o phi for those of a 1-cochain; a slot left out or holding the identity
-    costs nothing."""
-    if phi is not None and not phi.is_identity:
+    costs nothing (one tuple compare against id_H or id_N)."""
+    if phi is not None and phi.image != ext.id_H.image:
         p = np.array(phi.image, dtype=np.int64)
         values = values[p[:, None], p] if values.ndim == 3 else values[p]
-    if theta is not None and not theta.is_identity:
+    if theta is not None and theta.image != ext.id_N.image:
         values = values @ restrict_to_matrix(ext.coeffs, theta).T
     return values
 

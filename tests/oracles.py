@@ -16,16 +16,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from extlift import (FiniteGroup, NotCompatible, Subgroup, SylowCheck,
+from extlift import (BoundExceeded, FiniteGroup, NotCentral, NotCompatible,
+                     ParentMismatch, Subgroup, SylowCheck,
                      SylowNotInvariant, SylowReport, all_subgroups,
-                     automorphism_group, extend_automorphism,
+                     automorphism_group, config, extend_automorphism,
                      generating_set, hom_by_generator_images,
                      lift_automorphism, lift_pair, local_extension,
                      quotient_sylows, restrict_to_quotient_sylow,
                      sylow_preimage, wells_cocycle_phi, wells_cocycle_theta)
 from extlift.cohomology import trivial_action
-from extlift.groups import GroupAutomorphism, prime_factors
+from extlift.groups import (GroupAutomorphism, _compose_pair, _compose_perm,
+                            prime_factors)
 from extlift.intlin import ext_gcd, kernel_order
+from extlift.splitting import (Section, _pair_keys, _verify_section,
+                               split_kernels)
+from extlift.wells import (_induced_pair, aut_subgroups, pair_key,
+                           sequence_autos)
 
 # total normalized-cochain assignments a brute H^2 enumeration may visit
 H2_SPACE_BOUND = 2 ** 16
@@ -387,6 +393,82 @@ def section_is_homomorphism(sec) -> bool:
     images = [f.image for f in sec.images]
     return all(mul(images[i], images[j]) == images[index[key_mul(a, b)]]
                for i, a in enumerate(keys) for j, b in enumerate(keys))
+
+
+# The section search over two validated abstract Cayley tables, one over the
+# starred set and one over the candidate automorphisms, as it stood before
+# it ran over pair keys and image tuples; kept as the reference for
+# extlift.splitting.section_search.
+
+def _abstract_group(keys, compose, identity) -> tuple[FiniteGroup, dict]:
+    """Composition table over hashable keys; the identity is placed first."""
+    if identity not in keys:
+        raise AssertionError("candidate set has no identity element")
+    ordered = [identity] + [k for k in keys if k != identity]
+    pos = {k: i for i, k in enumerate(ordered)}
+    table = [[pos[compose(a, b)] for b in ordered] for a in ordered]
+    return FiniteGroup(table, name=f"abstract{len(keys)}"), pos
+
+
+def reference_section_search(ext, which: int):
+    """Search for a homomorphic section of sequence 1, 2 or 3.
+
+    Generators of the starred group get images from their projection
+    fibers, constrained to matching element order (sections are injective),
+    and each full assignment is extended by word closure; the first
+    consistent extension is returned verified.  None means exhaustion, so
+    the sequence genuinely does not split.
+    """
+    if which not in (1, 2, 3):
+        raise ParentMismatch(f"sequence selector must be 1, 2 or 3, got {which}")
+    if which == 3 and not ext.central:
+        raise NotCentral("pair sequence only exists for central extensions")
+    domain = split_kernels(ext)[which - 1]
+    if len(domain) > config.DEFAULT_SECTION_BOUND:
+        raise BoundExceeded(
+            f"starred set of order {len(domain)} exceeds the section "
+            f"search bound {config.DEFAULT_SECTION_BOUND}")
+    cands = sequence_autos(aut_subgroups(ext), which)
+
+    keys = _pair_keys(ext, which, domain)
+    S, spos = _abstract_group(keys, _compose_pair, pair_key(ext.id_pair))
+    members = [None] * len(domain)
+    for i, m in enumerate(domain):
+        members[spos[keys[i]]] = m
+
+    ckeys = [g.image for g in cands]
+    T, cpos = _abstract_group(ckeys, _compose_perm, tuple(range(ext.G.order)))
+    tmembers = [None] * len(cands)
+    for g in cands:
+        tmembers[cpos[g.image]] = g
+
+    proj = [spos[_induced_pair(ext, tmembers[i])] for i in range(T.order)]
+    fibers = [[i for i in range(T.order) if proj[i] == s] for s in range(S.order)]
+    if any(not f for f in fibers):
+        raise AssertionError("projection misses a starred element")
+
+    gens = generating_set(S)
+    s_orders = S.element_orders()
+    t_orders = T.element_orders()
+    choices = [[c for c in fibers[g] if t_orders[c] == s_orders[g]] for g in gens]
+
+    def walk(depth: int, picked: list) -> Optional[dict]:
+        if depth == len(gens):
+            return hom_by_generator_images(S, T, list(zip(gens, picked)))
+        for c in choices[depth]:
+            got = walk(depth + 1, picked + [c])
+            if got is not None:
+                return got
+        return None
+
+    found = walk(0, [])
+    if found is None:
+        return None
+    sec = Section(which,
+                  tuple(members),
+                  tuple(tmembers[found[i]] for i in range(S.order)))
+    _verify_section(ext, sec)
+    return sec
 
 
 # The prime-by-prime loops of the Sylow reduction as three separate copies,

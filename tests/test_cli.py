@@ -326,6 +326,17 @@ def test_automorphism_search_bound_exits_3(capsys):
                       "kind": "BoundExceeded"}
 
 
+def test_section_search_bound_exits_3(capsys):
+    """The starred quotient set of heisenberg(5) over its centre has 480
+    members; the search refuses it before enumerating anything."""
+    code, report, _ = run(capsys, "split", "--group", "heisenberg(5)",
+                          "--subgroup", "center")
+    assert code == 3
+    assert report == {"error": "starred set of order 480 exceeds the section "
+                               f"search bound {config.DEFAULT_SECTION_BOUND}",
+                      "kind": "BoundExceeded"}
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog", "--expr", "cyclic(6)"],
     ["h2", "--group", "catalog:cyclic(300)", "--coeffs", "cyclic(2)"]])

@@ -3,18 +3,21 @@ extraspecial family pinned down through its commutator pairing."""
 
 import pytest
 
-from extlift import (BoundExceeded, NotCentral, NotExtraspecialShape,
-                     NotSplit, ParentMismatch, Subgroup, automorphism_group,
-                     canonical_sections, catalog, commutator_form, config,
+from extlift import (BoundExceeded, FiniteGroup, NotCentral,
+                     NotExtraspecialShape, NotSplit, ParentMismatch, Subgroup,
+                     automorphism_group, canonical_sections, catalog,
+                     commutator_form, config,
                      extend_automorphism, extension_from, is_form_preserving,
                      is_split_extension, lift_automorphism, lift_pair,
                      NotCompatible, section_search, shipped_corpus,
                      split_kernels, triple_of)
 from extlift.groups import GroupAutomorphism, center, derived_subgroup
+from extlift.reports import corpus_pairs
 from extlift.splitting import _verify_section
 from extlift.wells import aut_subgroups, compatible_pairs
 
-from oracles import has_complement, section_is_homomorphism
+from oracles import (has_complement, reference_section_search,
+                     section_is_homomorphism)
 from test_wells import _alt4
 
 
@@ -242,6 +245,53 @@ def test_section_search_argument_validation(monkeypatch):
     monkeypatch.setattr(config, "DEFAULT_SECTION_BOUND", 1)
     with pytest.raises(BoundExceeded):
         section_search(ext, 2)
+
+
+def test_section_search_matches_the_abstract_table_search():
+    """The search over pair keys and image tuples returns the domain, the
+    images in order, the None or the bound refusal of the search over two
+    abstract Cayley tables, on every corpus extension and sequence."""
+    heis = catalog("heisenberg", 3)
+    z16 = catalog("cyclic", 16)
+    exts = [extension_from(G, N) for G in shipped_corpus() for N in corpus_pairs(G)]
+    exts += [extension_from(heis, center(heis)),
+             extension_from(z16, Subgroup(z16, [0, 8]))]
+    exhausted = refused = 0
+    for ext in exts:
+        for which in (1, 2, 3) if ext.central else (1, 2):
+            try:
+                want = reference_section_search(ext, which)
+            except BoundExceeded as exc:
+                with pytest.raises(BoundExceeded) as got:
+                    section_search(ext, which)
+                assert str(got.value) == str(exc)
+                refused += 1
+                continue
+            got = section_search(ext, which)
+            if want is None:
+                assert got is None, (ext.G.name, which)
+                exhausted += 1
+                continue
+            assert got.domain == want.domain, (ext.G.name, which)
+            assert [g.image for g in got.images] == \
+                [g.image for g in want.images], (ext.G.name, which)
+    assert exhausted > 0 and refused > 0
+
+
+def test_section_search_builds_no_cayley_table(monkeypatch):
+    heis = catalog("heisenberg", 3)
+    ext = extension_from(heis, center(heis))
+    assert section_search(ext, 2) is not None      # caches the facts
+    built = []
+    real = FiniteGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting)
+    assert section_search(ext, 2) is not None
+    assert built == []
 
 
 def _split_sections():
