@@ -24,19 +24,28 @@ letter shorter, so if D(x, s, z) = 0 for every s in S and all x, z, then
 induction on the word length of y gives D = 0 everywhere (a triple with an
 identity argument holds by normalization, using A(1) = 1).  Hence f is a
 2-cocycle iff the identity holds at the (h-1)^2 |S| triples (x, s, z).
-Both uses of the identity rest on this:
 
-- |Z^2|: unknowns are the values f(x, y) for x, y != 1 only; normalization
-  fixes the rest.  The system is re-parametrized by the slice values
-  f(x, s), s in S, peeling the second argument along a breadth-first
-  spanning tree, and the identity is imposed at the (x, s, z) only:
-  (h-1)^2 |S| k congruences instead of (h-1)^3 k, less the (x, s, w) of
-  the tree edges w -> s w, which hold by construction.  kernel_order
-  dedupes them.
-- two_cocycle_defect tests the (x, s, z) in one gather of shape
+D is written once, in _identity, which evaluates it unreduced at index
+arrays x, y, z that broadcast together, on any array F indexed [x, y, ...]
+(the action reduced mod d).  Every use of the identity calls it:
+
+- two_cocycle_defect tests the (x, s, z) in one call of shape
   (h-1, |S|, h-1, k).  Only when one fails does it scan all (h-1)^3
   triples, a block of first arguments at a time in O(h^2 k) memory, to
   name the lexicographically first failing one.
+- |Z^2|: unknowns are the values f(x, y) for x, y != 1 only; normalization
+  fixes the rest.  The system is re-parametrized by the slice values
+  f(x, s), s in S: E[x, y, c, r] is the coefficient of slice unknown r in
+  coordinate c of f(x, y), a stack of 2-cochains.  E is filled by peeling
+  the second argument along a breadth-first spanning tree: while
+  E[:, s w] is still zero, D(x, s, w) is the value of f(x, s w) that makes
+  the identity at (x, s, w) hold, and it is written there.  The identity
+  is then imposed at the other (x, s, z): (h-1)^2 |S| k congruences
+  instead of (h-1)^3 k, less those of the tree edges.  kernel_order
+  dedupes them.
+
+The coboundary chi(xy) - chi(y) - A(y) chi(x) is likewise written once, in
+_coboundary.
 """
 
 from __future__ import annotations
@@ -90,8 +99,20 @@ def validate_action(group: FiniteGroup, moduli: Sequence[int], action) -> Action
     Returns it as a read-only (h, k, k) int64 array (None stays None); a
     read-only int64 array of that shape is returned as it is.
     """
+    return _proven_action(group, moduli, action)[0]
+
+
+def _proven_action(group: FiniteGroup, moduli: Sequence[int], action
+                   ) -> tuple[Action, Action]:
+    """validate_action's array and the same array mod d, the form the
+    kernels take.  The last array proven for a group is remembered, so
+    proving it again is one lookup."""
     if action is None:
-        return None
+        return None, None
+    d = _moduli_array(tuple(moduli))
+    hit = _PROVEN_ACTIONS.get(group)
+    if hit is not None and hit[0] is action and hit[1] is d:
+        return action, hit[2]
     h = group.order
     k = len(moduli)
     if len(action) != h:
@@ -99,21 +120,22 @@ def validate_action(group: FiniteGroup, moduli: Sequence[int], action) -> Action
     for x, M in enumerate(action):
         if len(M) != k or any(len(row) != k for row in M):
             raise InputError(f"action matrix {x} is not {k}x{k}")
-    A = np.asarray(action, dtype=np.int64)
+    try:
+        A = np.asarray(action, dtype=np.int64)
+    except OverflowError:
+        raise InputError("action matrix entry out of range") from None
     if A.shape != (h, k, k):
         A = A.reshape(h, k, k)
     if A.flags.writeable:
         A = A.copy()
         A.flags.writeable = False
-    d = _moduli_array(tuple(moduli))
-    undefined = (A * d) % d[:, None]
+    R = _mod_rows(A, d)
+    undefined = (R * d) % d[:, None]
     if undefined.any():
         x, i, j = (int(v) for v in np.argwhere(undefined)[0])
         raise InputError(
             f"action matrix {x} entry ({i},{j}) is not defined "
             f"on Z/{moduli[j]} -> Z/{moduli[i]}")
-    # entry (i, j) matters mod d_i only; reducing bounds the products below
-    R = A % d[:, None]
     if ((R[0] - np.eye(k, dtype=np.int64)) % d[:, None]).any():
         raise InputError("action at the identity must be the identity matrix")
     # composition convention for a right action: A(xy) = A(y) A(x)
@@ -122,7 +144,15 @@ def validate_action(group: FiniteGroup, moduli: Sequence[int], action) -> Action
     if bad.any():
         x, y = (int(v) for v in np.argwhere(bad)[0])
         raise InputError(f"action is not multiplicative at ({x},{y})")
-    return A
+    R.flags.writeable = False
+    _PROVEN_ACTIONS[group] = (A, d, R)
+    return A, R
+
+
+def _mod_rows(action, d: np.ndarray) -> Action:
+    """A matrix family with entry (i, j) reduced mod d_i, where it matters
+    only; reducing bounds the products of the kernels.  None stays None."""
+    return None if action is None else np.asarray(action, dtype=np.int64) % d[:, None]
 
 
 def _reduced(values, moduli: tuple[int, ...], shape: tuple[int, ...],
@@ -306,42 +336,31 @@ def _parse_cochain_json(group: FiniteGroup, data: dict, arity: int):
 # upper bound on the triples (x, y, z) the full scan gathers at once
 _CHECK_BLOCK_TRIPLES = 2 ** 15
 
-# per group: index arrays of its generator triples (x, s, z)
-_GENERATOR_TRIPLES: WeakKeyDictionary = WeakKeyDictionary()
-# per group: the last read-only action array proven a right action, with
-# the moduli array it was proven over and its nonidentity matrices mod d
+# per group: the last action array proven a right action, with the moduli
+# array it was proven over and the array mod d
 _PROVEN_ACTIONS: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _generator_triples(group: FiniteGroup):
-    """(s, xs, x, sz): generators s, products xs as (h-1, |S|), first
-    arguments x as (h-1, 1, 1) and products sz as (|S|, h-1), x, z != 1."""
-    out = _GENERATOR_TRIPLES.get(group)
-    if out is None:
-        tab = group.cayley
-        s = np.array(group.generators, dtype=np.intp)
-        out = (s, tab[1:, s], np.arange(1, group.order)[:, None, None], tab[s, 1:])
-        _GENERATOR_TRIPLES[group] = out
-    return out
+def _identity(F: np.ndarray, A: Action, tab: np.ndarray, x, y, z) -> np.ndarray:
+    """D(x, y, z) = f(xy, z) + A(z) f(x, y) - f(x, yz) - f(y, z), unreduced.
+
+    x, y, z are index arrays (or ints) that broadcast together; F is indexed
+    [x, y, c, ...] and its trailing axes pass through.  A is the action mod
+    d, or None for the trivial action.
+    """
+    tail = F.shape[3:]
+    acted = F[x, y]
+    if A is not None:
+        acted = A[z] @ acted.reshape(acted.shape[:acted.ndim - len(tail)] + (-1,))
+        acted = acted.reshape(acted.shape[:-1] + tail)
+    return F[tab[x, y], z] + acted - F[x, tab[y, z]] - F[y, z]
 
 
-def _right_action_mod(group: FiniteGroup, moduli: tuple[int, ...], action
-                      ) -> Optional[np.ndarray]:
-    """A(z) mod d for z != 1 when validate_action accepts action (the lemma
-    in the module docstring needs a well-defined right action), else None.
-    A read-only array it accepts is remembered for its group."""
-    d = _moduli_array(moduli)
-    hit = _PROVEN_ACTIONS.get(group)
-    if hit is not None and hit[0] is action and hit[1] is d:
-        return hit[2]
-    try:
-        A = validate_action(group, moduli, action)
-    except InputError:
-        return None
-    R = A[1:] % d[None, :, None]
-    if A is action:
-        _PROVEN_ACTIONS[group] = (action, d, R)
-    return R
+def _coboundary(C: np.ndarray, A: Action, tab: np.ndarray) -> np.ndarray:
+    """chi(xy) - chi(y) - A(y) chi(x), unreduced, indexed [x, y], for C
+    indexed [x, c]; A is indexed by y and reduced mod d, or None."""
+    acted = C[:, None] if A is None else np.einsum("yij,xj->xyi", A, C)
+    return C[tab] - C[None] - acted
 
 
 def two_cocycle_defect(f: TwoCochain, action: Action):
@@ -360,51 +379,32 @@ def two_cocycle_defect(f: TwoCochain, action: Action):
 def _holds_at_generator_triples(f: TwoCochain, action: Action) -> bool:
     """True when action is None or a well-defined right action and the
     identity holds at every (x, s, z) with s a generator, tested in one
-    gather of shape (h-1, |S|, h-1, k); f is then a cocycle (module
+    call of shape (h-1, |S|, h-1, k); f is then a cocycle (module
     docstring).  False says only that this test does not prove it."""
-    d = _moduli_array(f.moduli)
-    A = None if action is None else _right_action_mod(f.group, f.moduli, action)
-    if action is not None and A is None:
+    try:
+        A = _proven_action(f.group, f.moduli, action)[1]
+    except InputError:
         return False
-    F = f.values
-    s, xs, x, sz = _generator_triples(f.group)
-    fxs = F[1:, s]                           # f(x, s): (h-1, |S|, k)
-    if A is None:
-        acted = fxs[:, :, None, :]
-    else:
-        acted = np.einsum("zij,xsj->xszi", A, fxs)
-    diff = F[xs, 1:] + acted - F[x, sz] - F[s, 1:]
-    return not (diff % d).any()
+    x = np.arange(1, f.group.order)
+    s = np.array(f.group.generators, dtype=np.intp)
+    diff = _identity(f.values, A, f.group.cayley, x[:, None, None], s[:, None], x)
+    return not (diff % _moduli_array(f.moduli)).any()
 
 
 def _first_defect(f: TwoCochain, action: Action):
     """The lexicographically first failing triple of non-identity elements.
 
-    The four terms f(xy,z), A(z) f(x,y), f(x,yz) and f(y,z) are gathered as
-    int64 arrays for a block of first arguments x at a time, sized so a block
-    holds at most _CHECK_BLOCK_TRIPLES triples; memory stays O(h^2 k).
+    D is evaluated for a block of first arguments x at a time, sized so a
+    block holds at most _CHECK_BLOCK_TRIPLES triples; memory stays O(h^2 k).
     """
     h = f.group.order
     d = _moduli_array(f.moduli)
-    F = f.values
-    tab = f.group.cayley
-    sub = F[1:, 1:]                      # f(y, z)
-    yz = tab[1:, 1:]
-    if action is not None:
-        # entry (i, j) of A(z) matters mod d_i only; reducing bounds the products
-        A = np.asarray(action, dtype=np.int64)[1:] % d[None, :, None]
+    A = _mod_rows(action, d)
+    rest = np.arange(1, h)
     step = max(1, _CHECK_BLOCK_TRIPLES // ((h - 1) * (h - 1)))
     for x0 in range(1, h, step):
         xs = np.arange(x0, min(x0 + step, h))
-        fxy = F[xs, 1:]                  # f(x, y): (b, h-1, k)
-        if action is None:
-            acted = fxy[:, :, None, :]
-        else:
-            acted = np.einsum("zij,xyj->xyzi", A, fxy)
-        diff = (F[tab[xs, 1:], 1:]           # f(xy, z)
-                + acted
-                - F[xs[:, None, None], yz]    # f(x, yz)
-                - sub)
+        diff = _identity(f.values, A, f.group.cayley, xs[:, None, None], rest[:, None], rest)
         bad = (diff % d).any(axis=-1)
         if bad.any():
             i, y, z = np.argwhere(bad)[0]
@@ -425,15 +425,12 @@ def coboundary_of(chi: OneCochain, action: Action,
     appears when comparing factor sets across an automorphism of H.
     """
     G = chi.group
-    C = chi.values
-    if action is None:
-        acted = C[:, None, :]
-    else:
-        A = np.asarray(action, dtype=np.int64)
-        if phi is not None:
-            A = A[list(phi.image)]
-        acted = np.einsum("yij,xj->xyi", A, C)      # A((phi) y) chi(x)
-    return TwoCochain(G, chi.moduli, C[G.cayley] - C[None, :, :] - acted)
+    if phi is not None and (not isinstance(phi, GroupAutomorphism) or phi.group is not G):
+        raise ParentMismatch("phi must be an automorphism of the cochain's group")
+    A = _mod_rows(action, _moduli_array(chi.moduli))
+    if A is not None and phi is not None:
+        A = A[list(phi.image)]
+    return TwoCochain(G, chi.moduli, _coboundary(chi.values, A, G.cayley))
 
 
 class CohomologyClass:
@@ -482,7 +479,7 @@ class CohomologyGroup:
         self.coeffs = coeffs
         moduli = getattr(coeffs, "invariant_factors", None)
         self.moduli = tuple(moduli if moduli is not None else coeffs)
-        self.action = validate_action(group, self.moduli, action)
+        self.action, self._A = _proven_action(group, self.moduli, action)
         h = group.order
         k = len(self.moduli)
         unknowns = (h - 1) * (h - 1) * k
@@ -497,9 +494,10 @@ class CohomologyGroup:
         self._lattice = TriangularLattice(self.moduli * (h - 1) ** 2, expr_len=n)
         # generators: the coboundaries of the unit cochains, x = 1 + i // k
         # and coordinate i % k, each recorded as the i-th unit expression
+        d = _moduli_array(self.moduli)
         for unit in np.eye(h * k, dtype=np.int64)[k:]:
-            chi = OneCochain(group, self.moduli, unit.reshape(h, k))
-            self._lattice.insert(self.vector_of(coboundary_of(chi, self.action)), unit[k:])
+            delta = _coboundary(unit.reshape(h, k), self._A, group.cayley) % d
+            self._lattice.insert(delta[1:, 1:].reshape(-1), unit[k:])
         self.b2_order = self._lattice.span_order()
         self.z2_order = self._z2_order()
         if self.z2_order % self.b2_order:
@@ -553,23 +551,22 @@ class CohomologyGroup:
         h, k = self._h, self._k
         if h == 1 or k == 0:
             return 1
-        G = self.group
+        G, tab, A = self.group, self.group.cayley, self._A
         d = _moduli_array(self.moduli)
-        s, xs, x, sz = _generator_triples(G)
+        s = np.array(G.generators, dtype=np.intp)
         ns = s.size
         r = (h - 1) * ns * k
-        mats = trivial_action(G, self.moduli) if self.action is None else self.action
+        x = np.arange(1, h)
 
-        # express every f(x, y) linearly in the slice values f(x, s), s a
-        # generator, by peeling the second argument along a breadth-first
-        # spanning tree: f(x, s w) = f(x s, w) + A(w) f(x, s) - f(s, w).
-        # E[y, x, c] is coordinate c of f(x, y); f(x, s) for the si-th
-        # generator s is slice unknown ((x-1)*ns + si)*k + c
-        dmod = d.reshape(1, k, 1)
+        # E[x, y, c] expresses coordinate c of f(x, y) in the slice values;
+        # f(x, s) for the si-th generator s is slice unknown
+        # ((x-1)*ns + si)*k + c.  Along a breadth-first spanning tree,
+        # E[1:, s w] takes the value of D(x, s, w) while it is still zero
+        # (module docstring).
         E = np.zeros((h, h, k, r), dtype=np.int64)
-        E[s, 1:] = np.eye(r, dtype=np.int64).reshape(h - 1, ns, k, r).swapaxes(0, 1)
+        E[1:, s] = np.eye(r, dtype=np.int64).reshape(h - 1, ns, k, r)
         # tree[w, si]: s w was reached from w, so the identity at (x, s, w)
-        # holds by the construction of E[s w] and gives no congruence
+        # holds by the construction of E[:, s w] and gives no congruence
         tree = np.zeros((h, ns), dtype=bool)
         reached = {0}
         queue = deque([0])
@@ -582,21 +579,14 @@ class CohomologyGroup:
                 reached.add(y)
                 if w:
                     tree[w, si] = True
-                    E[y] = (E[w][G.cayley[:, g]]
-                            + np.einsum("ci,xir->xcr", mats[w], E[g])
-                            - E[w][g][None, :, :]) % dmod
+                    E[1:, y] = _identity(E, A, tab, x, g, w) % d[:, None]
                 queue.append(y)
         if len(reached) != h:
             raise AssertionError("generating set does not reach the whole group")
 
-        # the identity f(xs, z) + A(z) f(x, s) - f(x, sz) - f(s, z) = 0 at
-        # the other triples (x, s, z), as (pair, x, c) rows
+        # the identity at the other triples (x, s, z), as (pair, x, c) rows
         zp, sp = np.nonzero(~tree[1:])
         zp += 1
-        xcol = x.reshape(-1)
-        rows = E[zp[:, None], xs[:, sp].T]
-        rows += np.einsum("pci,pxir->pxcr", mats[zp], E[s[sp], 1:])
-        rows -= E[sz[sp, zp - 1][:, None], xcol]
-        rows -= E[zp, s[sp]][:, None]
+        rows = _identity(E, A, tab, x, s[sp, None], zp[:, None])
         return kernel_order(rows.reshape(-1, r), np.tile(d, zp.size * (h - 1)),
                             np.tile(d, (h - 1) * ns))

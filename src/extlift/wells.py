@@ -44,7 +44,8 @@ from . import config
 from .abelian import (AbelianStructure, Vector, abelian_structure,
                       matrix_of_endomorphism, restrict_to_matrix)
 from .cohomology import (CohomologyClass, CohomologyGroup, OneCochain,
-                         TwoCochain, coboundary_of, two_cocycle_defect)
+                         TwoCochain, _coboundary, coboundary_of,
+                         two_cocycle_defect)
 from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotCentral,
                      NotCompatible, ParentMismatch, TripleConditionsFail)
 from .groups import (FiniteGroup, GroupAutomorphism, Subgroup, _compose_pair,
@@ -398,18 +399,15 @@ def _triple_defect(ext: ExtensionData, theta: GroupAutomorphism,
     d = np.array(ext.moduli, dtype=np.int64)
     T = restrict_to_matrix(ext.coeffs, theta)
     A = ext.action
-    p = np.array(phi.image, dtype=np.int64)
-    A_phi = A[p]
+    A_phi = A[list(phi.image)]
     bad = ((T @ A - A_phi @ T) % d[:, None]).any(axis=(1, 2))
     if bad.any():
         return ("(3)", int(np.argmax(bad)))
     mu = ext.mu.values
-    C = chi.values
-    lhs = mu[p[:, None], p[None, :]] - mu @ T.T
-    # chi(xy) - chi(y) - A(phi y) chi(x), indexed [x, y]
-    rhs = (C[ext.H.cayley] - C[None, :, :]
-           - np.einsum("yij,xj->xyi", A_phi, C))
-    bad = ((lhs - rhs) % d).any(axis=-1)
+    # mu(phi x, phi y) - Theta mu(x, y) against the phi-twisted coboundary of chi
+    diff = (_acted(ext, mu, phi=phi) - _acted(ext, mu, theta=theta)
+            - _coboundary(chi.values, A_phi, ext.H.cayley))
+    bad = (diff % d).any(axis=-1)
     if bad.any():
         x, y = np.argwhere(bad)[0]
         return ("(2)", (int(x), int(y)))

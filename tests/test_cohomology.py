@@ -7,8 +7,9 @@ from math import gcd
 import numpy as np
 import pytest
 
-from extlift import (BoundExceeded, CohomologyGroup, InputError, NotACocycle,
-                     OneCochain, ParentMismatch, Subgroup, TwoCochain, catalog,
+from extlift import (BoundExceeded, CohomologyGroup, GroupAutomorphism,
+                     InputError, NotACocycle, OneCochain, ParentMismatch,
+                     Subgroup, TwoCochain, catalog,
                      coboundary_of, extension_from, is_two_cocycle,
                      trivial_action, two_cocycle_defect)
 from extlift.catalog import shipped_corpus
@@ -430,6 +431,61 @@ def test_action_validation():
         validate_action(Z2, (2,), bad)
     ta = trivial_action(Z3, (2, 4))
     validate_action(Z3, (2, 4), ta)
+
+
+def test_action_entries_matter_mod_the_target_modulus_only():
+    """An action shifted by multiples of d_i far past d_i * d_j answers as
+    its reduction does: Z6 acting on Z/7 by x -> 3^x, and Z2 inverting Z/8
+    (|H^2| = 2, so its class keys are not all zero).  An entry beyond
+    64 bits is refused as input."""
+    rng = random.Random(14)
+    for H, d, small in [(catalog("cyclic", 6), 7, [3 ** x % 7 for x in range(6)]),
+                        (Z2, 8, [1, 7])]:
+        big = [[[v + d * 2 ** 58]] for v in small]
+        small = [[[v]] for v in small]
+        cs, cb = CohomologyGroup(H, (d,), small), CohomologyGroup(H, (d,), big)
+        assert (cb.z2_order, cb.b2_order, cb.h2_order) == \
+            (cs.z2_order, cs.b2_order, cs.h2_order)
+        keys = set()
+        for v in range(d):
+            chi = OneCochain(H, (d,), [(0,)] + [(rng.randrange(d),)
+                                                for _ in range(H.order - 1)])
+            delta = coboundary_of(chi, small)
+            assert coboundary_of(chi, big) == delta
+            bump = np.zeros((H.order, H.order, 1), dtype=np.int64)
+            bump[1, 1] = v
+            f = TwoCochain(H, (d,), delta.values + bump)
+            if is_two_cocycle(f, small):
+                assert is_two_cocycle(f, big)
+                assert cb.class_of(f).key == cs.class_of(f).key
+                keys.add(cs.class_of(f).key)
+        assert len(keys) == cs.h2_order
+    with pytest.raises(InputError, match="out of range"):
+        validate_action(Z2, (8,), [[[1]], [[2 ** 64]]])
+
+
+def test_coboundary_of_refuses_a_foreign_phi():
+    chi = OneCochain(Z4, (5,), [(0,), (1,), (2,), (3,)])
+    family = [((1,),), ((2,),), ((4,),), ((3,),)]
+    for action in (None, family):
+        for phi in (GroupAutomorphism.identity(V4), GroupAutomorphism.identity(Z3)):
+            with pytest.raises(ParentMismatch):
+                coboundary_of(chi, action, phi)
+
+
+def test_cohomology_build_constructs_no_cochains(monkeypatch):
+    """B^2 is built from the unit cochains' coboundaries as arrays."""
+    cases = [(ext.H, ext.coeffs, ext.cocycle_action) for ext in
+             (extension_from(G, Subgroup(G, m)) for G, m in _extension_cases())]
+    built = []
+    for cls in (OneCochain, TwoCochain):
+        def counting(self, *args, real=cls.__init__, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    for H, coeffs, action in cases + [(V4, (2, 4), None)]:
+        CohomologyGroup(H, coeffs, action)
+    assert built == []
 
 
 def test_unknown_bound_is_enforced():
