@@ -34,7 +34,7 @@ from .splitting import (CommutatorForm, Section, SplitKernels, SplitWitness,
                         is_form_preserving, is_split_extension,
                         section_search, split_kernels)
 from .wells import (Answer, AutSubgroups, CompatiblePair, ExtensionData,
-                    WellsTriple, answer, automorphism_from_triple,
+                    WellsTriple, answer, answers, automorphism_from_triple,
                     aut_subgroups, compatible_pairs, derivation_check,
                     extend_automorphism, extension_from,
                     h2_conjugation_action, is_compatible, lambda1, lambda2,
@@ -65,7 +65,8 @@ __all__ = [
     "canonical_sections", "commutator_form", "is_form_preserving",
     "is_split_extension", "section_search", "split_kernels",
     "Answer", "AutSubgroups", "CompatiblePair", "ExtensionData", "WellsTriple",
-    "answer", "automorphism_from_triple", "aut_subgroups", "compatible_pairs",
+    "answer", "answers", "automorphism_from_triple", "aut_subgroups",
+    "compatible_pairs",
     "derivation_check", "extend_automorphism", "extension_from",
     "h2_conjugation_action", "is_compatible", "lambda1", "lambda2",
     "lambda_pair", "lift_automorphism", "lift_pair", "random_transversal",

@@ -152,7 +152,12 @@ def _proven_action(group: FiniteGroup, moduli: Sequence[int], action
 def _mod_rows(action, d: np.ndarray) -> Action:
     """A matrix family with entry (i, j) reduced mod d_i, where it matters
     only; reducing bounds the products of the kernels.  None stays None."""
-    return None if action is None else np.asarray(action, dtype=np.int64) % d[:, None]
+    if action is None:
+        return None
+    try:
+        return np.asarray(action, dtype=np.int64) % d[:, None]
+    except OverflowError:
+        raise InputError("action matrix entry out of range") from None
 
 
 def _reduced(values, moduli: tuple[int, ...], shape: tuple[int, ...],
@@ -358,8 +363,10 @@ def _identity(F: np.ndarray, A: Action, tab: np.ndarray, x, y, z) -> np.ndarray:
 
 def _coboundary(C: np.ndarray, A: Action, tab: np.ndarray) -> np.ndarray:
     """chi(xy) - chi(y) - A(y) chi(x), unreduced, indexed [x, y], for C
-    indexed [x, c]; A is indexed by y and reduced mod d, or None."""
-    acted = C[:, None] if A is None else np.einsum("yij,xj->xyi", A, C)
+    indexed [x, c, ...]; A is indexed [y, i, j, ...] and reduced mod d, or
+    None.  Trailing axes of C and A pass through, so a stack of cochains
+    (and of actions) is one call."""
+    acted = C[:, None] if A is None else np.einsum("yij...,xj...->xyi...", A, C)
     return C[tab] - C[None] - acted
 
 

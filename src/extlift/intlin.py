@@ -148,20 +148,20 @@ class TriangularLattice:
         # keep off-pivot entries small: walk each changed row against those below
         for at, i in enumerate(changed):
             row = rows[i]
-            taken = self._taken(self._walk(row, i + 1, dirty=changed[at + 1:]))
+            taken = self._taken(*self._walk(row, i + 1, dirty=changed[at + 1:]))
             exprs[i] = (exprs[i] - taken) % L
             free = piv[i + 1:] == mod[i + 1:]
             row[i + 1:][free] %= mod[i + 1:][free]
 
     def _walk(self, v: np.ndarray, start: int = 0,
-              dirty: Sequence[int] = ()) -> list[tuple[int, int]]:
+              dirty: Sequence[int] = ()) -> tuple[list[int], list[int]]:
         """Take multiples of the rows from `start` on whose pivot fell below
         the modulus off v, in pivot order, leaving each pivot entry in
-        [0, pivot); return the (row, multiple) steps.  Entries under
-        untouched modulus rows are left to the caller.  Rows in `dirty`
-        changed in this insert and are measured, not assumed small.
+        [0, pivot); return the rows stepped on and their multiples.  Entries
+        under untouched modulus rows are left to the caller.  Rows in
+        `dirty` changed in this insert and are measured, not assumed small.
         """
-        rows, steps, big = self.rows, [], None
+        rows, js, qs, big = self.rows, [], [], None
         first = bisect_left(self._piv, start)
         for j, p in zip(self._piv[first:], self._pivots[first:]):
             q = int(v[j]) // p
@@ -172,17 +172,18 @@ class TriangularLattice:
                        else big) + step
                 _fits(big)
                 v[j:] -= q * rows[j, j:]
-                steps.append((j, q))
-        return steps
+                js.append(j)
+                qs.append(q)
+        return js, qs
 
-    def _taken(self, steps: list[tuple[int, int]]) -> np.ndarray:
-        """The expression of the steps' rows times their multiples, mod lcm."""
-        if not steps or not self.expr_len:
-            return np.zeros(self.expr_len, dtype=np.int64)
+    def _taken(self, js: Sequence[int], qs) -> np.ndarray:
+        """The expression of rows js taken qs times, mod lcm; qs is one
+        multiple per row, or a block of them, one line per vector."""
+        if not self.expr_len:
+            return np.zeros(np.shape(qs)[:-1] + (0,), dtype=np.int64)
         L = self._lcm
-        js, qs = zip(*steps)
-        _fits(len(qs) * (L - 1) ** 2)
-        return np.dot([q % L for q in qs], self.exprs.take(js, axis=0)) % L
+        _fits(len(js) * (L - 1) ** 2)
+        return (np.asarray(qs, dtype=np.int64) % L) @ self.exprs[list(js)] % L
 
     def reduce(self, vec: Sequence[int]) -> Optional[np.ndarray]:
         """Express vec over the basis; return the generator expression or None.
@@ -191,11 +192,11 @@ class TriangularLattice:
         lies in the lattice.  The basis is not modified.
         """
         v = self._vector(vec)
-        steps = self._walk(v)
+        js, qs = self._walk(v)
         # on a member every floor step divides exactly: the steps of its expression
         if (v % self._mod).any():
             return None
-        return self._taken(steps)
+        return self._taken(js, qs)
 
     def contains(self, vec: Sequence[int]) -> bool:
         return self.reduce(vec) is not None
@@ -212,18 +213,22 @@ class TriangularLattice:
         self._walk(v)
         return tuple((v % self._mod).tolist())
 
-    def _remainders(self, block: np.ndarray) -> np.ndarray:
-        """The remainder of every row of an int64 block, in place."""
+    def _remainders(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The remainder of every row of an int64 block, in place, and the
+        multiples of the rows in _piv the walk took off each: a row lies in
+        the lattice iff its remainder is zero, and then _taken(_piv, its
+        multiples) is its expression, as reduce gives it."""
         big = _absmax(block)
-        for j, p in zip(self._piv, self._pivots):
-            q = block[:, j] // p
+        taken = np.zeros((len(block), len(self._piv)), dtype=np.int64)
+        for at, (j, p) in enumerate(zip(self._piv, self._pivots)):
+            q = taken[:, at] = block[:, j] // p
             step = _absmax(q) * self._top
             if step:
                 big = (_absmax(block[:, j:]) if big + step > _INT64_MAX else big) + step
                 _fits(big)
                 block[:, j:] -= q[:, None] * self.rows[j, j:]
         block %= self._mod
-        return block
+        return block, taken
 
 
 def kernel_order(rows, row_moduli, col_moduli) -> int:
@@ -258,7 +263,7 @@ def kernel_order(rows, row_moduli, col_moduli) -> int:
             raise ValueError("system not well defined for the given moduli")
         block = (scaled // e) % col
         while block.size:
-            block = lattice._remainders(block)
+            block = lattice._remainders(block)[0]
             block = block[block.any(axis=1)]
             if block.size:
                 lattice.insert(block[0])

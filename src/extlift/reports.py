@@ -28,9 +28,9 @@ from .groups import (FiniteGroup, GroupAutomorphism, Subgroup,
 from .reduction import index_kill_check, sylow_extend_check, sylow_lift_check
 from .splitting import (canonical_sections, is_split_extension, section_search,
                         split_kernels)
-from .wells import (CompatiblePair, ExtensionData, answer, compatible_pairs,
-                    derivation_check, extension_from, random_transversal,
-                    slice_pair, verify_exactness)
+from .wells import (CompatiblePair, ExtensionData, answer, answers,
+                    compatible_pairs, derivation_check, extension_from,
+                    random_transversal, slice_pair, verify_exactness)
 
 # C1/C2 larger than this are skipped by the quadratic checks (derivation
 # identities, transversal stability, per-automorphism cross-validation).
@@ -149,8 +149,8 @@ def wells_report(ext: ExtensionData) -> dict:
     verdicts: dict[int, list[int]] = {1: [], 2: []}
     obstructions: dict[str, dict] = {}
     for which, name, members in ((1, "theta", c1), (2, "phi", c2)):
-        for i, member in enumerate(members):
-            got = answer(ext, which, slice_pair(ext, which, member))
+        asked = [(which, slice_pair(ext, which, m)) for m in members]
+        for i, got in enumerate(answers(ext, asked)):
             if got.witness is not None:
                 verdicts[which].append(i)
             else:
@@ -288,10 +288,11 @@ def split_report(ext: ExtensionData,
 
 def _verdict_pattern(ext: ExtensionData, c1, c2) -> tuple:
     """Everything Lemma-level transversal independence promises to preserve:
-    which members of C1 and C2 are induced (answer checks that exactly
+    which members of C1 and C2 are induced, asked as one block (exactly
     those have a trivial class)."""
-    return tuple(answer(ext, which, slice_pair(ext, which, m)).witness is not None
-                 for which, members in ((1, c1), (2, c2)) for m in members)
+    asked = [(which, slice_pair(ext, which, m))
+             for which, members in ((1, c1), (2, c2)) for m in members]
+    return tuple(got.witness is not None for got in answers(ext, asked))
 
 
 def _transversal_stability(ext: ExtensionData, seed: int, draws: int,

@@ -30,6 +30,20 @@ k_(g1 g2) = k_g1 o (phi2 x phi2) + Theta1 k_g2 is checked on C1 and C2.
 Sequence 1 (gamma -> theta on Aut_N^H G), 2 (gamma -> phi on Aut^N G) and,
 for central extensions, 3 (gamma -> (theta, phi) on Aut_N G) key their
 members and projections as the pair (theta.image, phi.image).
+
+Reports ask many questions of one extension, so answers takes them as one
+block, pairs of any sequence mixed, and runs each check of the one-question
+path once over the stack: condition (3) as the compatibility mask, the
+(m, h, h, k) difference cocycles by one gather of mu and one product with
+the theta matrices, the cocycle identity at the generator triples with the
+pairs on a trailing axis, one walk of the B^2 lattice for every class key
+and witness expression, and, for the witnesses, d(chi) = k, condition (2),
+gamma by gathers, the homomorphism lemma over the block and the induced
+pair.  In all three sequences A o phi = A for a compatible pair (phi = 1 in
+the first; compatibility with theta = 1 gives it in the second; the third
+is central), so k is a cocycle for the extension's own action and one
+lattice serves every question.  The public one-question functions keep
+their own path (wells_cocycle_*, coboundary_solve, automorphism_from_triple).
 """
 
 from __future__ import annotations
@@ -43,8 +57,9 @@ import numpy as np
 from . import config
 from .abelian import (AbelianStructure, Vector, abelian_structure,
                       matrix_of_endomorphism, restrict_to_matrix)
-from .cohomology import (CohomologyClass, CohomologyGroup, OneCochain,
-                         TwoCochain, _coboundary, coboundary_of,
+from .cohomology import (_CHECK_BLOCK_TRIPLES, CohomologyClass,
+                         CohomologyGroup, OneCochain, TwoCochain, _coboundary,
+                         _identity, _moduli_array, coboundary_of,
                          two_cocycle_defect)
 from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotCentral,
                      NotCompatible, ParentMismatch, TripleConditionsFail)
@@ -74,6 +89,7 @@ __all__ = [
     "lift_pair",
     "Answer",
     "answer",
+    "answers",
     "aut_subgroups",
     "sequence_autos",
     "slice_pair",
@@ -151,7 +167,8 @@ class ExtensionData:
 
     Some facts are computed once per instance and kept in one table
     (_fact): each answer(ext, which, pair), keyed by (which, theta.image,
-    phi.image), and starred_sets, split_kernels and aut_subgroups.
+    phi.image) (an obstructed one held as its class key until asked, see
+    _answered), and starred_sets, split_kernels and aut_subgroups.
     with_transversal starts the copy with an empty table, so every verdict
     and self-check is found again over the new factor set.
     """
@@ -396,11 +413,10 @@ def _triple_defect(ext: ExtensionData, theta: GroupAutomorphism,
     condition (2) over all pairs (x, y) at once; each reports its
     lexicographically first failure.
     """
-    d = np.array(ext.moduli, dtype=np.int64)
+    d = _moduli_array(ext.moduli)
     T = restrict_to_matrix(ext.coeffs, theta)
-    A = ext.action
-    A_phi = A[list(phi.image)]
-    bad = ((T @ A - A_phi @ T) % d[:, None]).any(axis=(1, 2))
+    A_phi = ext.action[list(phi.image)]
+    bad = _condition_3(ext, T[None], A_phi[None])[0]
     if bad.any():
         return ("(3)", int(np.argmax(bad)))
     mu = ext.mu.values
@@ -412,6 +428,13 @@ def _triple_defect(ext: ExtensionData, theta: GroupAutomorphism,
         x, y = np.argwhere(bad)[0]
         return ("(2)", (int(x), int(y)))
     return None
+
+
+def _condition_3(ext: ExtensionData, T: np.ndarray, A_phi: np.ndarray) -> np.ndarray:
+    """Where T A(x) = A(phi x) T fails mod d, indexed [pair, x], for stacked
+    theta matrices T and the stacked action at phi, A_phi = A[phi images]."""
+    d = _moduli_array(ext.moduli)
+    return ((T[:, None] @ ext.action - A_phi @ T[:, None]) % d[:, None]).any(axis=(2, 3))
 
 
 def _induced_pair(ext: ExtensionData, gamma: GroupAutomorphism) -> tuple:
@@ -516,33 +539,207 @@ def lift_pair(ext: ExtensionData, theta: GroupAutomorphism,
 
 
 def answer(ext: ExtensionData, which: int, pair) -> Answer:
-    """Whether a pair of sequence which is induced, with witness or class.
+    """Whether a pair of sequence which is induced, with witness or class:
+    the one question of answers."""
+    return answers(ext, [(which, pair)])[0]
 
-    The difference cocycle is built once.  A witness is certified by
-    _witness; only without one is the class taken, and it must then be
-    nontrivial, or the solver and the class key disagree.  An incompatible
-    pair is answered as such.  Each question is answered once per
-    extension; the parents of theta and phi are checked on every call.
+
+def answers(ext: ExtensionData, questions) -> list[Answer]:
+    """One Answer per (which, pair) of questions, in their order.
+
+    pair is (theta, phi), with the identity in the slot sequence which
+    fixes.  An incompatible pair is answered Answer(False, None, None); a
+    compatible one carries the witness gamma, or the nontrivial class of
+    its difference cocycle.  Answers live in the fact table under
+    (which, theta.image, phi.image), so each question is answered once per
+    extension; the parents of theta and phi are checked on every call, and
+    which = 3 needs a central extension.  The questions not yet in the
+    table are answered in blocks, whatever their sequence (_answered).
     """
-    _check_theta(ext, pair.theta)
-    _check_phi(ext, pair.phi)
-    return _fact(ext, (which, pair.theta.image, pair.phi.image),
-                 lambda: _answer(ext, which, pair))
+    questions = list(questions)
+    facts = ext._facts
+    out = []
+    for key, (_, pair) in zip(_answered(ext, questions), questions):
+        got = facts[key]
+        if type(got) is not Answer:     # the key of an obstruction class
+            got = facts[key] = Answer(True, None, _PairClass(ext, got, pair))
+        out.append(got)
+    return out
 
 
-def _answer(ext: ExtensionData, which: int, pair) -> Answer:
-    try:
-        k = _slice_cocycle(ext, which, pair)
-    except NotCompatible:
-        return Answer(False, None, None)
-    witness = _witness(ext, which, *pair, k)
-    if witness is not None:
-        return Answer(True, witness, None)
-    cls = ext.cohomology.class_of(k)
-    if cls.is_trivial:
-        raise AssertionError(f"no {_SEQUENCES[which].witness} witness found "
-                             "for a trivial class")
-    return Answer(True, None, cls)
+def _answered(ext: ExtensionData, questions) -> list[tuple]:
+    """The fact keys of questions, with every one answered in the table.
+
+    The unanswered ones go to _answer_chunk in blocks of as many pairs as
+    keep its cocycle check within _CHECK_BLOCK_TRIPLES // 4 generator
+    triples times pairs: the check holds four arrays of that size at once,
+    as many values as one array of the full scan.  A block leaves an Answer
+    in the table, or, for an obstructed pair, the key of its class, one
+    tuple per class: answers turns it into an Answer on first request, so
+    the starred sets of a large C, which read only whether a class is
+    trivial, keep no per-pair objects.
+    """
+    H, facts, keys = ext.H, ext._facts, []
+    triples = max(1, (H.order - 1) ** 2 * len(H.generators))
+    step = max(1, _CHECK_BLOCK_TRIPLES // (4 * triples))
+    todo: dict = {}             # unanswered fact key -> its question
+    class_keys: dict = {}       # remainder bytes -> the class key tuple
+    for which, pair in questions:
+        _check_theta(ext, pair.theta)
+        _check_phi(ext, pair.phi)
+        if which == 3 and not ext.central:
+            raise NotCentral("the pair cocycle needs a central extension")
+        key = (which, pair.theta.image, pair.phi.image)
+        keys.append(key)
+        if key not in facts:
+            todo[key] = (which, pair)
+            if len(todo) == step:
+                _store_chunk(ext, todo, class_keys)
+    if todo:
+        _store_chunk(ext, todo, class_keys)
+    return keys
+
+
+def _store_chunk(ext: ExtensionData, todo: dict, class_keys: dict) -> None:
+    """Answer the questions of todo (fact key -> question) into the table
+    and empty it."""
+    for key, got in zip(todo, _answer_chunk(ext, list(todo.values()), class_keys)):
+        _fact(ext, key, lambda got=got: got)
+    todo.clear()
+
+
+class _PairClass(CohomologyClass):
+    """The class of a pair's difference cocycle, as answers gives it.  The
+    representative, that cocycle, is built again when read: a block
+    answers thousands of pairs, and callers read only the key.  It holds
+    the factor set, not the extension, so no cycle keeps either alive."""
+
+    __slots__ = ("_mu", "_T", "_phi")
+
+    def __init__(self, ext: ExtensionData, key: tuple, pair):
+        self.parent, self.key, self._mu = ext.cohomology, key, ext.mu
+        self._T = restrict_to_matrix(ext.coeffs, pair.theta)
+        self._phi = pair.phi
+
+    @property
+    def representative(self) -> TwoCochain:
+        mu = self._mu
+        k = _difference_stack(mu.values, self._T[None], np.array([self._phi.image]))
+        return TwoCochain(mu.group, mu.moduli, k[0])
+
+
+def _difference_stack(mu: np.ndarray, T: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """mu(phi x, phi y) - Theta mu(x, y), unreduced, indexed [pair, x, y, c],
+    for the factor set's values mu, stacked theta matrices T and phi
+    images P: one gather of mu and one product with the matrices."""
+    return mu[P[:, :, None], P[:, None, :]] - mu @ T.transpose(0, 2, 1)[:, None]
+
+
+def _gamma_images(ext: ExtensionData, theta: np.ndarray, P: np.ndarray,
+                  chi: np.ndarray) -> np.ndarray:
+    """gamma(t(x) n) = t(phi x) chi(x) theta(n) as image rows over G, one per
+    triple (theta images, phi images P, chi values [triple, x, c]): the
+    gathers of automorphism_from_triple with a leading axis."""
+    cayley, coeffs = ext.G.cayley, ext.coeffs
+    members = np.array(ext.N.members, dtype=np.intp)
+    t = np.array(ext.transversal, dtype=np.intp)
+    # the member with coordinates c, at the mixed-radix index c . radix
+    radix = np.cumprod((1,) + ext.moduli)[:-1]
+    member_at = np.empty(coeffs.order, dtype=np.intp)
+    coords = np.array(coeffs._coords, dtype=np.int64).reshape(coeffs.order, -1)
+    member_at[coords @ radix] = members
+    base = cayley[t[P], member_at[chi @ radix]]
+    img = np.empty((len(P), ext.G.order), dtype=np.intp)
+    img[:, cayley[t[:, None], members].reshape(-1)] = \
+        cayley[base[:, :, None], members[theta][:, None]].reshape(len(P), -1)
+    return img
+
+
+def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
+    """Answers of questions (which, pair), or the class key of an obstructed
+    pair, with the checks of the one-question path each run once over the
+    stack:
+
+    - compatibility: condition (3) of _triple_defect over all pairs;
+    - the difference cocycles k, checked at the generator triples by one
+      _identity call with the pairs on its trailing axis;
+    - one walk of the B^2 lattice gives each class key, and, for a k that
+      reduces to zero, the witness chi from the multiples it took;
+    - for those: the solver check d(chi) = k; condition (2) against k built
+      again, with the action at phi; gamma by gathers, proven bijective
+      and a homomorphism at {1} and the generators (the lemma of
+      groups._require_homomorphism); and the pair gamma induces.
+    A failed check raises AssertionError naming it.
+    """
+    G, H, cg = ext.G, ext.H, ext.cohomology
+    d, tab = _moduli_array(ext.moduli), H.cayley
+    T = np.stack([restrict_to_matrix(ext.coeffs, pair.theta) for _, pair in asked])
+    P = np.array([pair.phi.image for _, pair in asked], dtype=np.intp)
+    got = [Answer(False, None, None) for _ in asked]
+    rows = np.arange(len(asked))
+    if not ext.central:         # else every A(x) is the identity
+        rows = np.flatnonzero(~_condition_3(ext, T, ext.action[P]).any(axis=1))
+    if not rows.size:
+        return got
+    K = _difference_stack(ext.mu.values, T[rows], P[rows]) % d
+    F = np.moveaxis(K, 0, -1)   # [x, y, c, pair]: the pair axis passes through
+    x, s = np.arange(1, H.order), np.array(H.generators, dtype=np.intp)
+    bad = (_identity(F, cg._A, tab, x[:, None, None], s[:, None], x)
+           % d[:, None]).any(axis=(0, 1, 2, 3))
+    if bad.any():
+        k = TwoCochain(H, ext.moduli, K[np.argmax(bad)])
+        raise AssertionError("difference cocycle fails the identity at "
+                             f"{two_cocycle_defect(k, ext.cocycle_action)}")
+    lattice = cg._lattice
+    rem, taken = lattice._remainders(K[:, 1:, 1:].reshape(len(rows), -1).copy())
+    zero = ~rem.any(axis=1)
+    for i, r in zip(rows[~zero], rem[~zero]):
+        key = class_keys.get(r.tobytes())
+        if key is None:
+            key = class_keys[r.tobytes()] = tuple(r.tolist())
+        got[i] = key
+    w = rows[zero]
+    if not w.size:
+        return got
+    chi = np.zeros((w.size, H.order, d.size), dtype=np.int64)
+    chi[:, 1:] = lattice._taken(lattice._piv, taken[zero]).reshape(
+        w.size, H.order - 1, d.size) % d
+    C = np.moveaxis(chi, 0, -1)
+    delta = _coboundary(C, cg._A, tab)
+    if ((delta - F[..., zero]) % d[:, None]).any():
+        raise AssertionError("recovered witness does not reproduce the cocycle")
+    if not ext.central:         # else A(phi y) = A(y) = 1
+        delta = _coboundary(C, np.moveaxis(ext.action[P[w]] % d[:, None], 0, -1), tab)
+    diff = (np.moveaxis(_difference_stack(ext.mu.values, T[w], P[w]), 0, -1)
+            - delta) % d[:, None]
+    bad = diff.any(axis=(0, 1, 2))
+    if bad.any():
+        at = tuple(np.argwhere(diff[..., np.argmax(bad)].any(axis=-1))[0].tolist())
+        raise AssertionError(f"triple condition (2) fails at {at}")
+    theta = np.array([asked[i][1].theta.image for i in w], dtype=np.intp)
+    img = _gamma_images(ext, theta, P[w], chi)
+    gens = np.array((0,) + G.generators, dtype=np.intp)
+    bad = ~((np.sort(img, axis=1) == np.arange(G.order)).all(axis=1)
+            & (img[:, G.cayley[:, gens]]
+               == G.cayley[img[:, :, None], img[:, None, gens]]).all(axis=(1, 2)))
+    if bad.any():
+        try:
+            GroupAutomorphism(G, img[np.argmax(bad)].tolist())
+        except InputError as exc:
+            raise AssertionError(f"triple produced a non-automorphism: {exc}") from exc
+        raise AssertionError("triple produced a non-automorphism")
+    members = np.array(ext.N.members, dtype=np.intp)
+    position = np.full(G.order, -1, dtype=np.intp)
+    position[members] = np.arange(members.size)
+    pi = np.array(ext.pi.image, dtype=np.intp)
+    bad = ((position[img[:, members]] != theta).any(axis=1)
+           | (pi[img[:, list(ext.transversal)]] != P[w]).any(axis=1))
+    if bad.any():
+        raise AssertionError(f"{_SEQUENCES[asked[w[np.argmax(bad)]][0]].witness} "
+                             "witness does not invert the decomposition")
+    for i, image in zip(w, img.tolist()):
+        got[i] = Answer(True, GroupAutomorphism._trusted(G, tuple(image)), None)
+    return got
 
 
 @dataclass(frozen=True)
@@ -606,11 +803,24 @@ def starred_sets(ext: ExtensionData, pairs, c1, c2) -> dict[int, tuple]:
     sequence.  They are found once per extension and handed out as a fresh
     dict."""
     def build() -> dict[int, tuple]:
-        slices, cg = {1: c1, 2: c2, 3: pairs}, ext.cohomology
-        return {which: tuple(m for m in slices[which] if cg.class_of(
-                    _slice_cocycle(ext, which, slice_pair(ext, which, m))).is_trivial)
-                for which in ((1, 2, 3) if ext.central else (1, 2))}
+        slices = {which: members for which, members in ((1, c1), (2, c2), (3, pairs))
+                  if which < 3 or ext.central}
+        keys = iter(_answered(ext, ((which, slice_pair(ext, which, m))
+                                    for which, members in slices.items()
+                                    for m in members)))
+        return {which: tuple(m for m in members if _starred(ext._facts[next(keys)]))
+                for which, members in slices.items()}
     return dict(_fact(ext, "starred_sets", build))
+
+
+def _starred(got) -> bool:
+    """Whether the fact of a member of C says it is induced.  compatible_pairs
+    found the member compatible, so the block must find it so too."""
+    if type(got) is not Answer:     # the key of an obstruction class
+        return False
+    if not got.compatible:
+        raise AssertionError("a compatible pair is answered incompatible")
+    return got.witness is not None
 
 
 def verify_exactness(ext: ExtensionData) -> dict:

@@ -464,6 +464,18 @@ def test_action_entries_matter_mod_the_target_modulus_only():
         validate_action(Z2, (8,), [[[1]], [[2 ** 64]]])
 
 
+def test_action_entry_beyond_64_bits_is_an_input_error():
+    """The cochain functions that take an unvalidated matrix family refuse
+    an entry beyond int64 as input, not with a bare OverflowError."""
+    huge = [[[1]], [[2 ** 64]]]
+    f = TwoCochain(Z2, (3,), [[(0,), (0,)], [(0,), (1,)]])
+    for call in (lambda: coboundary_of(OneCochain(Z2, (3,), [(0,), (1,)]), huge),
+                 lambda: two_cocycle_defect(f, huge),
+                 lambda: is_two_cocycle(f, huge)):
+        with pytest.raises(InputError, match="out of range"):
+            call()
+
+
 def test_coboundary_of_refuses_a_foreign_phi():
     chi = OneCochain(Z4, (5,), [(0,), (1,), (2,), (3,)])
     family = [((1,),), ((2,),), ((4,),), ((3,),)]

@@ -5,14 +5,15 @@ import importlib
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 
-from extlift import (CohomologyGroup, DoesNotNormalize, InputError, NotCentral,
+from extlift import (DoesNotNormalize, InputError, NotCentral,
                      NotCompatible, OneCochain, ParentMismatch, Subgroup,
                      TripleConditionsFail, WellsTriple, abelian_structure,
-                     answer, aut_subgroups, automorphism_from_triple,
+                     answer, answers, aut_subgroups, automorphism_from_triple,
                      automorphism_group, catalog, coboundary_of,
                      compatible_pairs, derivation_check, extend_automorphism,
                      extension_from, group_from_permutations,
@@ -25,6 +26,7 @@ from extlift.abelian import restrict_to_matrix
 from extlift.cli import main
 from extlift.groups import (GroupAutomorphism, all_subgroups, center,
                             derived_subgroup)
+from extlift.intlin import TriangularLattice
 from extlift.reports import corpus_pairs
 from extlift.wells import _induced_pair, pair_key, slice_pair
 
@@ -349,72 +351,198 @@ _ONE_QUESTION = {
 }
 
 
-def test_answer_matches_the_one_question_functions():
-    """On every shipped-corpus pair with |H| <= 8, over all of Aut N, Aut H
-    and, for central kernels, C: the same compatibility, witness image and
-    class key as the public function of the sequence."""
-    asked = 0
+def _one_question(ext, which, pair):
+    """(compatible, witness image, class key, representative bytes) of a
+    pair by the public one-question functions of its sequence."""
+    solve, klass, args = _ONE_QUESTION[which]
+    try:
+        witness = solve(ext, *args(pair))
+    except NotCompatible:
+        return (False, None, None, None)
+    cls = klass(ext, *args(pair))
+    if witness is not None:
+        assert cls.is_trivial
+        return (True, witness.image, None, None)
+    assert not cls.is_trivial
+    return (True, None, cls.key, cls.representative.values.tobytes())
+
+
+def _as_data(got):
+    if got.obstruction is None:
+        return (got.compatible, got.witness and got.witness.image, None, None)
+    return (got.compatible, None, got.obstruction.key,
+            got.obstruction.representative.values.tobytes())
+
+
+def test_answer_matches_the_one_question_functions(monkeypatch):
+    """answers against the public function of each sequence, on every
+    shipped-corpus pair with |H| <= 8, over the extension and two random
+    transversal copies: all of Aut N, all of Aut H and, for central
+    kernels, C, mixed in one call with some questions repeated.  The same
+    compatibility, witness image, class key and representative bytes; the
+    second copy is answered one question per block."""
+    rng = random.Random(16)
+    asked, trivial_quotients, incompatible = 0, 0, 0
+    wells = importlib.import_module("extlift.wells")
     for G in shipped_corpus():
         for N in corpus_pairs(G):
-            ext = extension_from(G, N)
-            if ext.H.order > 8:
+            base = extension_from(G, N)
+            if base.H.order > 8:
                 continue
-            pairs, _, _ = compatible_pairs(ext)
-            questions = ([(1, t) for t in automorphism_group(ext.n_group)]
-                         + [(2, p) for p in automorphism_group(ext.H)]
-                         + [(3, pair) for pair in pairs if ext.central])
-            for which, member in questions:
-                pair = slice_pair(ext, which, member)
-                got = answer(ext, which, pair)
-                solve, klass, args = _ONE_QUESTION[which]
-                try:
-                    witness = solve(ext, *args(pair))
-                except NotCompatible:
-                    assert got == (False, None, None)
-                    continue
-                cls = klass(ext, *args(pair))
-                assert got.compatible
-                if witness is None:
-                    assert got.witness is None
-                    assert got.obstruction.key == cls.key
-                    assert not cls.is_trivial
-                else:
-                    assert got.witness.image == witness.image
-                    assert got.obstruction is None and cls.is_trivial
-                asked += 1
-    assert asked > 1000
+            trivial_quotients += base.H.order == 1
+            pairs, _, _ = compatible_pairs(base)
+            questions = ([(1, slice_pair(base, 1, t))
+                          for t in automorphism_group(base.n_group)]
+                         + [(2, slice_pair(base, 2, p)) for p in automorphism_group(base.H)]
+                         + [(3, pair) for pair in pairs if base.central])
+            copies = [base] + [base.with_transversal(random_transversal(base, rng))
+                               for _ in range(2)]
+            for n, ext in enumerate(copies):
+                mixed = rng.sample(questions, len(questions))
+                mixed += mixed[:3]
+                with monkeypatch.context() as m:
+                    if n == 2:
+                        m.setattr(wells, "_CHECK_BLOCK_TRIPLES", 1)
+                    got = answers(ext, mixed)
+                for (which, pair), a in zip(mixed, got):
+                    assert _as_data(a) == _one_question(ext, which, pair)
+                    assert answer(ext, which, pair) is a
+                    incompatible += not a.compatible
+                asked += len(mixed)
+    assert trivial_quotients == 14
+    assert incompatible > 0 and asked > 3000
+
+
+def test_answers_refuse_pair_questions_on_a_non_central_kernel():
+    s3 = catalog("dihedral", 6)
+    ext = extension_from(s3, Subgroup(s3, [0, 1, 2]))
+    with pytest.raises(NotCentral):
+        answers(ext, [(1, ext.id_pair), (3, ext.id_pair)])
+    assert answer(ext, 1, ext.id_pair).witness is not None
+
+
+def _d8_center():
+    d8 = catalog("dihedral", 8)
+    return extension_from(d8, center(d8))
+
+
+def _verify_error(capsys, group, subgroup) -> str:
+    """The error verify reports; it must exit 4, not 1."""
+    code = main(["verify", "--group", group, "--subgroup", subgroup])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 4 and report["kind"] == "AssertionError"
+    return report["error"]
+
+
+def _walk_off_by_one(monkeypatch):
+    """The lattice walk takes one multiple too many of its first pivot row."""
+    real = TriangularLattice._remainders
+
+    def wrong(self, block):
+        rem, taken = real(self, block)
+        taken[:, :1] += 1
+        return rem, taken
+    monkeypatch.setattr(TriangularLattice, "_remainders", wrong)
 
 
 def test_answer_refuses_a_missed_witness(capsys, monkeypatch):
-    """A solver that finds no witness for a trivial class contradicts the
-    class key: answer raises, and verify exits 4, not 1."""
-    d8 = catalog("dihedral", 8)
-    ext = extension_from(d8, center(d8))
-    assert ext.cohomology.class_of(wells_cocycle_theta(ext, ext.id_N)).is_trivial
-    monkeypatch.setattr(CohomologyGroup, "coboundary_solve", lambda self, f: None)
-    with pytest.raises(AssertionError, match="trivial class"):
+    """A lattice walk whose multiples miss a trivial class's cocycle gives a
+    witness that the solver check d(chi) = k refuses: answer raises, and
+    verify exits 4, not 1."""
+    ext = _d8_center()
+    assert ext.cohomology._lattice._piv
+    _walk_off_by_one(monkeypatch)
+    with pytest.raises(AssertionError, match="^recovered witness does not "
+                                             "reproduce the cocycle$"):
         answer(ext, 1, ext.id_pair)
-    code = main(["verify", "--group", "dihedral(8)", "--subgroup", "center"])
-    assert code == 4
-    assert json.loads(capsys.readouterr().out) == {
-        "error": "no extension witness found for a trivial class",
-        "kind": "AssertionError"}
+    assert _verify_error(capsys, "dihedral(8)", "center") == \
+        "recovered witness does not reproduce the cocycle"
+
+
+def _other_automorphism(ext):
+    """A member of Aut_N(G) that induces a pair other than (1, 1)."""
+    return next(g for g in aut_subgroups(ext).aut_N_of_G
+                if pair_key(triple_of(ext, g)) != pair_key(ext.id_pair))
 
 
 @pytest.mark.parametrize("which,word", [(1, "extension"), (2, "lift"),
                                         (3, "pair")])
 def test_witness_that_misses_its_pair_is_refused(monkeypatch, which, word):
-    """A witness is certified by the pair it induces: a member of Aut_N(G)
-    inducing another pair is refused on every sequence."""
-    d8 = catalog("dihedral", 8)
-    ext = extension_from(d8, center(d8))
-    other = next(g for g in aut_subgroups(ext).aut_N_of_G
-                 if pair_key(triple_of(ext, g)) != pair_key(ext.id_pair))
-    wells = importlib.import_module("extlift.wells")
-    monkeypatch.setattr(wells, "automorphism_from_triple", lambda e, tr: other)
+    """A witness is certified by the pair it induces: an automorphism of G
+    that induces another pair is refused on every sequence."""
+    ext = _d8_center()
+    _another_pair(monkeypatch, importlib.import_module("extlift.wells"))
     with pytest.raises(AssertionError,
                        match=f"^{word} witness does not invert the decomposition$"):
         answer(ext, which, ext.id_pair)
+
+
+def _every_pair_incompatible(monkeypatch, wells):
+    monkeypatch.setattr(wells, "_condition_3",
+                        lambda e, T, A_phi: np.ones((len(T), e.H.order), dtype=bool))
+
+
+def _one_unit_off(monkeypatch, wells):
+    """Difference cocycles that are no cocycles: one value of each moved."""
+    real = wells._difference_stack
+
+    def wrong(mu, T, P):
+        k = real(mu, T, P)
+        k[:, 1, 2, 0] += 1
+        return k
+    monkeypatch.setattr(wells, "_difference_stack", wrong)
+
+
+def _first_stack_zero(monkeypatch, wells):
+    """The first stack the block reduces is zero, a cocycle of trivial class
+    but not the difference cocycle of its pairs."""
+    real, calls = wells._difference_stack, []
+
+    def wrong(mu, T, P):
+        calls.append(None)
+        k = real(mu, T, P)
+        return k * 0 if len(calls) == 1 else k
+    monkeypatch.setattr(wells, "_difference_stack", wrong)
+
+
+def _identity_moved(monkeypatch, wells):
+    """Witness images that send the identity elsewhere."""
+    real = wells._gamma_images
+
+    def wrong(ext, theta, P, chi):
+        img = real(ext, theta, P, chi)
+        img[:, [0, 1]] = img[:, [1, 0]]
+        return img
+    monkeypatch.setattr(wells, "_gamma_images", wrong)
+
+
+def _another_pair(monkeypatch, wells):
+    """Witness images of an automorphism that induces another pair."""
+    other = _other_automorphism(_d8_center())
+    monkeypatch.setattr(wells, "_gamma_images",
+                        lambda e, theta, P, chi: np.tile(other.image, (len(P), 1)))
+
+
+@pytest.mark.parametrize("fault,group,subgroup,message", [
+    (_every_pair_incompatible, "dihedral(6)", "derived",
+     "a compatible pair is answered incompatible"),
+    (_one_unit_off, "dihedral(8)", "center",
+     r"difference cocycle fails the identity at \(\d+, \d+, \d+\)"),
+    (_first_stack_zero, "dihedral(8)", "center",
+     r"triple condition \(2\) fails at \(\d+, \d+\)"),
+    (_identity_moved, "dihedral(8)", "center",
+     "triple produced a non-automorphism: not a homomorphism"),
+    (_another_pair, "dihedral(8)", "center",
+     "extension witness does not invert the decomposition"),
+], ids=["compatibility", "cocycle-identity", "condition-2", "automorphism",
+        "round-trip"])
+def test_each_block_check_names_its_failure(capsys, monkeypatch, fault, group,
+                                            subgroup, message):
+    """A fault injected before one check of the block is caught by that
+    check, which names itself: verify exits 4, not 1.  (The solver check
+    is test_answer_refuses_a_missed_witness.)"""
+    fault(monkeypatch, importlib.import_module("extlift.wells"))
+    assert re.match(message, _verify_error(capsys, group, subgroup))
 
 
 def test_incompatible_theta_is_rejected():
