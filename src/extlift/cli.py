@@ -142,12 +142,21 @@ def _extension(args) -> ExtensionData:
     return extension_from(G, N)
 
 
-def _emit(args, report: dict) -> None:
+def _emit(args, report: dict, code: int) -> int:
+    """Render report, write it to --output, then to stdout; return the exit
+    code.  A file that cannot be written turns the whole output into one
+    input-error record naming the path, with exit code 2."""
     text = dumps(report)
+    path = getattr(args, "output", None)
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            error = InputError(f"{path}: cannot write the report ({exc})")
+            text, code = dumps(_error_record(args, error)), 2
     sys.stdout.write(text)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    return code
 
 
 def _load_corpus(path: str) -> list[FiniteGroup]:
@@ -349,22 +358,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bound = getattr(args, "max_order", None)
     if bound is not None and bound < 1:
         parser.error("--max-order must be positive")
+    if getattr(args, "draws", 0) < 0:
+        parser.error("--draws must not be negative")
     token = config.max_order_flag.set(bound)
     try:
         report, code = args.func(args)
     except BoundExceeded as exc:
-        _emit(args, _error_record(args, exc))
-        return 3
+        return _emit(args, _error_record(args, exc), 3)
     except ExtliftError as exc:
-        _emit(args, _error_record(args, exc))
-        return 2
+        return _emit(args, _error_record(args, exc), 2)
     except Exception as exc:        # a failed self-check or any other fault
-        _emit(args, _error_record(args, exc))
-        return 4
+        return _emit(args, _error_record(args, exc), 4)
     finally:
         config.max_order_flag.reset(token)
-    _emit(args, report)
-    return code
+    return _emit(args, report, code)
 
 
 if __name__ == "__main__":

@@ -32,18 +32,24 @@ for central extensions, 3 (gamma -> (theta, phi) on Aut_N G) key their
 members and projections as the pair (theta.image, phi.image).
 
 Reports ask many questions of one extension, so answers takes them as one
-block, pairs of any sequence mixed, and runs each check of the one-question
-path once over the stack: condition (3) as the compatibility mask, the
-(m, h, h, k) difference cocycles by one gather of mu and one product with
-the theta matrices, the cocycle identity at the generator triples with the
-pairs on a trailing axis, one walk of the B^2 lattice for every class key
-and witness expression, and, for the witnesses, d(chi) = k, condition (2),
-gamma by gathers, the homomorphism lemma over the block and the induced
-pair.  In all three sequences A o phi = A for a compatible pair (phi = 1 in
-the first; compatibility with theta = 1 gives it in the second; the third
-is central), so k is a cocycle for the extension's own action and one
-lattice serves every question.  The public one-question functions keep
-their own path (wells_cocycle_*, coboundary_solve, automorphism_from_triple).
+block, pairs of any sequence mixed, each pair once, and runs each check of
+the one-question path once over the stack: condition (3) as the
+compatibility mask, the (m, h, h, k) difference cocycles by one gather of
+mu and one product with the theta matrices, the cocycle identity at the
+generator triples with the pairs on a trailing axis, one walk of the B^2
+lattice for every class key and witness expression, and, for the
+witnesses, d(chi) = k, condition (2), gamma by gathers, the homomorphism
+lemma over the block and the induced pair.  In all three sequences
+A o phi = A for a compatible pair (phi = 1 in the first; compatibility
+with theta = 1 gives it in the second; the third is central), so k is a
+cocycle for the extension's own action and one lattice serves every
+question.  Both paths build k by _difference_stack, check conditions (3)
+and (2) by _condition_3 and _condition_2 and build gamma by _gamma_images
+(the public functions with one row), over the coordinate tables of
+ExtensionData.  The public functions stay a chain of named calls
+(wells_cocycle_*, coboundary_solve, automorphism_from_triple; lambda*,
+class_of): the traced benchmark times them by name, and on large
+quotients their scalar walk beats a one-row block.
 """
 
 from __future__ import annotations
@@ -158,17 +164,18 @@ class ExtensionData:
     gives the same extension over another one.  The conjugation action of H
     on N does not depend on the transversal (N is abelian), so such a copy
     shares the coordinate structure (with its cached theta matrices), the
-    action, the identity automorphisms id_N, id_H and id_pair, the
-    cohomology solver and the compatible pairs.
+    G index <-> N coordinate tables, the action, the identity automorphisms
+    id_N, id_H and id_pair, the cohomology solver and the compatible pairs.
 
     action is the read-only (h, k, k) int64 array of the matrices A(x) of the
     conjugation action, and mu the factor set, a TwoCochain whose values are
     a read-only (h, h, k) int64 array.
 
     Some facts are computed once per instance and kept in one table
-    (_fact): each answer(ext, which, pair), keyed by (which, theta.image,
-    phi.image) (an obstructed one held as its class key until asked, see
-    _answered), and starred_sets, split_kernels and aut_subgroups.
+    (_fact): each answer(ext, which, pair), keyed by pair_key(pair), since a
+    pair has one answer whichever sequence asks it (an obstructed one held
+    as its class key until asked, see _answered), and starred_sets,
+    split_kernels and aut_subgroups.
     with_transversal starts the copy with an empty table, so every verdict
     and self-check is found again over the new factor set.
     """
@@ -196,8 +203,26 @@ class ExtensionData:
             if t[x] < 0:
                 t[x] = g
         self.transversal = tuple(t)
+        self._build_tables()
         self._build_action()
-        self.mu = self._build_mu()
+        self._build_mu()
+
+    def _build_tables(self) -> None:
+        """G index <-> N coordinate tables, shared by with_transversal copies:
+        _coords[g] the coordinates of g in N (other rows stay zero),
+        _member_at the member with coordinates c at the mixed-radix index
+        c . _radix, _position[g] the index of g in N (-1 outside N)."""
+        G, N, coeffs = self.G, self.N, self.coeffs
+        members = self._members = np.array(N.members, dtype=np.intp)
+        coords = np.array(coeffs._coords, dtype=np.int64).reshape(N.order, -1)
+        self._coords = np.zeros((G.order, coords.shape[1]), dtype=np.int64)
+        self._coords[members] = coords
+        self._radix = np.cumprod((1,) + self.moduli)[:-1]
+        self._member_at = np.empty(N.order, dtype=np.intp)
+        self._member_at[coords @ self._radix] = members
+        self._position = np.full(G.order, -1, dtype=np.intp)
+        self._position[members] = np.arange(N.order)
+        self._inverse = np.array(G.inverse, dtype=np.intp)
 
     def _build_action(self) -> None:
         G, N = self.G, self.N
@@ -213,20 +238,15 @@ class ExtensionData:
                                 for a in self.alpha])
         self.action.flags.writeable = False
 
-    def _build_mu(self) -> TwoCochain:
-        G, N = self.G, self.N
-        t = np.array(self.transversal, dtype=np.int64)
-        inverse = np.array(G.inverse, dtype=np.int64)
-        # N coordinates of every G index in N (other rows stay unused)
-        coords = np.zeros((G.order, len(self.moduli)), dtype=np.int64)
-        coords[list(N.members)] = [self.coeffs.to_coords(i) for i in range(N.order)]
+    def _build_mu(self) -> None:
+        """The transversal as an index array _t, and the factor set mu."""
+        G, t = self.G, np.array(self.transversal, dtype=np.intp)
         # t(xy)^-1 t(x) t(y), indexed [x, y]
-        g = G.cayley[inverse[t[self.H.cayley]], G.cayley[t[:, None], t[None, :]]]
-        mu = TwoCochain(self.H, self.moduli, coords[g])
-        defect = two_cocycle_defect(mu, self.cocycle_action)
+        g = G.cayley[self._inverse[t[self.H.cayley]], G.cayley[t[:, None], t]]
+        self._t, self.mu = t, TwoCochain(self.H, self.moduli, self._coords[g])
+        defect = two_cocycle_defect(self.mu, self.cocycle_action)
         if defect is not None:
             raise AssertionError(f"factor set fails the cocycle identity at {defect}")
-        return mu
 
     @property
     def moduli(self) -> Vector:
@@ -259,7 +279,7 @@ class ExtensionData:
         other = copy.copy(self)
         other.transversal = t
         other._facts = {}
-        other.mu = other._build_mu()
+        other._build_mu()
         return other
 
     def __repr__(self) -> str:
@@ -360,16 +380,15 @@ def _difference_cocycle(ext: ExtensionData, which: int, theta: GroupAutomorphism
     """k(x,y) = mu(phi x, phi y) - Theta mu(x,y), checked to be a 2-cocycle.
 
     (theta, phi) must be a compatible pair of sequence which, and sequence 3
-    needs a central extension.  An identity slot skips its gather or matrix
-    product.
+    needs a central extension.
     """
     if which == 3 and not ext.central:
         raise NotCentral("the pair cocycle needs a central extension")
     if not is_compatible(ext, theta, phi):
         raise NotCompatible(f"{_SEQUENCES[which].pair} is not a compatible pair")
-    mu = ext.mu.values
-    k = TwoCochain(ext.H, ext.moduli,
-                   _acted(ext, mu, phi=phi) - _acted(ext, mu, theta=theta))
+    T = restrict_to_matrix(ext.coeffs, theta)[None]
+    k = _difference_stack(ext.mu.values, T, np.array([phi.image], dtype=np.intp))
+    k = TwoCochain(ext.H, ext.moduli, k[0])
     defect = two_cocycle_defect(k, ext.cocycle_action)
     if defect is not None:
         raise AssertionError(f"difference cocycle fails the identity at {defect}")
@@ -407,23 +426,15 @@ def lambda_pair(ext: ExtensionData, theta: GroupAutomorphism,
 
 def _triple_defect(ext: ExtensionData, theta: GroupAutomorphism,
                    phi: GroupAutomorphism, chi: OneCochain):
-    """First violated triple condition as (name, where), or None.
-
-    Condition (3) is checked as T A(x) - A(phi x) T over all x at once, then
-    condition (2) over all pairs (x, y) at once; each reports its
-    lexicographically first failure.
-    """
-    d = _moduli_array(ext.moduli)
-    T = restrict_to_matrix(ext.coeffs, theta)
-    A_phi = ext.action[list(phi.image)]
-    bad = _condition_3(ext, T[None], A_phi[None])[0]
+    """First violated triple condition as (name, where), or None: (3) over
+    all x, then (2) over all (x, y), each at its lexicographically first
+    failure."""
+    T = restrict_to_matrix(ext.coeffs, theta)[None]
+    P = np.array([phi.image], dtype=np.intp)
+    bad = _condition_3(ext, T, ext.action[P])[0]
     if bad.any():
         return ("(3)", int(np.argmax(bad)))
-    mu = ext.mu.values
-    # mu(phi x, phi y) - Theta mu(x, y) against the phi-twisted coboundary of chi
-    diff = (_acted(ext, mu, phi=phi) - _acted(ext, mu, theta=theta)
-            - _coboundary(chi.values, A_phi, ext.H.cayley))
-    bad = (diff % d).any(axis=-1)
+    bad = _condition_2(ext, T, P, chi.values[..., None])[0]
     if bad.any():
         x, y = np.argwhere(bad)[0]
         return ("(2)", (int(x), int(y)))
@@ -435,6 +446,18 @@ def _condition_3(ext: ExtensionData, T: np.ndarray, A_phi: np.ndarray) -> np.nda
     theta matrices T and the stacked action at phi, A_phi = A[phi images]."""
     d = _moduli_array(ext.moduli)
     return ((T[:, None] @ ext.action - A_phi @ T[:, None]) % d[:, None]).any(axis=(2, 3))
+
+
+def _condition_2(ext: ExtensionData, T: np.ndarray, P: np.ndarray,
+                 chi: np.ndarray) -> np.ndarray:
+    """Where mu(phi x, phi y) - Theta mu(x, y) differs from the phi-twisted
+    coboundary of chi mod d, indexed [triple, x, y], for stacked theta
+    matrices T, phi images P and chi values indexed [x, c, triple]."""
+    d = _moduli_array(ext.moduli)
+    A_phi = None if ext.central else ext.action[P].transpose(1, 2, 3, 0)
+    diff = (_difference_stack(ext.mu.values, T, P).transpose(1, 2, 3, 0)
+            - _coboundary(chi, A_phi, ext.H.cayley))
+    return (diff % d[:, None]).any(axis=2).transpose(2, 0, 1)
 
 
 def _induced_pair(ext: ExtensionData, gamma: GroupAutomorphism) -> tuple:
@@ -453,16 +476,13 @@ def triple_of(ext: ExtensionData, gamma: GroupAutomorphism) -> WellsTriple:
     """Decompose an automorphism of G normalizing N into (theta, phi, chi)."""
     if not isinstance(gamma, GroupAutomorphism) or gamma.group is not ext.G:
         raise ParentMismatch("gamma must be an automorphism of G")
-    G = ext.G
     theta_image, phi_image = _induced_pair(ext, gamma)
     theta = GroupAutomorphism(ext.n_group, theta_image)
     phi = GroupAutomorphism(ext.H, phi_image)
-    t = ext.transversal
-    chi_vals = []
-    for x in range(ext.H.order):
-        c = G.mul(G.inv(t[phi(x)]), gamma(t[x]))
-        chi_vals.append(ext.coeffs.coords_of_member(c))
-    chi = OneCochain(ext.H, ext.moduli, chi_vals)
+    # chi(x) = t(phi x)^-1 gamma(t(x)), in N by the definition of phi
+    g = ext.G.cayley[ext._inverse[ext._t[list(phi_image)]],
+                     [gamma.image[tx] for tx in ext.transversal]]
+    chi = OneCochain(ext.H, ext.moduli, ext._coords[g])
     bad = _triple_defect(ext, theta, phi, chi)
     if bad is not None:
         raise AssertionError(f"decomposed triple violates condition {bad[0]} at {bad[1]}")
@@ -481,17 +501,10 @@ def automorphism_from_triple(ext: ExtensionData,
     if bad is not None:
         raise TripleConditionsFail(
             f"triple condition {bad[0]} fails at {bad[1]}")
-    G, cayley = ext.G, ext.G.cayley
-    members = np.array(ext.N.members, dtype=np.int64)
-    t = np.array(ext.transversal, dtype=np.int64)
-    chi_members = [ext.coeffs.member_of_coords(v) for v in chi.values.tolist()]
-    # t(phi x) chi(x), then t(x) n -> t(phi x) chi(x) theta(n) for all (x, n)
-    base = cayley[t[list(phi.image)], chi_members]
-    img = np.zeros(G.order, dtype=np.int64)
-    img[cayley[t[:, None], members]] = cayley[base[:, None],
-                                              members[list(theta.image)]]
+    img = _gamma_images(ext, np.array([theta.image], dtype=np.intp),
+                        np.array([phi.image], dtype=np.intp), chi.values[None])
     try:
-        gamma = GroupAutomorphism(G, img.tolist())
+        gamma = GroupAutomorphism(ext.G, img[0].tolist())
     except InputError as exc:
         raise AssertionError(f"triple produced a non-automorphism: {exc}") from exc
     return gamma
@@ -551,10 +564,10 @@ def answers(ext: ExtensionData, questions) -> list[Answer]:
     fixes.  An incompatible pair is answered Answer(False, None, None); a
     compatible one carries the witness gamma, or the nontrivial class of
     its difference cocycle.  Answers live in the fact table under
-    (which, theta.image, phi.image), so each question is answered once per
-    extension; the parents of theta and phi are checked on every call, and
-    which = 3 needs a central extension.  The questions not yet in the
-    table are answered in blocks, whatever their sequence (_answered).
+    pair_key(pair), so each pair is answered once per extension, whichever
+    sequences ask it; the parents of theta and phi are checked on every
+    call, and which = 3 needs a central extension.  Unanswered questions
+    are answered in blocks, whatever their sequence (_answered).
     """
     questions = list(questions)
     facts = ext._facts
@@ -589,9 +602,9 @@ def _answered(ext: ExtensionData, questions) -> list[tuple]:
         _check_phi(ext, pair.phi)
         if which == 3 and not ext.central:
             raise NotCentral("the pair cocycle needs a central extension")
-        key = (which, pair.theta.image, pair.phi.image)
+        key = pair_key(pair)
         keys.append(key)
-        if key not in facts:
+        if key not in facts and key not in todo:    # the first asker names it
             todo[key] = (which, pair)
             if len(todo) == step:
                 _store_chunk(ext, todo, class_keys)
@@ -638,17 +651,10 @@ def _difference_stack(mu: np.ndarray, T: np.ndarray, P: np.ndarray) -> np.ndarra
 def _gamma_images(ext: ExtensionData, theta: np.ndarray, P: np.ndarray,
                   chi: np.ndarray) -> np.ndarray:
     """gamma(t(x) n) = t(phi x) chi(x) theta(n) as image rows over G, one per
-    triple (theta images, phi images P, chi values [triple, x, c]): the
-    gathers of automorphism_from_triple with a leading axis."""
-    cayley, coeffs = ext.G.cayley, ext.coeffs
-    members = np.array(ext.N.members, dtype=np.intp)
-    t = np.array(ext.transversal, dtype=np.intp)
-    # the member with coordinates c, at the mixed-radix index c . radix
-    radix = np.cumprod((1,) + ext.moduli)[:-1]
-    member_at = np.empty(coeffs.order, dtype=np.intp)
-    coords = np.array(coeffs._coords, dtype=np.int64).reshape(coeffs.order, -1)
-    member_at[coords @ radix] = members
-    base = cayley[t[P], member_at[chi @ radix]]
+    triple (theta images, phi images P, reduced chi values [triple, x, c])."""
+    cayley, members, t = ext.G.cayley, ext._members, ext._t
+    # t(phi x) chi(x), then t(x) n -> t(phi x) chi(x) theta(n) for all (x, n)
+    base = cayley[t[P], ext._member_at[chi @ ext._radix]]
     img = np.empty((len(P), ext.G.order), dtype=np.intp)
     img[:, cayley[t[:, None], members].reshape(-1)] = \
         cayley[base[:, :, None], members[theta][:, None]].reshape(len(P), -1)
@@ -660,15 +666,16 @@ def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
     pair, with the checks of the one-question path each run once over the
     stack:
 
-    - compatibility: condition (3) of _triple_defect over all pairs;
+    - compatibility: condition (3) by _condition_3;
     - the difference cocycles k, checked at the generator triples by one
       _identity call with the pairs on its trailing axis;
     - one walk of the B^2 lattice gives each class key, and, for a k that
       reduces to zero, the witness chi from the multiples it took;
-    - for those: the solver check d(chi) = k; condition (2) against k built
-      again, with the action at phi; gamma by gathers, proven bijective
-      and a homomorphism at {1} and the generators (the lemma of
-      groups._require_homomorphism); and the pair gamma induces.
+    - for those: the solver check d(chi) = k; condition (2) by
+      _condition_2; gamma by _gamma_images, proven bijective and a
+      homomorphism at {1} and the generators (the lemma of
+      groups._require_homomorphism); and the pair gamma induces, with the
+      sequence of the question that first asked the pair in the message.
     A failed check raises AssertionError naming it.
     """
     G, H, cg = ext.G, ext.H, ext.cohomology
@@ -705,16 +712,11 @@ def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
     chi[:, 1:] = lattice._taken(lattice._piv, taken[zero]).reshape(
         w.size, H.order - 1, d.size) % d
     C = np.moveaxis(chi, 0, -1)
-    delta = _coboundary(C, cg._A, tab)
-    if ((delta - F[..., zero]) % d[:, None]).any():
+    if ((_coboundary(C, cg._A, tab) - F[..., zero]) % d[:, None]).any():
         raise AssertionError("recovered witness does not reproduce the cocycle")
-    if not ext.central:         # else A(phi y) = A(y) = 1
-        delta = _coboundary(C, np.moveaxis(ext.action[P[w]] % d[:, None], 0, -1), tab)
-    diff = (np.moveaxis(_difference_stack(ext.mu.values, T[w], P[w]), 0, -1)
-            - delta) % d[:, None]
-    bad = diff.any(axis=(0, 1, 2))
+    bad = _condition_2(ext, T[w], P[w], C)
     if bad.any():
-        at = tuple(np.argwhere(diff[..., np.argmax(bad)].any(axis=-1))[0].tolist())
+        at = tuple(np.argwhere(bad[np.argmax(bad.any(axis=(1, 2)))])[0].tolist())
         raise AssertionError(f"triple condition (2) fails at {at}")
     theta = np.array([asked[i][1].theta.image for i in w], dtype=np.intp)
     img = _gamma_images(ext, theta, P[w], chi)
@@ -728,12 +730,9 @@ def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
         except InputError as exc:
             raise AssertionError(f"triple produced a non-automorphism: {exc}") from exc
         raise AssertionError("triple produced a non-automorphism")
-    members = np.array(ext.N.members, dtype=np.intp)
-    position = np.full(G.order, -1, dtype=np.intp)
-    position[members] = np.arange(members.size)
     pi = np.array(ext.pi.image, dtype=np.intp)
-    bad = ((position[img[:, members]] != theta).any(axis=1)
-           | (pi[img[:, list(ext.transversal)]] != P[w]).any(axis=1))
+    bad = ((ext._position[img[:, ext._members]] != theta).any(axis=1)
+           | (pi[img[:, ext._t]] != P[w]).any(axis=1))
     if bad.any():
         raise AssertionError(f"{_SEQUENCES[asked[w[np.argmax(bad)]][0]].witness} "
                              "witness does not invert the decomposition")

@@ -265,6 +265,19 @@ def brute_triple_defect(ext, T, phi_image, chi_values):
     return None
 
 
+def reference_chi(ext, gamma) -> tuple:
+    """chi(x) = t(phi x)^-1 gamma(t(x)) of the triple of gamma, with
+    phi(x) = pi(gamma(t(x))), element by element: the body triple_of had
+    before it read the coordinate tables of ExtensionData."""
+    G, t = ext.G, ext.transversal
+    out = []
+    for x in range(ext.H.order):
+        image = gamma(t[x])
+        c = G.mul(G.inv(t[ext.pi(image)]), image)
+        out.append(ext.coeffs.coords_of_member(c))
+    return tuple(out)
+
+
 def reference_z2_order(H: FiniteGroup, moduli: tuple[int, ...], action=None) -> int:
     """|Z^2| with the cocycle identity imposed at every (y, z): the body
     CohomologyGroup._z2_order had before it imposed it at generator middle

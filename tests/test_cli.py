@@ -216,6 +216,38 @@ def test_output_flag_duplicates_stdout(capsys, tmp_path):
     assert out.read_text(encoding="utf-8") == captured.out
 
 
+@pytest.mark.parametrize("argv,unwritten_code", [
+    (["h2", "--group", "catalog:cyclic(4)", "--coeffs", "cyclic(2)"], 0),
+    (["h2", "--group", "catalog:cyclic(300)", "--coeffs", "cyclic(2)",
+      "--max-order", "100"], 3)], ids=["report", "error-record"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_is_an_input_error(capsys, tmp_path, argv,
+                                             unwritten_code, target):
+    """A report (or error record) that cannot be written to --output gives
+    one InputError record naming the path, exit 2 and nothing else on
+    stdout, instead of the record and exit unwritten_code."""
+    path = str(tmp_path / "missing" / "x.json" if target == "missing-directory"
+               else tmp_path)
+    assert main(argv) == unwritten_code
+    capsys.readouterr()
+    code, report, _ = run(capsys, *argv, "--output", path)
+    assert code == 2
+    assert report["kind"] == "InputError"
+    assert report["error"].startswith(f"{path}: cannot write the report (")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "catalog:dihedral(8)", "--subgroup", "center"],
+    ["verify-all"]])
+def test_negative_draws_are_refused(capsys, argv):
+    """--draws -1 is a usage error (exit 2, nothing on stdout), as a
+    non-positive --max-order is, not a run of no draws."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--draws", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_byte_determinism_in_process(capsys):
     args = ["verify", "--group", "catalog:dihedral(8)", "--subgroup", "center",
             "--seed", "7"]

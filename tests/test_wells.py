@@ -28,10 +28,11 @@ from extlift.groups import (GroupAutomorphism, all_subgroups, center,
                             derived_subgroup)
 from extlift.intlin import TriangularLattice
 from extlift.reports import corpus_pairs
-from extlift.wells import _induced_pair, pair_key, slice_pair
+from extlift.wells import _induced_pair, pair_key, slice_pair, starred_sets
 
 from oracles import (aut_normalizing, brute_triple_defect,
-                     extension_witnesses, lift_witnesses, pair_witnesses)
+                     extension_witnesses, lift_witnesses, pair_witnesses,
+                     reference_chi)
 
 
 def _alt4():
@@ -102,17 +103,28 @@ def test_factor_set_matches_transversal_products():
 
 
 def test_triple_round_trip_is_identity():
+    """On each case and on a copy over the largest member of each coset,
+    which shares the coordinate tables but not the transversal: gamma ->
+    triple -> gamma is the identity, chi is the element-by-element
+    reference, and no two automorphisms share a triple."""
     for G, N in _cases(16):
-        ext = extension_from(G, N)
-        triples = {}
-        for gamma in aut_subgroups(ext).aut_N_of_G:
-            tr = triple_of(ext, gamma)
-            back = automorphism_from_triple(ext, tr)
-            assert back.image == gamma.image
-            assert _induced_pair(ext, gamma) == pair_key(tr)
-            key = (tr.theta.image, tr.phi.image, tr.chi)
-            assert key not in triples, "two automorphisms share a triple"
-            triples[key] = gamma.image
+        base = extension_from(G, N)
+        last = {base.pi(g): g for g in range(G.order)}
+        other = base.with_transversal([0] + [last[x] for x in range(1, base.H.order)])
+        assert other.transversal != base.transversal
+        assert other._coords is base._coords
+        for ext in (base, other):
+            triples = {}
+            for gamma in aut_subgroups(base).aut_N_of_G:
+                tr = triple_of(ext, gamma)
+                assert tuple(map(tuple, tr.chi.values.tolist())) == \
+                    reference_chi(ext, gamma)
+                back = automorphism_from_triple(ext, tr)
+                assert back.image == gamma.image
+                assert _induced_pair(ext, gamma) == pair_key(tr)
+                key = (tr.theta.image, tr.phi.image, tr.chi)
+                assert key not in triples, "two automorphisms share a triple"
+                triples[key] = gamma.image
 
 
 def test_valid_triples_enumerate_the_normalizing_automorphisms():
@@ -411,6 +423,28 @@ def test_answer_matches_the_one_question_functions(monkeypatch):
                 asked += len(mixed)
     assert trivial_quotients == 14
     assert incompatible > 0 and asked > 3000
+
+
+def test_each_pair_is_answered_once_whichever_sequence_asks(monkeypatch):
+    """On a central kernel C1 and C2 lie in C: starred_sets hands the block
+    |C| rows in all, not |C| + |C1| + |C2|, and a pair of C1 asked as a
+    pair of C is the same Answer."""
+    wells = importlib.import_module("extlift.wells")
+    q8 = catalog("quaternion", 8)
+    ext = extension_from(q8, center(q8))
+    rows, real = [], wells._answer_chunk
+
+    def counting(e, asked, class_keys):
+        rows.append(len(asked))
+        return real(e, asked, class_keys)
+    monkeypatch.setattr(wells, "_answer_chunk", counting)
+    pairs, c1, c2 = compatible_pairs(ext)
+    starred_sets(ext, pairs, c1, c2)
+    assert sum(rows) == len(pairs) < len(pairs) + len(c1) + len(c2)
+    for theta in c1:
+        pair = slice_pair(ext, 1, theta)
+        assert answer(ext, 1, pair) is answer(ext, 3, pair)
+    assert sum(rows) == len(pairs)
 
 
 def test_answers_refuse_pair_questions_on_a_non_central_kernel():
