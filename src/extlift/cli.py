@@ -142,10 +142,10 @@ def _extension(args) -> ExtensionData:
     return extension_from(G, N)
 
 
-def _emit(args, report: dict, code: int) -> int:
-    """Render report, write it to --output, then to stdout; return the exit
-    code.  A file that cannot be written turns the whole output into one
-    input-error record naming the path, with exit code 2."""
+def _render(args, report: dict, code: int) -> tuple[str, int]:
+    """Render report and write it to --output; return the text for stdout
+    and the exit code.  A file that cannot be written turns the whole output
+    into one input-error record naming the path, with exit code 2."""
     text = dumps(report)
     path = getattr(args, "output", None)
     if path:
@@ -155,8 +155,7 @@ def _emit(args, report: dict, code: int) -> int:
         except OSError as exc:
             error = InputError(f"{path}: cannot write the report ({exc})")
             text, code = dumps(_error_record(args, error)), 2
-    sys.stdout.write(text)
-    return code
+    return text, code
 
 
 def _load_corpus(path: str) -> list[FiniteGroup]:
@@ -361,17 +360,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "draws", 0) < 0:
         parser.error("--draws must not be negative")
     token = config.max_order_flag.set(bound)
+    # rendering is inside the try, so a report that cannot be rendered (out
+    # of memory in the encoder) becomes the error record, and stdout holds
+    # either the whole report or that record alone
     try:
         report, code = args.func(args)
+        text, code = _render(args, report, code)
     except BoundExceeded as exc:
-        return _emit(args, _error_record(args, exc), 3)
+        text, code = _render(args, _error_record(args, exc), 3)
     except ExtliftError as exc:
-        return _emit(args, _error_record(args, exc), 2)
+        text, code = _render(args, _error_record(args, exc), 2)
     except Exception as exc:        # a failed self-check or any other fault
-        return _emit(args, _error_record(args, exc), 4)
+        text, code = _render(args, _error_record(args, exc), 4)
     finally:
         config.max_order_flag.reset(token)
-    return _emit(args, report, code)
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

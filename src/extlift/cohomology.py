@@ -60,7 +60,7 @@ import numpy as np
 from . import config
 from .abelian import Vector
 from .errors import BoundExceeded, InputError, NotACocycle, ParentMismatch
-from .groups import FiniteGroup, GroupAutomorphism
+from .groups import FiniteGroup, GroupAutomorphism, is_integer
 from .intlin import TriangularLattice, kernel_order
 
 __all__ = [
@@ -314,7 +314,7 @@ def _parse_cochain_json(group: FiniteGroup, data: dict, arity: int):
         raise InputError("cochain JSON needs 'moduli' and 'values'")
     moduli = data["moduli"]
     if not isinstance(moduli, list) or not all(
-            isinstance(m, int) and m >= 1 for m in moduli):
+            is_integer(m) and m >= 1 for m in moduli):
         raise InputError("'moduli' must be a list of positive integers")
     raw = data.get("values", {})
     if not isinstance(raw, dict):
@@ -331,7 +331,7 @@ def _parse_cochain_json(group: FiniteGroup, data: dict, arity: int):
         if any(i < 0 or i >= group.order for i in idx):
             raise InputError(f"cochain key {key!r} out of range for |H|={group.order}")
         if not isinstance(vec, list) or len(vec) != len(moduli) or not all(
-                isinstance(e, int) for e in vec):
+                map(is_integer, vec)):
             raise InputError(f"cochain value at {key!r} must be {len(moduli)} integers")
         # reduced here, so entries beyond 64 bits never reach the array
         out[idx] = tuple(e % m for e, m in zip(vec, moduli))

@@ -46,10 +46,13 @@ cocycle for the extension's own action and one lattice serves every
 question.  Both paths build k by _difference_stack, check conditions (3)
 and (2) by _condition_3 and _condition_2 and build gamma by _gamma_images
 (the public functions with one row), over the coordinate tables of
-ExtensionData.  The public functions stay a chain of named calls
-(wells_cocycle_*, coboundary_solve, automorphism_from_triple; lambda*,
-class_of): the traced benchmark times them by name, and on large
-quotients their scalar walk beats a one-row block.
+ExtensionData.  _cocycle_stack is the one stacked identity check: the
+block and derivation_check, which reads the composition law of each slice
+from one checked stack, take their k from it.  The public functions stay
+a chain of named calls (wells_cocycle_*, coboundary_solve,
+automorphism_from_triple; lambda*, class_of): the traced benchmark times
+them by name, and on large quotients their scalar walk beats a one-row
+block.
 """
 
 from __future__ import annotations
@@ -65,13 +68,12 @@ from .abelian import (AbelianStructure, Vector, abelian_structure,
                       matrix_of_endomorphism, restrict_to_matrix)
 from .cohomology import (_CHECK_BLOCK_TRIPLES, CohomologyClass,
                          CohomologyGroup, OneCochain, TwoCochain, _coboundary,
-                         _identity, _moduli_array, coboundary_of,
-                         two_cocycle_defect)
+                         _identity, _moduli_array, two_cocycle_defect)
 from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotCentral,
                      NotCompatible, ParentMismatch, TripleConditionsFail)
 from .groups import (FiniteGroup, GroupAutomorphism, Subgroup, _compose_pair,
-                     _compose_perm, automorphism_group, center, quotient_group,
-                     require_closed)
+                     _compose_perm, _integers, automorphism_group, center,
+                     quotient_group, require_closed)
 
 __all__ = [
     "ExtensionData",
@@ -268,7 +270,7 @@ class ExtensionData:
         """A shallow copy over another transversal; mu is rebuilt and the
         fact table starts empty."""
         h, G = self.H.order, self.G
-        t = tuple(int(v) for v in transversal)
+        t = _integers(transversal, "transversal values must be integers")
         if len(t) != h:
             raise InputError(f"transversal must list {h} elements")
         if t[0] != 0:
@@ -359,20 +361,6 @@ def compatible_pairs(ext: ExtensionData, verify_closure: bool = True):
                        "compatible pairs are not closed under composition")
         ext._compatible = (pairs, c1, c2, True)
     return list(pairs), list(c1), list(c2)
-
-
-def _acted(ext: ExtensionData, values: np.ndarray,
-           theta: Optional[GroupAutomorphism] = None,
-           phi: Optional[GroupAutomorphism] = None) -> np.ndarray:
-    """Theta values o (phi x phi) for the values of a 2-cochain, Theta values
-    o phi for those of a 1-cochain; a slot left out or holding the identity
-    costs nothing (one tuple compare against id_H or id_N)."""
-    if phi is not None and phi.image != ext.id_H.image:
-        p = np.array(phi.image, dtype=np.int64)
-        values = values[p[:, None], p] if values.ndim == 3 else values[p]
-    if theta is not None and theta.image != ext.id_N.image:
-        values = values @ restrict_to_matrix(ext.coeffs, theta).T
-    return values
 
 
 def _difference_cocycle(ext: ExtensionData, which: int, theta: GroupAutomorphism,
@@ -648,6 +636,23 @@ def _difference_stack(mu: np.ndarray, T: np.ndarray, P: np.ndarray) -> np.ndarra
     return mu[P[:, :, None], P[:, None, :]] - mu @ T.transpose(0, 2, 1)[:, None]
 
 
+def _cocycle_stack(ext: ExtensionData, T: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The difference cocycles of stacked theta matrices T and phi images P,
+    reduced mod d and indexed [pair, x, y, c], checked at the generator
+    triples by one _identity call with the pairs on its trailing axis."""
+    H, d = ext.H, _moduli_array(ext.moduli)
+    K = _difference_stack(ext.mu.values, T, P) % d
+    x, s = np.arange(1, H.order), np.array(H.generators, dtype=np.intp)
+    D = _identity(np.moveaxis(K, 0, -1), ext.cohomology._A, H.cayley,
+                  x[:, None, None], s[:, None], x)
+    bad = (D % d[:, None]).any(axis=(0, 1, 2, 3))
+    if bad.any():
+        k = TwoCochain(H, ext.moduli, K[np.argmax(bad)])
+        raise AssertionError("difference cocycle fails the identity at "
+                             f"{two_cocycle_defect(k, ext.cocycle_action)}")
+    return K
+
+
 def _gamma_images(ext: ExtensionData, theta: np.ndarray, P: np.ndarray,
                   chi: np.ndarray) -> np.ndarray:
     """gamma(t(x) n) = t(phi x) chi(x) theta(n) as image rows over G, one per
@@ -667,8 +672,8 @@ def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
     stack:
 
     - compatibility: condition (3) by _condition_3;
-    - the difference cocycles k, checked at the generator triples by one
-      _identity call with the pairs on its trailing axis;
+    - the difference cocycles k, checked at the generator triples, by
+      _cocycle_stack;
     - one walk of the B^2 lattice gives each class key, and, for a k that
       reduces to zero, the witness chi from the multiples it took;
     - for those: the solver check d(chi) = k; condition (2) by
@@ -688,15 +693,8 @@ def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
         rows = np.flatnonzero(~_condition_3(ext, T, ext.action[P]).any(axis=1))
     if not rows.size:
         return got
-    K = _difference_stack(ext.mu.values, T[rows], P[rows]) % d
+    K = _cocycle_stack(ext, T[rows], P[rows])
     F = np.moveaxis(K, 0, -1)   # [x, y, c, pair]: the pair axis passes through
-    x, s = np.arange(1, H.order), np.array(H.generators, dtype=np.intp)
-    bad = (_identity(F, cg._A, tab, x[:, None, None], s[:, None], x)
-           % d[:, None]).any(axis=(0, 1, 2, 3))
-    if bad.any():
-        k = TwoCochain(H, ext.moduli, K[np.argmax(bad)])
-        raise AssertionError("difference cocycle fails the identity at "
-                             f"{two_cocycle_defect(k, ext.cocycle_action)}")
     lattice = cg._lattice
     rem, taken = lattice._remainders(K[:, 1:, 1:].reshape(len(rows), -1).copy())
     zero = ~rem.any(axis=1)
@@ -784,16 +782,6 @@ def slice_pair(ext: ExtensionData, which: int, member) -> CompatiblePair:
 def pair_key(pair) -> tuple:
     """(theta.image, phi.image) of a CompatiblePair or WellsTriple."""
     return (pair.theta.image, pair.phi.image)
-
-
-def _slice_cocycle(ext: ExtensionData, which: int, pair) -> TwoCochain:
-    """The difference cocycle of a pair of sequence which, built by the
-    public function of that sequence."""
-    if which == 1:
-        return wells_cocycle_theta(ext, pair.theta)
-    if which == 2:
-        return wells_cocycle_phi(ext, pair.phi)
-    return wells_cocycle_pair(ext, pair.theta, pair.phi)
 
 
 def starred_sets(ext: ExtensionData, pairs, c1, c2) -> dict[int, tuple]:
@@ -895,10 +883,11 @@ def h2_conjugation_action(ext: ExtensionData, aut: GroupAutomorphism,
         which = 2
     else:
         raise ParentMismatch("expected an automorphism of the kernel or quotient")
-    pair = slice_pair(ext, which, aut)
-    if not is_compatible(ext, *pair):
+    theta, phi = slice_pair(ext, which, aut)
+    if not is_compatible(ext, theta, phi):
         raise NotCompatible(f"{_SEQUENCES[which].pair} is not compatible")
-    moved = _acted(ext, cls.representative.values, *pair)
+    f, P = cls.representative.values, np.array(phi.image, dtype=np.intp)
+    moved = f[P[:, None], P] @ restrict_to_matrix(ext.coeffs, theta).T
     return ext.cohomology.class_of(TwoCochain(ext.H, ext.moduli, moved))
 
 
@@ -908,53 +897,63 @@ def derivation_check(ext: ExtensionData) -> dict:
     A member g of C1 or C2 is the pair (theta, phi), and
     k_(g1 g2) = k_g1 o (phi2 x phi2) + Theta1 k_g2: on C1 (phi = 1) this is
     k_(t1 t2) = k_t1 + T1 k_t2, on C2 (theta = 1) k_(p1 p2) = k_p2 +
-    k_p1 o (p2 x p2).  Where the two sides differ their classes are
-    compared too (equal cochains have equal classes).  The action
+    k_p1 o (p2 x p2).  Each slice's cocycles are read once from
+    _cocycle_stack, and the law is compared for a block of g1 rows against
+    every g2 at once; a block holds four arrays of rows x |slice| x h^2 x k
+    values, together at most _CHECK_BLOCK_TRIPLES.  Where the two sides
+    differ their classes are compared too (equal cochains have equal
+    classes).  compatible_pairs found every member compatible, and
+    _condition_3 over the slice must agree.  The action
     f -> Theta f o (phi x phi) must move coboundaries to coboundaries; that
     is probed on the first eight members of each slice.
     """
     _, c1, c2 = compatible_pairs(ext)
-    m = ext.moduli
-    H = ext.H
-    cg = ext.cohomology
-    action = ext.cocycle_action
-    slices = ((1, "theta", c1), (2, "phi", c2))
+    H, cg, moduli = ext.H, ext.cohomology, ext.moduli
+    h, d, k = H.order, _moduli_array(moduli), len(moduli)
     violations: list[str] = []
-
-    for which, name, members in slices:
+    probes: list[str] = []
+    # the first three unit cochains (x = 1 + i // k, coordinate i % k) of
+    # the B^2 generators, indexed [x, c, probe], and their coboundaries
+    p = min(3, (h - 1) * k)
+    unit = np.eye(h * k, dtype=np.int64)[:, k:k + p].reshape(h, k, p)
+    delta = _coboundary(unit, cg._A, H.cayley)
+    for which, name, members in ((1, "theta", c1), (2, "phi", c2)):
+        m = len(members)
         pairs = [slice_pair(ext, which, g) for g in members]
-        kg = {g.image: _slice_cocycle(ext, which, pair)
-              for g, pair in zip(members, pairs)}
-        for g1, (theta1, _) in zip(members, pairs):
-            for g2, (_, phi2) in zip(members, pairs):
-                lhs = kg[g1.compose(g2).image]
-                rhs = TwoCochain(H, m, _acted(ext, kg[g1.image].values, phi=phi2)
-                                 + _acted(ext, kg[g2.image].values, theta=theta1))
-                if lhs != rhs:
-                    at = f"{g1.image} o {g2.image}"
-                    violations.append(f"{name} derivation law fails at {at}")
-                    if cg.class_of(lhs) != cg.class_of(rhs):
-                        violations.append(f"{name} class law fails at {at}")
-
-    # coboundaries stay coboundaries, probed on the first three unit
-    # cochains (x = 1 + i // k, coordinate i % k) of the B^2 generators
-    h, k = H.order, len(m)
-    probe = []
-    for i in range(min(3, (h - 1) * k)):
-        unit = np.zeros(h * k, dtype=np.int64)
-        unit[k + i] = 1
-        chb = OneCochain(H, m, unit.reshape(h, k))
-        probe.append((chb.values, coboundary_of(chb, action).values))
-    for which, name, members in slices:
-        for g in members[:8]:
-            pair = slice_pair(ext, which, g)
-            for chb, delta in probe:
-                moved = TwoCochain(H, m, _acted(ext, delta, *pair))
-                chi2 = OneCochain(H, m, _acted(ext, chb, *pair))
-                if moved != coboundary_of(chi2, action):
-                    violations.append(f"{name} action does not preserve "
-                                      f"coboundaries at {g.image}")
-
+        T = np.stack([restrict_to_matrix(ext.coeffs, th) for th, _ in pairs])
+        P = np.array([ph.image for _, ph in pairs], dtype=np.intp)
+        if not ext.central and _condition_3(ext, T, ext.action[P]).any():
+            raise AssertionError(f"a compatible pair {_SEQUENCES[which].pair} "
+                                 "fails condition (3)")
+        K = _cocycle_stack(ext, T, P)
+        images = np.array([g.image for g in members], dtype=np.intp)
+        index = {g.image: i for i, g in enumerate(members)}
+        step = max(1, _CHECK_BLOCK_TRIPLES // max(1, 4 * m * h * h * k))
+        for r0 in range(0, m, step):
+            rows = np.arange(r0, min(r0 + step, m))
+            # both sides for g1 in rows, g2 in members, [g1, g2, x, y, c]:
+            # k_(g1 g2) at the member whose image is g1 o g2
+            composed = images[rows][:, images].reshape(rows.size * m, -1)
+            lhs = K[[index[tuple(c)] for c in composed.tolist()]].reshape(
+                (rows.size,) + K.shape)
+            rhs = (K[rows][:, P[:, :, None], P[:, None, :]]
+                   + np.einsum("jxyc,idc->ijxyd", K, T[rows]))
+            for i, j in np.argwhere(((lhs - rhs) % d).any(axis=(2, 3, 4))).tolist():
+                where = f"{members[rows[i]].image} o {members[j].image}"
+                violations.append(f"{name} derivation law fails at {where}")
+                if (cg.class_of(TwoCochain(H, moduli, lhs[i, j]))
+                        != cg.class_of(TwoCochain(H, moduli, rhs[i, j]))):
+                    violations.append(f"{name} class law fails at {where}")
+        # Theta delta o (phi x phi) against d(Theta unit o phi), indexed
+        # [x, y, c, member, probe]
+        T8, P8 = T[:8], P[:8]
+        moved = np.einsum("gij,gxyjp->xyigp", T8, delta[P8[:, :, None], P8[:, None, :]])
+        chi = np.einsum("gij,gxjp->xigp", T8, unit[P8])
+        bad = (moved - _coboundary(chi, cg._A, H.cayley)) % d[:, None, None]
+        probes.extend(f"{name} action does not preserve coboundaries at "
+                      f"{members[g].image}"
+                      for g, _ in np.argwhere(bad.any(axis=(0, 1, 2))).tolist())
+    violations.extend(probes)
     return {
         "c1_order": len(c1),
         "c2_order": len(c2),

@@ -24,14 +24,16 @@ from extlift import (BoundExceeded, FiniteGroup, NotCentral, NotCompatible,
                      lift_automorphism, lift_pair, local_extension,
                      quotient_sylows, restrict_to_quotient_sylow,
                      sylow_preimage, wells_cocycle_phi, wells_cocycle_theta)
-from extlift.cohomology import trivial_action
+from extlift.abelian import restrict_to_matrix
+from extlift.cohomology import (OneCochain, TwoCochain, coboundary_of,
+                                trivial_action)
 from extlift.groups import (GroupAutomorphism, _compose_pair, _compose_perm,
                             prime_factors)
 from extlift.intlin import ext_gcd, kernel_order
 from extlift.splitting import (Section, _pair_keys, _verify_section,
                                split_kernels)
-from extlift.wells import (_induced_pair, aut_subgroups, pair_key,
-                           sequence_autos)
+from extlift.wells import (_induced_pair, aut_subgroups, compatible_pairs,
+                           pair_key, sequence_autos, slice_pair)
 
 # total normalized-cochain assignments a brute H^2 enumeration may visit
 H2_SPACE_BOUND = 2 ** 16
@@ -728,3 +730,64 @@ class TriangularLattice:
                 for j in range(i, self.n):
                     v[j] -= q * row[j]
         return tuple(v)
+
+
+def _acted(ext, values, theta=None, phi=None) -> np.ndarray:
+    """Theta values o (phi x phi) for the values of a 2-cochain, Theta values
+    o phi for those of a 1-cochain; a slot left out is the identity."""
+    if phi is not None:
+        p = np.array(phi.image, dtype=np.int64)
+        values = values[p[:, None], p] if values.ndim == 3 else values[p]
+    if theta is not None:
+        values = values @ restrict_to_matrix(ext.coeffs, theta).T
+    return values
+
+
+def reference_derivation_check(ext) -> dict:
+    """derivation_check one member and one pair at a time: each difference
+    cocycle from wells_cocycle_theta or wells_cocycle_phi, each side of
+    k_(g1 g2) = k_g1 o (phi2 x phi2) + Theta1 k_g2 as a TwoCochain, and each
+    coboundary probe through coboundary_of."""
+    _, c1, c2 = compatible_pairs(ext)
+    m, H, cg = ext.moduli, ext.H, ext.cohomology
+    action = ext.cocycle_action
+    slices = ((1, "theta", c1), (2, "phi", c2))
+    violations: list[str] = []
+    for which, name, members in slices:
+        pairs = [slice_pair(ext, which, g) for g in members]
+        kg = {g.image: (wells_cocycle_theta(ext, g) if which == 1
+                        else wells_cocycle_phi(ext, g)) for g in members}
+        for g1, (theta1, _) in zip(members, pairs):
+            for g2, (_, phi2) in zip(members, pairs):
+                lhs = kg[g1.compose(g2).image]
+                rhs = TwoCochain(H, m, _acted(ext, kg[g1.image].values, phi=phi2)
+                                 + _acted(ext, kg[g2.image].values, theta=theta1))
+                if lhs != rhs:
+                    at = f"{g1.image} o {g2.image}"
+                    violations.append(f"{name} derivation law fails at {at}")
+                    if cg.class_of(lhs) != cg.class_of(rhs):
+                        violations.append(f"{name} class law fails at {at}")
+    # coboundaries stay coboundaries, probed on the first three unit
+    # cochains (x = 1 + i // k, coordinate i % k) of the B^2 generators
+    h, k = H.order, len(m)
+    probe = []
+    for i in range(min(3, (h - 1) * k)):
+        unit = np.zeros(h * k, dtype=np.int64)
+        unit[k + i] = 1
+        chb = OneCochain(H, m, unit.reshape(h, k))
+        probe.append((chb.values, coboundary_of(chb, action).values))
+    for which, name, members in slices:
+        for g in members[:8]:
+            pair = slice_pair(ext, which, g)
+            for chb, delta in probe:
+                moved = TwoCochain(H, m, _acted(ext, delta, *pair))
+                chi2 = OneCochain(H, m, _acted(ext, chb, *pair))
+                if moved != coboundary_of(chi2, action):
+                    violations.append(f"{name} action does not preserve "
+                                      f"coboundaries at {g.image}")
+    return {
+        "c1_order": len(c1),
+        "c2_order": len(c2),
+        "ok": not violations,
+        "violations": violations,
+    }

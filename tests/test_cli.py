@@ -403,6 +403,30 @@ def test_internal_error_exits_4(capsys, monkeypatch, exc):
                       "kind": type(exc).__name__}
 
 
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output-file"])
+def test_failure_while_rendering_exits_4(capsys, monkeypatch, tmp_path, output):
+    """The encoder running out of memory on a finished report is an internal
+    error: exit 4 and the one error record on stdout, with nothing of the
+    report before it, not an exception out of main (exit 1)."""
+    calls = []
+
+    def dumps_failing_once(report):
+        calls.append(report)
+        if len(calls) == 1:
+            raise MemoryError()
+        return dumps(report)
+    monkeypatch.setattr(cli, "dumps", dumps_failing_once)
+    argv = ["h2", "--group", "cyclic(4)", "--coeffs", "cyclic(2)"]
+    if output:
+        argv += ["--output", str(tmp_path / "report.json")]
+    code, report, _ = run(capsys, *argv)
+    assert code == 4
+    assert report == {"error": "h2: MemoryError", "kind": "MemoryError"}
+    assert "h2_order" in calls[0]
+    if output:
+        assert json.loads((tmp_path / "report.json").read_text()) == report
+
+
 # entries of a group file must be JSON integers; a float such as 0.5 is
 # refused, not truncated
 BAD_GROUP_FILES = [

@@ -379,6 +379,13 @@ def test_cochain_json_round_trip():
     assert OneCochain.from_json(Z4, json.loads(json.dumps(chi.to_json()))) == chi
     with pytest.raises(InputError):
         TwoCochain.from_json(V4, {"moduli": [2, 4], "values": {"9,0": [0, 0]}})
+    # a boolean is no JSON integer: moduli [true] would be written back as
+    # true, and a value [true] read as 1
+    for cls, key in ((OneCochain, "1"), (TwoCochain, "1,1")):
+        with pytest.raises(InputError, match="'moduli' must be a list of positive"):
+            cls.from_json(Z2, {"moduli": [True], "values": {}})
+        with pytest.raises(InputError, match=f"cochain value at '{key}' must be"):
+            cls.from_json(Z2, {"moduli": [2], "values": {key: [True]}})
 
 
 def test_class_of_and_solve_round_trip():

@@ -32,7 +32,7 @@ from extlift.wells import _induced_pair, pair_key, slice_pair, starred_sets
 
 from oracles import (aut_normalizing, brute_triple_defect,
                      extension_witnesses, lift_witnesses, pair_witnesses,
-                     reference_chi)
+                     reference_chi, reference_derivation_check)
 
 
 def _alt4():
@@ -243,14 +243,19 @@ def test_derivation_laws_hold():
 
 
 def _shift_cocycles(monkeypatch, ext, target, shift):
-    """Add shift to the difference cocycle of the theta and the phi whose
-    image is target[0] and target[1], through the public cocycle functions."""
+    """Add shift to the difference cocycle of the pair whose key is target,
+    (theta image, phi image), in every stack _difference_stack builds: its
+    rows are matched by theta matrix and phi image."""
     wells = importlib.import_module("extlift.wells")
-    for name, image in zip(("wells_cocycle_theta", "wells_cocycle_phi"), target):
-        def shifted(e, aut, original=getattr(wells, name), image=image):
-            k = original(e, aut)
-            return k + shift if aut.image == image else k
-        monkeypatch.setattr(wells, name, shifted)
+    theta = GroupAutomorphism(ext.n_group, target[0])
+    T0 = restrict_to_matrix(ext.coeffs, theta)
+    P0 = np.array(target[1])
+
+    def shifted(mu, T, P, original=wells._difference_stack):
+        K = original(mu, T, P)
+        K[(T == T0).all(axis=(1, 2)) & (P == P0).all(axis=1)] += shift.values
+        return K
+    monkeypatch.setattr(wells, "_difference_stack", shifted)
 
 
 def _law_lines(name, pairs, failing_class):
@@ -290,7 +295,7 @@ def test_derivation_check_reports_shifted_cocycles(monkeypatch):
 
     # phi = inv: only inv o inv moves, and its classes still agree
     with monkeypatch.context() as mp:
-        _shift_cocycles(mp, ext, (None, inv), ext.mu)
+        _shift_cocycles(mp, ext, (one, inv), ext.mu)
         assert derivation_check(ext)["violations"] == [
             f"phi derivation law fails at {inv} o {inv}"]
     assert derivation_check(ext)["violations"] == []
@@ -303,10 +308,65 @@ def test_derivation_check_class_law_only_where_classes_differ(monkeypatch):
     one, a, b, c = (t.image for t in c1)
     assert [p.image for p in c2] == [(0, 1)]
     with monkeypatch.context() as mp:
-        _shift_cocycles(mp, ext, (a, None), ext.mu)
+        _shift_cocycles(mp, ext, (a, ext.id_H.image), ext.mu)
         report = derivation_check(ext)
     moved = [(a, b), (a, c), (b, a), (b, c), (c, a), (c, b)]
     assert report["violations"] == _law_lines("theta", [(a, a)] + moved, moved)
+
+
+def _derivation_cases():
+    """Every corpus extension with |C1|, |C2| <= 48, one copy of each over a
+    random transversal, and the edge cases N = 1, N = G and cyclic(1)."""
+    rng = random.Random(1971)
+    for G in shipped_corpus():
+        for N in corpus_pairs(G):
+            ext = extension_from(G, N)
+            _, c1, c2 = compatible_pairs(ext)
+            if max(len(c1), len(c2)) <= 48:
+                yield ext
+                yield ext.with_transversal(random_transversal(ext, rng))
+    d8, z6, z1 = catalog("dihedral", 8), catalog("cyclic", 6), catalog("cyclic", 1)
+    for G, N in ((d8, Subgroup(d8, [0])), (z6, Subgroup(z6, range(6))),
+                 (z1, Subgroup(z1, [0]))):
+        yield extension_from(G, N)
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["default-block", "one-row-blocks"])
+def test_derivation_check_matches_the_per_pair_reference(monkeypatch, block):
+    """The stacked law and probe give the dict of the one-pair-at-a-time
+    reference, also when every block of the law holds one g1 row; and so
+    they do with the cocycles of the last member of C1 and of C2 shifted by
+    the factor set, which breaks the law at many pairs."""
+    if block is not None:
+        monkeypatch.setattr(importlib.import_module("extlift.wells"),
+                            "_CHECK_BLOCK_TRIPLES", block)
+    seen = broken = 0
+    for ext in _derivation_cases():
+        assert derivation_check(ext) == reference_derivation_check(ext), ext
+        _, c1, c2 = compatible_pairs(ext)
+        with monkeypatch.context() as mp:
+            _shift_cocycles(mp, ext, (c1[-1].image, ext.id_H.image), ext.mu)
+            _shift_cocycles(mp, ext, (ext.id_N.image, c2[-1].image), ext.mu)
+            report = derivation_check(ext)
+            assert report == reference_derivation_check(ext), ext
+        seen += 1
+        broken += not report["ok"]
+    assert seen == 2 * 115 + 3 and broken > 100
+
+
+def test_derivation_check_refuses_an_incompatible_slice_member(monkeypatch):
+    """A member of C1 that fails condition (3) is a broken compatible_pairs,
+    not a law violation: the check raises instead of reporting."""
+    a4 = _alt4()
+    ext = extension_from(a4, derived_subgroup(a4))
+    pairs, c1, c2 = compatible_pairs(ext)
+    alien = next(t for t in automorphism_group(ext.n_group)
+                 if not is_compatible(ext, t, ext.id_H))
+    wells = importlib.import_module("extlift.wells")
+    monkeypatch.setattr(wells, "compatible_pairs",
+                        lambda e: (pairs, c1 + [alien], c2))
+    with pytest.raises(AssertionError, match=r"\(theta, 1\) fails condition \(3\)"):
+        derivation_check(ext)
 
 
 def test_verdicts_stable_under_transversal_change():
@@ -684,6 +744,11 @@ def test_transversal_validation():
         ext.with_transversal([0, 1])
     with pytest.raises(InputError):
         ext.with_transversal([0, 0, 0, 0])
+    # a float or a boolean never truncates: each list would read (0, 1, 4, 5)
+    assert ext.with_transversal((0, 1, 4, 5)).transversal == (0, 1, 4, 5)
+    for values in ([0, 1.9, 4.5, 5], [False, True, 4, 5]):
+        with pytest.raises(InputError, match="transversal values must be integers"):
+            ext.with_transversal(values)
     rng = random.Random(5)
     t = random_transversal(ext, rng)
     assert t[0] == 0
