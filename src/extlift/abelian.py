@@ -6,21 +6,29 @@ endomorphisms become integer matrices (entry (i, j) meaningful mod d_i).
 The decomposition is computed by repeatedly splitting off a cyclic summand
 generated by an element of maximal order; the complement is cut out by an
 explicit retraction onto that summand, so each step is verified.
+
+AbelianStructure is the one owner of these coordinates, held as read-only
+int64 arrays: coords[i] the coordinates of member i, and member_at[r] the
+member whose coordinates c have the mixed-radix index r = c . radix, a
+member being named by its position in N (its index in N.as_group()).
+Every other table of N coordinates (the matrix of an endomorphism, the
+G-indexed tables and the action matrices of wells.ExtensionData) is a
+gather from these.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, ParentMismatch
-from .groups import FiniteGroup, GroupAutomorphism, Subgroup
+from .groups import (FiniteGroup, GroupAutomorphism, Subgroup, _integers,
+                     is_integer)
 
 __all__ = [
     "AbelianStructure",
     "abelian_structure",
-    "vec_reduce",
     "matrix_of_endomorphism",
     "restrict_to_matrix",
 ]
@@ -28,14 +36,11 @@ __all__ = [
 Vector = tuple[int, ...]
 
 
-def vec_reduce(v: Sequence[int], moduli: Sequence[int]) -> Vector:
-    return tuple(x % m for x, m in zip(v, moduli))
-
-
 class AbelianStructure:
     """Coordinates N = Z/d_1 x ... x Z/d_k for an abelian subgroup N.
 
-    Indicies refer to the standalone subgroup group (N.as_group()); use
+    Indices refer to the standalone subgroup group (N.as_group()), as do
+    the arrays coords and member_at (module docstring); use
     coords_of_member / member_of_coords for parent-group element indices.
     """
 
@@ -47,44 +52,30 @@ class AbelianStructure:
         self.generators = tuple(gens)            # n_group elements, one per factor
         self.invariant_factors = tuple(factors)  # d_1 | d_2 | ... | d_k
         self.rank = len(factors)
-        self.order = subgroup.order
-        self._coords = _coordinate_table(self.n_group, self.generators,
-                                         self.invariant_factors)
-        self._from_coords = {c: i for i, c in enumerate(self._coords)}
+        self.coords, self.member_at, self.radix = _coordinate_table(
+            self.n_group, self.generators, self.invariant_factors)
         self._matrices: dict[tuple, np.ndarray] = {}   # see restrict_to_matrix
-        if len(self._from_coords) != self.order:
-            raise AssertionError("coordinate map is not injective")
 
     def __repr__(self) -> str:
         return f"AbelianStructure({' x '.join(f'Z/{d}' for d in self.invariant_factors) or '1'})"
 
-    @property
-    def moduli(self) -> Vector:
-        return self.invariant_factors
-
-    def zero(self) -> Vector:
-        return (0,) * self.rank
-
-    def to_coords(self, n_index: int) -> Vector:
-        """Coordinates of an element of the standalone subgroup group."""
-        return self._coords[n_index]
-
-    def from_coords(self, coords: Sequence[int]) -> int:
-        key = vec_reduce(coords, self.invariant_factors)
-        try:
-            return self._from_coords[key]
-        except KeyError:
-            raise InputError(f"no element has coordinates {key}") from None
-
     def coords_of_member(self, g_index: int) -> Vector:
         """Coordinates of a parent-group element lying in the subgroup."""
+        if not is_integer(g_index):
+            raise InputError(f"element index {g_index!r} is not an integer")
         pos = self.subgroup.position.get(g_index)
         if pos is None:
             raise ParentMismatch(f"element {g_index} is not in the subgroup")
-        return self._coords[pos]
+        return tuple(self.coords[pos].tolist())
 
     def member_of_coords(self, coords: Sequence[int]) -> int:
-        return self.subgroup.members[self.from_coords(coords)]
+        """The parent-group element with these coordinates, read mod d_i."""
+        c = _integers(coords, "coordinates must be integers")
+        if len(c) != self.rank:
+            raise InputError(f"expected {self.rank} coordinates, got {len(c)}")
+        index = sum(x % d * r for x, d, r in
+                    zip(c, self.invariant_factors, self.radix.tolist()))
+        return self.subgroup.members[self.member_at[index]]
 
 
 def abelian_structure(subgroup: Subgroup) -> AbelianStructure:
@@ -154,42 +145,38 @@ def _retraction(N: FiniteGroup, members: list[int], a: int, m: int) -> dict[int,
     return rho
 
 
-def _coordinate_table(N: FiniteGroup, gens: Sequence[int],
-                      factors: Sequence[int]) -> list[Vector]:
-    """to_coords for every element, by exhausting products of generator powers."""
-    k = len(gens)
-    coords = [None] * N.order  # type: list[Optional[Vector]]
-    coords_list: list[tuple[Vector, int]] = [((0,) * k, 0)]
-    for i in range(k):
-        step = gens[i]
-        extended = list(coords_list)
-        x = 0
-        for e in range(1, factors[i]):
-            x = N.mul(x, step)
-            for vec, elem in coords_list:
-                new = list(vec)
-                new[i] = e
-                extended.append((tuple(new), N.mul(elem, x)))
-        coords_list = extended
-    for vec, elem in coords_list:
-        if coords[elem] is not None:
-            raise AssertionError("duplicate coordinates for one element")
-        coords[elem] = vec
-    if any(c is None for c in coords):
+def _coordinate_table(N: FiniteGroup, gens: Sequence[int], factors: Sequence[int]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """coords, member_at and radix (module docstring), read-only: member_at
+    lists the products of generator powers in mixed-radix order, and is
+    checked to be a bijection onto N."""
+    d = np.array(factors, dtype=np.int64)
+    radix = np.cumprod((1,) + tuple(factors))[:-1]
+    member_at = np.zeros(1, dtype=np.intp)
+    for g, m in zip(gens, factors):
+        powers = [0]
+        for _ in range(1, m):
+            powers.append(N.mul(powers[-1], g))
+        # index e * radix_i + r: the r-th product so far times g^e
+        member_at = N.cayley[member_at, np.array(powers)[:, None]].reshape(-1)
+    if (np.bincount(member_at, minlength=N.order) > 1).any():
+        raise AssertionError("duplicate coordinates for one element")
+    if member_at.size != N.order:
         raise AssertionError("coordinate table incomplete")
-    return coords  # type: ignore[return-value]
+    coords = np.empty((N.order, d.size), dtype=np.int64)
+    coords[member_at] = np.arange(N.order)[:, None] // radix % d
+    for a in (coords, member_at, radix):
+        a.flags.writeable = False
+    return coords, member_at, radix
 
 
 def matrix_of_endomorphism(structure: AbelianStructure,
                            image: Sequence[int]) -> np.ndarray:
     """(k, k) int64 matrix, acting on coordinate columns, of a map given on
-    n_group elements; entry (i, j) lies in [0, d_i)."""
-    k = structure.rank
-    cols = []
-    for j in range(k):
-        unit = tuple(1 if i == j else 0 for i in range(k))
-        cols.append(structure.to_coords(image[structure.from_coords(unit)]))
-    return np.array(cols, dtype=np.int64).reshape(k, k).T
+    n_group elements; entry (i, j) lies in [0, d_i).  Column j is one
+    gather: the coordinates of the image of the j-th unit vector."""
+    units = structure.member_at[structure.radix].tolist()
+    return structure.coords[[image[u] for u in units]].T
 
 
 def restrict_to_matrix(structure: AbelianStructure,

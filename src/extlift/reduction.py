@@ -28,7 +28,9 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .cohomology import CohomologyClass, TwoCochain
+import numpy as np
+
+from .cohomology import CohomologyClass
 from .errors import (InputError, NotCharacteristic, ParentMismatch,
                      SylowNotInvariant)
 from .groups import (GroupAutomorphism, Subgroup, automorphism_group,
@@ -221,10 +223,6 @@ def sylow_extend_check(ext: ExtensionData, theta: GroupAutomorphism) -> SylowChe
     return _sylow_check(ext, 1, slice_pair(ext, 1, theta))
 
 
-def _scaled(f: TwoCochain, m: int) -> TwoCochain:
-    return TwoCochain(f.group, f.moduli, m * f.values)
-
-
 def index_kill_check(ext: ExtensionData, phi: GroupAutomorphism,
                      check: Optional[SylowCheck] = None) -> dict:
     """Expose the class arithmetic behind the lifting reduction.
@@ -233,6 +231,8 @@ def index_kill_check(ext: ExtensionData, phi: GroupAutomorphism,
     k_phi vanish; the entry for each prime records whether that held.  The
     indices attached to successful primes are jointly coprime exactly when
     every prime succeeds, which forces the class itself to die.
+    wells_cocycle_phi proves k a cocycle, so every r k is one: their class
+    keys are read from one walk of the B^2 lattice.
     """
     if phi.group is not ext.H:
         raise ParentMismatch("automorphism must act on the quotient group")
@@ -240,18 +240,20 @@ def index_kill_check(ext: ExtensionData, phi: GroupAutomorphism,
     cg = ext.cohomology
     if check is None:
         check = sylow_lift_check(ext, phi)
+    scales = np.array([1] + [r.index for r in check.reports], dtype=np.int64)
+    vec = scales[:, None] * cg.vector_of(k) % cg._lattice._mod
+    killed = (~cg._lattice._remainders(vec)[0].any(axis=1)).tolist()
     entries = []
     running = 0
-    for r in check.reports:
-        killed = cg.class_of(_scaled(k, r.index)).is_trivial
+    for r, dead in zip(check.reports, killed[1:]):
         entries.append({"p": r.prime, "index": r.index,
-                        "local_lift": r.local_ok, "index_kill": killed})
+                        "local_lift": r.local_ok, "index_kill": dead})
         if r.local_ok:
             running = gcd(running, r.index)
     # no primes divide |H| = 1; the empty family is jointly coprime
     coprime = running == 1 if entries else True
     return {
-        "class_trivial": cg.class_of(k).is_trivial,
+        "class_trivial": killed[0],
         "primes": entries,
         "indices_coprime": coprime,
         "forced_trivial": check.verdict and coprime,

@@ -3,13 +3,17 @@
 The three short exact sequences built in wells restrict to the subsets with
 trivial obstruction class: those starred sets are the exact images, so each
 sequence is onto them.  When the underlying extension 1 -> N -> G -> H -> 1
-itself splits, explicit sections exist (built here from a homomorphic
-transversal); when it does not, a section can still exist, and a
-backtracking search over generator fibers settles the question either way.
+itself splits, explicit sections exist: over a homomorphic transversal t'
+the factor set is zero, so the gamma of each triple (theta, phi, 0) is
+t'(x) n -> t'(phi x) theta(n), built by wells._gamma_images on the copy
+of the extension over t'.  When it does not split, a section can still
+exist, and a backtracking search over generator fibers settles the
+question either way.
 
 Extraspecial-shaped central extensions carry a commutator form on the
-quotient; quotient maps induced from automorphisms of G preserve it, which
-pins down the starred set on that family.
+quotient, a read-only (h, h, k) array gathered from the G-indexed
+coordinates of the extension; quotient maps induced from automorphisms of
+G preserve it, which pins down the starred set on that family.
 """
 
 from __future__ import annotations
@@ -20,15 +24,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import config
-from .cohomology import TwoCochain
+from .cohomology import TwoCochain, _moduli_array
 from .errors import (BoundExceeded, NotCentral, NotExtraspecialShape,
                      NotSplit, ParentMismatch)
 from .groups import (FiniteGroup, GroupAutomorphism, GroupHomomorphism,
                      Subgroup, _compose_pair, _compose_perm, center,
                      close_generator_images, derived_subgroup, require_closed)
-from .wells import (_SEQUENCES, ExtensionData, _fact, _induced_pair,
-                    aut_subgroups, compatible_pairs, pair_key, sequence_autos,
-                    slice_pair, starred_sets)
+from .wells import (_SEQUENCES, ExtensionData, _fact, _gamma_images,
+                    _induced_pair, aut_subgroups, compatible_pairs, pair_key,
+                    sequence_autos, slice_pair, starred_sets)
 
 __all__ = [
     "SplitKernels",
@@ -74,14 +78,26 @@ class Section(NamedTuple):
 
 
 class CommutatorForm(NamedTuple):
-    """values[x][y] holds the N coordinates of [t(x), t(y)]."""
+    """values is a read-only (h, h, k) int64 array; values[x, y] holds the
+    N coordinates of [t(x), t(y)]."""
 
     group: FiniteGroup             # the quotient H
     moduli: tuple
-    values: tuple
+    values: np.ndarray
 
     def __call__(self, x: int, y: int):
-        return self.values[x][y]
+        return tuple(self.values[x, y].tolist())
+
+    # by value, as a tuple of tuples compared: an array has no truth value
+    def __eq__(self, other) -> bool:
+        return (type(other) is CommutatorForm and self.group is other.group
+                and self.moduli == other.moduli
+                and self.values.tobytes() == other.values.tobytes())
+
+    __ne__ = object.__ne__      # the negation of __eq__, not tuple's
+
+    def __hash__(self):
+        return hash((id(self.group), self.moduli, self.values.tobytes()))
 
 
 def split_kernels(ext: ExtensionData) -> SplitKernels:
@@ -121,9 +137,9 @@ def is_split_extension(ext: ExtensionData) -> tuple[bool, Optional[SplitWitness]
     if chi is None:
         return False, None
     G = ext.G
-    minus_chi = (-chi.values).tolist()     # member_of_coords reduces them
-    members = [G.mul(ext.transversal[x], ext.coeffs.member_of_coords(minus_chi[x]))
-               for x in range(ext.H.order)]
+    # t'(x) = t(x) n(-chi(x)), gathered by the coordinates' mixed-radix index
+    n = ext._member_at[-chi.values % _moduli_array(ext.moduli) @ ext.coeffs.radix]
+    members = G.cayley[ext._t, n].tolist()
     section = GroupHomomorphism(ext.H, G, members)
     complement = Subgroup(G, members)
     if complement.order != ext.H.order:
@@ -131,13 +147,6 @@ def is_split_extension(ext: ExtensionData) -> tuple[bool, Optional[SplitWitness]
     if any(ext.pi(members[x]) != x for x in range(ext.H.order)):
         raise AssertionError("complement transversal projects incorrectly")
     return True, SplitWitness(section, complement)
-
-
-def _decompose(ext: ExtensionData, section: GroupHomomorphism, g: int) -> tuple[int, int]:
-    """g = section(x) * n uniquely; returns (x, n) with n a G index in N."""
-    x = ext.pi(g)
-    n = ext.G.mul(ext.G.inv(section(x)), g)
-    return x, n
 
 
 def _pair_keys(ext: ExtensionData, which: int, members) -> list[tuple]:
@@ -181,18 +190,21 @@ def canonical_sections(ext: ExtensionData) -> tuple[Section, Section, Optional[S
     if not ok:
         raise NotSplit("extension has no complement, canonical sections unavailable")
     stars = split_kernels(ext)
-    G, N = ext.G, ext.N
-    section = witness.section
-    parts = [_decompose(ext, section, g) for g in range(G.order)]
+    # over t' the factor set is zero, so a zero chi makes each triple's
+    # gamma the map t'(x) n -> t'(phi x) theta(n)
+    split = ext.with_transversal(witness.section.image)
+    if split.mu.values.any():
+        raise AssertionError("homomorphic transversal has a nonzero factor set")
 
     def build(which: int) -> Section:
         domain = stars[which - 1]
-        images = []
-        for p in (slice_pair(ext, which, m) for m in domain):
-            images.append(GroupAutomorphism(
-                G, [G.mul(section(p.phi(x)), N.members[p.theta(N.position[n])])
-                    for x, n in parts]))
-        sec = Section(which, tuple(domain), tuple(images))
+        pairs = [slice_pair(ext, which, m) for m in domain]
+        P = np.array([p.phi.image for p in pairs], dtype=np.intp)
+        theta = np.array([p.theta.image for p in pairs], dtype=np.intp)
+        chi = np.zeros(P.shape + (ext.coeffs.rank,), dtype=np.int64)
+        img = _gamma_images(split, theta, P, chi)
+        sec = Section(which, tuple(domain),
+                      tuple(GroupAutomorphism(ext.G, row) for row in img.tolist()))
         _verify_section(ext, sec)
         return sec
 
@@ -279,14 +291,13 @@ def commutator_form(ext: ExtensionData) -> CommutatorForm:
         raise NotExtraspecialShape("N must be the derived subgroup")
     if any(o > 2 for o in ext.H.element_orders()):
         raise NotExtraspecialShape("quotient must be elementary abelian of exponent 2")
-    t = ext.transversal
-    coords = ext.coeffs.coords_of_member
-    h = ext.H.order
-    values = tuple(tuple(coords(G.commutator(t[x], t[y])) for y in range(h))
-                   for x in range(h))
-    form = CommutatorForm(ext.H, ext.moduli, values)
-    F = np.array(values, dtype=np.int64).reshape(h, h, len(ext.moduli))
+    # [t(x), t(y)] = t(x)^-1 t(y)^-1 t(x) t(y), in N = [G, G]
+    cayley, t, inv = G.cayley, ext._t, ext._inverse[ext._t]
+    F = ext._coords[cayley[cayley[inv[:, None], inv], cayley[t[:, None], t]]]
+    F.flags.writeable = False
+    form = CommutatorForm(ext.H, ext.moduli, F)
     d = np.array(ext.moduli, dtype=np.int64)
+    h = ext.H.order
     tab = ext.H.cayley
     for x in range(h):
         if F[x, x].any():
@@ -308,7 +319,5 @@ def is_form_preserving(ext: ExtensionData, phi: GroupAutomorphism) -> bool:
     """Whether phi respects the commutator pairing of the quotient."""
     if phi.group is not ext.H:
         raise ParentMismatch("automorphism must act on the quotient group")
-    form = commutator_form(ext)
-    h = ext.H.order
-    return all(form(phi(x), phi(y)) == form(x, y)
-               for x in range(h) for y in range(h))
+    F, P = commutator_form(ext).values, np.array(phi.image, dtype=np.intp)
+    return bool((F[P[:, None], P] == F).all())

@@ -46,13 +46,16 @@ cocycle for the extension's own action and one lattice serves every
 question.  Both paths build k by _difference_stack, check conditions (3)
 and (2) by _condition_3 and _condition_2 and build gamma by _gamma_images
 (the public functions with one row), over the coordinate tables of
-ExtensionData.  _cocycle_stack is the one stacked identity check: the
-block and derivation_check, which reads the composition law of each slice
-from one checked stack, take their k from it.  The public functions stay
-a chain of named calls (wells_cocycle_*, coboundary_solve,
-automorphism_from_triple; lambda*, class_of): the traced benchmark times
-them by name, and on large quotients their scalar walk beats a one-row
-block.
+ExtensionData, which, like the action matrices, are gathers from the
+arrays of abelian.AbelianStructure.  is_compatible is the one-row
+_condition_3, and compatible_pairs asks it of the Aut N x Aut H grid;
+splitting builds its canonical sections by _gamma_images too.
+_cocycle_stack is the one stacked identity check: the block and
+derivation_check, which reads the composition law of each slice from one
+checked stack, take their k from it.  The public functions stay a chain
+of named calls (wells_cocycle_*, coboundary_solve, automorphism_from_triple;
+lambda*, class_of): the traced benchmark times them by name, and on large
+quotients their scalar walk beats a one-row block.
 """
 
 from __future__ import annotations
@@ -65,15 +68,15 @@ import numpy as np
 
 from . import config
 from .abelian import (AbelianStructure, Vector, abelian_structure,
-                      matrix_of_endomorphism, restrict_to_matrix)
+                      restrict_to_matrix)
 from .cohomology import (_CHECK_BLOCK_TRIPLES, CohomologyClass,
                          CohomologyGroup, OneCochain, TwoCochain, _coboundary,
                          _identity, _moduli_array, two_cocycle_defect)
 from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotCentral,
                      NotCompatible, ParentMismatch, TripleConditionsFail)
 from .groups import (FiniteGroup, GroupAutomorphism, Subgroup, _compose_pair,
-                     _compose_perm, _integers, automorphism_group, center,
-                     quotient_group, require_closed)
+                     _integers, automorphism_group, center, quotient_group,
+                     require_closed)
 
 __all__ = [
     "ExtensionData",
@@ -210,35 +213,33 @@ class ExtensionData:
         self._build_mu()
 
     def _build_tables(self) -> None:
-        """G index <-> N coordinate tables, shared by with_transversal copies:
-        _coords[g] the coordinates of g in N (other rows stay zero),
-        _member_at the member with coordinates c at the mixed-radix index
-        c . _radix, _position[g] the index of g in N (-1 outside N)."""
+        """G-indexed gathers of coeffs' arrays, shared by with_transversal
+        copies: _coords[g] the coordinates of g in N (other rows stay zero),
+        _member_at[c . coeffs.radix] the member of G with coordinates c,
+        _position[g] the index of g in N (-1 outside N)."""
         G, N, coeffs = self.G, self.N, self.coeffs
         members = self._members = np.array(N.members, dtype=np.intp)
-        coords = np.array(coeffs._coords, dtype=np.int64).reshape(N.order, -1)
-        self._coords = np.zeros((G.order, coords.shape[1]), dtype=np.int64)
-        self._coords[members] = coords
-        self._radix = np.cumprod((1,) + self.moduli)[:-1]
-        self._member_at = np.empty(N.order, dtype=np.intp)
-        self._member_at[coords @ self._radix] = members
+        self._coords = np.zeros((G.order, coeffs.rank), dtype=np.int64)
+        self._coords[members] = coeffs.coords
+        self._member_at = members[coeffs.member_at]
         self._position = np.full(G.order, -1, dtype=np.intp)
         self._position[members] = np.arange(N.order)
         self._inverse = np.array(G.inverse, dtype=np.intp)
 
     def _build_action(self) -> None:
-        G, N = self.G, self.N
-        pos = N.position
-        self.alpha = tuple(tuple(pos[G.conjugate(m, tx)] for m in N.members)
-                           for tx in self.transversal)
-        ident = tuple(range(self.n_group.order))
-        self.central = all(a == ident for a in self.alpha)
-        in_center = N.member_set <= center(G).member_set
+        """A(x) as one gather: column j the coordinates of t(x)^-1 e_j t(x)
+        for the member e_j with the j-th unit coordinates.  The extension
+        is central iff every A(x) is the identity (the e_j generate N),
+        which must agree with N <= Z(G)."""
+        cayley, t = self.G.cayley, np.array(self.transversal, dtype=np.intp)
+        units = self._member_at[self.coeffs.radix]
+        conj = cayley[cayley[self._inverse[t][:, None], units], t[:, None]]
+        self.action = self._coords[conj].transpose(0, 2, 1).copy()
+        self.action.flags.writeable = False
+        self.central = bool((self.action == np.eye(self.coeffs.rank)).all())
+        in_center = self.N.member_set <= center(self.G).member_set
         if self.central != in_center:
             raise AssertionError("centrality flag disagrees with the center test")
-        self.action = np.stack([matrix_of_endomorphism(self.coeffs, a)
-                                for a in self.alpha])
-        self.action.flags.writeable = False
 
     def _build_mu(self) -> None:
         """The transversal as an index array _t, and the factor set mu."""
@@ -323,16 +324,14 @@ def _check_phi(ext: ExtensionData, phi: GroupAutomorphism) -> None:
 
 def is_compatible(ext: ExtensionData, theta: GroupAutomorphism,
                   phi: GroupAutomorphism) -> bool:
-    """Whether theta(n^x) = theta(n)^(phi x) for all x in H, n in N."""
+    """Whether theta(n^x) = theta(n)^(phi x) for all x, n: _condition_3."""
     _check_theta(ext, theta)
     _check_phi(ext, phi)
     if ext.central:             # every A(x) is the identity
         return True
-    ti = theta.image
-    for x in range(ext.H.order):
-        if _compose_perm(ti, ext.alpha[x]) != _compose_perm(ext.alpha[phi(x)], ti):
-            return False
-    return True
+    T = restrict_to_matrix(ext.coeffs, theta)[None]
+    P = np.array([phi.image], dtype=np.intp)
+    return not _condition_3(ext, T, ext.action[P]).any()
 
 
 def compatible_pairs(ext: ExtensionData, verify_closure: bool = True):
@@ -659,7 +658,7 @@ def _gamma_images(ext: ExtensionData, theta: np.ndarray, P: np.ndarray,
     triple (theta images, phi images P, reduced chi values [triple, x, c])."""
     cayley, members, t = ext.G.cayley, ext._members, ext._t
     # t(phi x) chi(x), then t(x) n -> t(phi x) chi(x) theta(n) for all (x, n)
-    base = cayley[t[P], ext._member_at[chi @ ext._radix]]
+    base = cayley[t[P], ext._member_at[chi @ ext.coeffs.radix]]
     img = np.empty((len(P), ext.G.order), dtype=np.intp)
     img[:, cayley[t[:, None], members].reshape(-1)] = \
         cayley[base[:, :, None], members[theta][:, None]].reshape(len(P), -1)

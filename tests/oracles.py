@@ -791,3 +791,61 @@ def reference_derivation_check(ext) -> dict:
         "ok": not violations,
         "violations": violations,
     }
+
+
+def reference_coordinate_table(N, gens, factors) -> list[tuple]:
+    """The coordinates of every element of the standalone group N, as
+    tuples, by exhausting products of generator powers one element at a
+    time; a duplicate or a gap raises AssertionError."""
+    k = len(gens)
+    coords = [None] * N.order
+    coords_list = [((0,) * k, 0)]
+    for i in range(k):
+        extended = list(coords_list)
+        x = 0
+        for e in range(1, factors[i]):
+            x = N.mul(x, gens[i])
+            for vec, elem in coords_list:
+                new = list(vec)
+                new[i] = e
+                extended.append((tuple(new), N.mul(elem, x)))
+        coords_list = extended
+    for vec, elem in coords_list:
+        if coords[elem] is not None:
+            raise AssertionError("duplicate coordinates for one element")
+        coords[elem] = vec
+    if any(c is None for c in coords):
+        raise AssertionError("coordinate table incomplete")
+    return coords
+
+
+def reference_is_compatible(ext, theta, phi) -> bool:
+    """theta o alpha_x = alpha_(phi x) o theta for every x, on permutations
+    of N, with alpha_x(n) = t(x)^-1 n t(x) found by conjugation in G."""
+    G, N = ext.G, ext.N
+    alpha = [tuple(N.position[G.conjugate(m, tx)] for m in N.members)
+             for tx in ext.transversal]
+    ti = theta.image
+    return all(_compose_perm(ti, alpha[x]) == _compose_perm(alpha[phi(x)], ti)
+               for x in range(ext.H.order))
+
+
+def reference_canonical_section_images(ext, section, pairs) -> list[tuple]:
+    """For each pair (theta, phi), the map t'(x) n -> t'(phi x) theta(n) over
+    the homomorphic transversal section, built element by element."""
+    G, N = ext.G, ext.N
+    parts = []
+    for g in range(G.order):
+        x = ext.pi(g)
+        parts.append((x, G.mul(G.inv(section(x)), g)))
+    return [tuple(G.mul(section(phi(x)), N.members[theta(N.position[n])])
+                  for x, n in parts) for theta, phi in pairs]
+
+
+def reference_commutator_values(ext) -> tuple:
+    """values[x][y]: the N coordinates of [t(x), t(y)], one commutator at a
+    time."""
+    G, t, h = ext.G, ext.transversal, ext.H.order
+    coords = ext.coeffs.coords_of_member
+    return tuple(tuple(coords(G.commutator(t[x], t[y])) for y in range(h))
+                 for x in range(h))

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from extlift import (NotAbelian, Subgroup, abelian_structure, catalog,
-                     direct_product)
+from extlift import (InputError, NotAbelian, Subgroup, abelian_structure,
+                     catalog, direct_product, shipped_corpus)
 from extlift.abelian import matrix_of_endomorphism, restrict_to_matrix
 from extlift.groups import GroupAutomorphism, automorphism_group
+from extlift.reports import corpus_pairs
+
+from oracles import reference_coordinate_table
 
 
 def whole(G):
@@ -110,3 +113,37 @@ def test_restrict_to_matrix_on_proper_subgroup():
         got = s.member_of_coords(apply(A, s.coords_of_member(mem),
                                        s.invariant_factors))
         assert got == G.inverse[mem]
+
+
+@pytest.mark.parametrize("method,arg", [
+    ("member_of_coords", (1, 5, 7)),
+    ("member_of_coords", (True,)),
+    ("coords_of_member", 3.0),
+], ids=["extra-coordinates", "bool-coordinate", "float-index"])
+def test_coordinate_methods_refuse_bad_input(method, arg):
+    """A coordinate list of the wrong length, a bool coordinate and a float
+    index are refused, not truncated or read as integers."""
+    s = abelian_structure(whole(catalog("cyclic", 12)))
+    with pytest.raises(InputError):
+        getattr(s, method)(arg)
+
+
+def test_coordinate_arrays_match_the_tuple_reference():
+    """coords and member_at agree with the element-by-element tuple table
+    on every corpus kernel and on N = 1, and are read-only."""
+    G = catalog("dihedral", 8)
+    subgroups = [Subgroup(G, [0])] + [N for H in shipped_corpus()
+                                      for N in corpus_pairs(H)]
+    for N in subgroups:
+        s = abelian_structure(N)
+        ref = reference_coordinate_table(s.n_group, s.generators,
+                                         s.invariant_factors)
+        assert [tuple(c) for c in s.coords.tolist()] == ref
+        index = {c: i for i, c in enumerate(ref)}
+        radix = s.radix.tolist()
+        for r, member in enumerate(s.member_at.tolist()):
+            digits = tuple(r // q % d for q, d in zip(radix, s.invariant_factors))
+            assert index[digits] == member
+        assert s.member_at.size == N.order
+        for a in (s.coords, s.member_at, s.radix):
+            assert not a.flags.writeable

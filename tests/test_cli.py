@@ -323,6 +323,15 @@ STDOUT_SHA256 = [
      "e38849bcbe57245f3ec95d32a6087e3adcf62fb8a4d31910dc8be32fc5b38d3b"),
     (["split", "--group", "cyclic(16)", "--subgroup", "0,8"],
      "673bbeddd5e2aca79a8524db6838d1548adca7b52ae0a5aceb3fa7e40c78b3b4"),
+    # the edge tables: |H| = 1 (N = G) and rank 0 (N = 1)
+    (["verify", "--group", "cyclic(6)", "--subgroup", "members:0,1,2,3,4,5"],
+     "0ad609b84436cf433b6ce7fd381acb30a52216f0e15f9755299f9578659ffd74"),
+    (["split", "--group", "cyclic(6)", "--subgroup", "members:0,1,2,3,4,5"],
+     "aa89760824d60cf9bdd0e8056140727c180e7c05974e454b2b3a7945eb250ac9"),
+    (["verify", "--group", "dihedral(8)", "--subgroup", "members:0"],
+     "4b9d3d89d98da6b0911ae99c102412ac0ee1692662159cdbbb09ebc639d7f629"),
+    (["split", "--group", "dihedral(8)", "--subgroup", "members:0"],
+     "e4d604b4e1f8ded2c2b79a2f74600f2d90cdea089fda7ed519ac9bcc64d08cd9"),
 ]
 
 

@@ -14,9 +14,10 @@ from extlift import (BoundExceeded, FiniteGroup, NotCentral,
 from extlift.groups import GroupAutomorphism, center, derived_subgroup
 from extlift.reports import corpus_pairs
 from extlift.splitting import _verify_section
-from extlift.wells import aut_subgroups, compatible_pairs
+from extlift.wells import aut_subgroups, compatible_pairs, slice_pair
 
-from oracles import (has_complement, reference_section_search,
+from oracles import (has_complement, reference_canonical_section_images,
+                     reference_commutator_values, reference_section_search,
                      section_is_homomorphism)
 from test_wells import _alt4
 
@@ -118,6 +119,58 @@ def test_canonical_sections_on_split_extensions():
                 assert tr.phi.image == pair.phi.image
         else:
             assert psi is None
+
+
+def test_canonical_sections_match_the_element_reference():
+    """The images of the canonical sections are the maps t'(x) n ->
+    t'(phi x) theta(n) built element by element, on every split corpus
+    extension and on N = 1 and N = G."""
+    d8, z6 = catalog("dihedral", 8), catalog("cyclic", 6)
+    cases = [(G, N) for G in shipped_corpus() for N in corpus_pairs(G)]
+    split = 0
+    for G, N in cases + [(d8, Subgroup(d8, [0])), (z6, Subgroup(z6, range(6)))]:
+        ext = extension_from(G, N)
+        ok, witness = is_split_extension(ext)
+        if not ok:
+            continue
+        split += 1
+        for which, sec in enumerate(canonical_sections(ext), start=1):
+            if sec is None:
+                continue
+            pairs = [slice_pair(ext, which, m) for m in sec.domain]
+            assert [g.image for g in sec.images] == \
+                reference_canonical_section_images(ext, witness.section, pairs)
+    assert split == 82
+
+
+def test_commutator_form_matches_the_element_reference():
+    """The form's values are the commutators' coordinates, one at a time,
+    and is_form_preserving is the pairwise comparison, wherever the corpus
+    has the extraspecial shape."""
+    shaped = 0
+    for G in shipped_corpus():
+        for N in corpus_pairs(G):
+            ext = extension_from(G, N)
+            try:
+                form = commutator_form(ext)
+            except NotExtraspecialShape:
+                continue
+            shaped += 1
+            ref = reference_commutator_values(ext)
+            assert not form.values.flags.writeable
+            again = commutator_form(ext)
+            assert form == again and not form != again
+            assert hash(form) == hash(again)
+            assert tuple(tuple(map(tuple, row)) for row in form.values.tolist()) == ref
+            h = ext.H.order
+            for x in range(h):
+                for y in range(h):
+                    assert form(x, y) == ref[x][y]
+            for ph in automorphism_group(ext.H):
+                assert is_form_preserving(ext, ph) == all(
+                    ref[ph(x)][ph(y)] == ref[x][y]
+                    for x in range(h) for y in range(h))
+    assert shaped == 2
 
 
 def test_section_images_compose_like_their_domain():

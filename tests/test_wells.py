@@ -27,12 +27,13 @@ from extlift.cli import main
 from extlift.groups import (GroupAutomorphism, all_subgroups, center,
                             derived_subgroup)
 from extlift.intlin import TriangularLattice
-from extlift.reports import corpus_pairs
+from extlift.reports import corpus_pairs, group_json
 from extlift.wells import _induced_pair, pair_key, slice_pair, starred_sets
 
 from oracles import (aut_normalizing, brute_triple_defect,
                      extension_witnesses, lift_witnesses, pair_witnesses,
-                     reference_chi, reference_derivation_check)
+                     reference_chi, reference_derivation_check,
+                     reference_is_compatible)
 
 
 def _alt4():
@@ -571,9 +572,16 @@ def test_witness_that_misses_its_pair_is_refused(monkeypatch, which, word):
         answer(ext, which, ext.id_pair)
 
 
-def _every_pair_incompatible(monkeypatch, wells):
-    monkeypatch.setattr(wells, "_condition_3",
-                        lambda e, T, A_phi: np.ones((len(T), e.H.order), dtype=bool))
+def _incompatible_theta_in_c1(monkeypatch, wells):
+    """C1 with a theta appended that fails condition (3) with phi = 1."""
+    real = wells.compatible_pairs
+
+    def wrong(ext, verify_closure=True):
+        pairs, c1, c2 = real(ext, verify_closure)
+        alien = next(t for t in automorphism_group(ext.n_group)
+                     if not is_compatible(ext, t, ext.id_H))
+        return pairs, c1 + [alien], c2
+    monkeypatch.setattr(wells, "compatible_pairs", wrong)
 
 
 def _one_unit_off(monkeypatch, wells):
@@ -618,7 +626,7 @@ def _another_pair(monkeypatch, wells):
 
 
 @pytest.mark.parametrize("fault,group,subgroup,message", [
-    (_every_pair_incompatible, "dihedral(6)", "derived",
+    (_incompatible_theta_in_c1, _alt4, "derived",
      "a compatible pair is answered incompatible"),
     (_one_unit_off, "dihedral(8)", "center",
      r"difference cocycle fails the identity at \(\d+, \d+, \d+\)"),
@@ -630,11 +638,16 @@ def _another_pair(monkeypatch, wells):
      "extension witness does not invert the decomposition"),
 ], ids=["compatibility", "cocycle-identity", "condition-2", "automorphism",
         "round-trip"])
-def test_each_block_check_names_its_failure(capsys, monkeypatch, fault, group,
-                                            subgroup, message):
+def test_each_block_check_names_its_failure(capsys, monkeypatch, tmp_path,
+                                            fault, group, subgroup, message):
     """A fault injected before one check of the block is caught by that
     check, which names itself: verify exits 4, not 1.  (The solver check
-    is test_answer_refuses_a_missed_witness.)"""
+    is test_answer_refuses_a_missed_witness.)  A group made by a function
+    (no catalog name) is read from a group file."""
+    if callable(group):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group_json(group())))
+        group = str(path)
     fault(monkeypatch, importlib.import_module("extlift.wells"))
     assert re.match(message, _verify_error(capsys, group, subgroup))
 
@@ -649,6 +662,27 @@ def test_incompatible_theta_is_rejected():
     phis = automorphism_group(ext.H)
     compatible_with_swap = [ph for ph in phis if is_compatible(ext, swap, ph)]
     assert compatible_with_swap, "swap should pair with some quotient map"
+
+
+def test_is_compatible_matches_the_permutation_reference():
+    """is_compatible and compatible_pairs, both the matrix condition (3),
+    agree with the permutation loop over the full Aut N x Aut H grid of
+    every corpus extension with |H| <= 8 and a nontrivial action."""
+    extensions = pairs = 0
+    for G in shipped_corpus():
+        for N in corpus_pairs(G):
+            ext = extension_from(G, N)
+            if ext.central or ext.H.order > 8:
+                continue
+            extensions += 1
+            found = {pair_key(p) for p in compatible_pairs(ext)[0]}
+            for theta in automorphism_group(ext.n_group):
+                for phi in automorphism_group(ext.H):
+                    want = reference_is_compatible(ext, theta, phi)
+                    assert is_compatible(ext, theta, phi) == want
+                    assert ((theta.image, phi.image) in found) == want
+                    pairs += 1
+    assert (extensions, pairs) == (35, 1132)
 
 
 def test_pair_cocycle_requires_central_kernel():
