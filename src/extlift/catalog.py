@@ -276,6 +276,13 @@ def parse_catalog_expression(text: str) -> FiniteGroup:
         idx += 1
         return tok
 
+    def take_int() -> int:
+        tok = take()
+        if not tok.isdigit():
+            raise InputError(
+                f"expected an integer in catalog expression, got {tok!r}")
+        return int(tok)
+
     def parse_atom() -> FiniteGroup:
         tok = take()
         if tok == "(":
@@ -285,10 +292,10 @@ def parse_catalog_expression(text: str) -> FiniteGroup:
         if not tok[0].isalpha() and tok[0] != "_":
             raise InputError(f"unexpected token {tok!r} in catalog expression")
         take("(")
-        args = [int(take())]
+        args = [take_int()]
         while peek() == ",":
             take(",")
-            args.append(int(take()))
+            args.append(take_int())
         take(")")
         return catalog(tok, *args)
 
@@ -296,7 +303,7 @@ def parse_catalog_expression(text: str) -> FiniteGroup:
         g = parse_atom()
         if peek() == "^":
             take("^")
-            k = int(take())
+            k = take_int()
             if k < 1:
                 raise InputError("power in catalog expression must be >= 1")
             out = g

@@ -87,12 +87,12 @@ def _parse_pairs(text: str):
 def _parse_aut(group: FiniteGroup, spec: str, role: str) -> GroupAutomorphism:
     """Automorphism specifiers: id, inversion, aut:IDX, perm:..., map:a=b,..."""
     if spec == "id":
-        return GroupAutomorphism(group, tuple(range(group.order)), check=False)
+        return GroupAutomorphism._trusted(group, tuple(range(group.order)))
     if spec == "inversion":
         if not group.is_abelian:
             raise InputError(f"{role}: inversion is only an automorphism "
                              f"of abelian groups; {group.name} is not abelian")
-        return GroupAutomorphism(group, group.inverse, check=False)
+        return GroupAutomorphism._trusted(group, group.inverse)
     if spec.startswith("aut:"):
         tail = spec[len("aut:"):]
         try:
@@ -130,7 +130,7 @@ def _parse_aut(group: FiniteGroup, spec: str, role: str) -> GroupAutomorphism:
         image = tuple(full[a] for a in range(group.order))
         if len(set(image)) != group.order:
             raise InputError(f"{role}: the induced endomorphism is not bijective")
-        return GroupAutomorphism(group, image, check=False)
+        return GroupAutomorphism._trusted(group, image)
     raise InputError(
         f"{role}: unknown automorphism spec {spec!r}; use id, inversion, "
         f"aut:IDX, perm:i0,i1,... or map:a=b,c=d")

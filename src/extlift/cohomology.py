@@ -29,10 +29,13 @@ D is written once, in _identity, which evaluates it unreduced at index
 arrays x, y, z that broadcast together, on any array F indexed [x, y, ...]
 (the action reduced mod d).  Every use of the identity calls it:
 
-- two_cocycle_defect tests the (x, s, z) in one call of shape
-  (h-1, |S|, h-1, k).  Only when one fails does it scan all (h-1)^3
-  triples, a block of first arguments at a time in O(h^2 k) memory, to
-  name the lexicographically first failing one.
+- _generator_defects tests the (x, s, z) in one call of shape
+  (h-1, |S|, h-1, k, ...), one flag per cochain of a stack on F's
+  trailing axes; two_cocycle_defect asks it of one cochain and
+  wells._cocycle_stack of a stack of difference cocycles.
+- two_cocycle_defect scans all (h-1)^3 triples only when a generator
+  triple fails, a block of first arguments at a time in O(h^2 k) memory,
+  to name the lexicographically first failing one.
 - |Z^2|: unknowns are the values f(x, y) for x, y != 1 only; normalization
   fixes the rest.  The system is re-parametrized by the slice values
   f(x, s), s in S: E[x, y, c, r] is the coefficient of slice unknown r in
@@ -392,10 +395,19 @@ def _holds_at_generator_triples(f: TwoCochain, action: Action) -> bool:
         A = _proven_action(f.group, f.moduli, action)[1]
     except InputError:
         return False
-    x = np.arange(1, f.group.order)
-    s = np.array(f.group.generators, dtype=np.intp)
-    diff = _identity(f.values, A, f.group.cayley, x[:, None, None], s[:, None], x)
-    return not (diff % _moduli_array(f.moduli)).any()
+    return not _generator_defects(f.values, A, f.group, _moduli_array(f.moduli))
+
+
+def _generator_defects(F: np.ndarray, A: Action, group: FiniteGroup,
+                       d: np.ndarray) -> np.ndarray:
+    """Whether D(x, s, z) is nonzero mod d at some x, z and generator s,
+    one flag per index of the trailing axes of F, indexed [x, y, c, ...]:
+    one _identity call of shape (h-1, |S|, h-1, k, ...).  A is the action
+    mod d, or None."""
+    x = np.arange(1, group.order)
+    s = np.array(group.generators, dtype=np.intp)
+    D = _identity(F, A, group.cayley, x[:, None, None], s[:, None], x)
+    return (D % d.reshape(d.shape + (1,) * (F.ndim - 3))).any(axis=(0, 1, 2, 3))
 
 
 def _first_defect(f: TwoCochain, action: Action):

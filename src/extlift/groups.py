@@ -144,20 +144,8 @@ class FiniteGroup:
     @property
     def is_abelian(self) -> bool:
         if self._is_abelian is None:
-            t = self.table
-            self._is_abelian = all(
-                t[a][b] == t[b][a] for a in range(self.order) for b in range(a)
-            )
+            self._is_abelian = bool((self.cayley == self.cayley.T).all())
         return self._is_abelian
-
-    def require_abelian(self) -> None:
-        if not self.is_abelian:
-            t = self.table
-            for a in range(self.order):
-                for b in range(a):
-                    if t[a][b] != t[b][a]:
-                        raise NotAbelian(f"elements {b} and {a} of {self.name} do not commute")
-        return None
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Sorted elements of the subgroup generated by seed."""
@@ -393,16 +381,20 @@ class Subgroup:
 
     @property
     def is_abelian(self) -> bool:
-        t = self.group.table
-        return all(t[a][b] == t[b][a] for a in self.members for b in self.members if b < a)
+        try:
+            self.require_abelian()
+        except NotAbelian:
+            return False
+        return True
 
     def require_abelian(self) -> None:
-        if not self.is_abelian:
-            t = self.group.table
-            for a in self.members:
-                for b in self.members:
-                    if b < a and t[a][b] != t[b][a]:
-                        raise NotAbelian(f"subgroup members {b} and {a} do not commute")
+        t = self.group.table
+        for a in self.members:
+            for b in self.members:
+                if b >= a:
+                    break
+                if t[a][b] != t[b][a]:
+                    raise NotAbelian(f"subgroup members {b} and {a} do not commute")
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group; element i is self.members[i]."""
@@ -455,15 +447,14 @@ class GroupHomomorphism:
     """A verified homomorphism between finite groups, stored as an image list."""
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup,
-                 image: Sequence[int], check: bool = True):
+                 image: Sequence[int]):
         img = _integers(image, "homomorphism image must be a list of integers")
         if len(img) != source.order:
             raise InputError("homomorphism image list has wrong length")
         for v in img:
             if not 0 <= v < target.order:
                 raise InputError(f"homomorphism image {v} out of range")
-        if check:
-            _require_homomorphism(source, target, img)
+        _require_homomorphism(source, target, img)
         self.source = source
         self.target = target
         self.image = img
@@ -481,12 +472,11 @@ class GroupHomomorphism:
 class GroupAutomorphism:
     """A verified automorphism of a finite group."""
 
-    def __init__(self, group: FiniteGroup, image: Sequence[int], check: bool = True):
+    def __init__(self, group: FiniteGroup, image: Sequence[int]):
         img = _integers(image, "automorphism image must be a list of integers")
         if len(img) != group.order or sorted(img) != list(range(group.order)):
             raise InputError("automorphism image is not a permutation of the group")
-        if check:
-            _require_homomorphism(group, group, img)
+        _require_homomorphism(group, group, img)
         self.group = group
         self.image = img
 
@@ -511,8 +501,8 @@ class GroupAutomorphism:
         """self after other: (self.compose(other))(x) = self(other(x))."""
         if other.group is not self.group:
             raise InputError("cannot compose automorphisms of different groups")
-        return GroupAutomorphism(
-            self.group, tuple(self.image[v] for v in other.image), check=False)
+        return GroupAutomorphism._trusted(
+            self.group, tuple(self.image[v] for v in other.image))
 
     @classmethod
     def _trusted(cls, group: FiniteGroup, image: tuple[int, ...]) -> "GroupAutomorphism":
@@ -523,7 +513,7 @@ class GroupAutomorphism:
 
     @staticmethod
     def identity(group: FiniteGroup) -> "GroupAutomorphism":
-        return GroupAutomorphism(group, range(group.order), check=False)
+        return GroupAutomorphism._trusted(group, tuple(range(group.order)))
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHomomorphism]:
@@ -544,15 +534,13 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHomom
     h = len(reps)
     table = [[pi[t[reps[x]][reps[y]]] for y in range(h)] for x in range(h)]
     H = FiniteGroup(table, name=f"{G.name}/{N.order}")
-    return H, GroupHomomorphism(G, H, pi, check=True)
+    return H, GroupHomomorphism(G, H, pi)
 
 
 def center(G: FiniteGroup) -> Subgroup:
     if G._center is None:
-        t = G.table
-        members = [a for a in range(G.order)
-                   if all(t[a][b] == t[b][a] for b in range(G.order))]
-        G._center = Subgroup(G, members)
+        commutes = G.cayley == G.cayley.T
+        G._center = Subgroup(G, np.flatnonzero(commutes.all(axis=1)).tolist())
     return G._center
 
 

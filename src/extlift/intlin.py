@@ -254,8 +254,13 @@ def kernel_order(rows, row_moduli, col_moduli) -> int:
         raise ValueError("one modulus per row required")
     _fits(int(rm.max(initial=0)) * int(col.max()))
     # the only dedupe of (row, modulus) pairs: callers pass every congruence
-    # they build, and identical ones are common
-    stacked = np.unique(np.concatenate([mat % rm[:, None], rm[:, None]], axis=1), axis=0)
+    # they build, and identical ones are common.  Rows are sorted and each
+    # compared with its neighbour (np.unique(axis=0) would import numpy.ma)
+    stacked = np.concatenate([mat % rm[:, None], rm[:, None]], axis=1)
+    stacked = stacked[np.lexsort(stacked.T[::-1])]
+    fresh = np.ones(len(stacked), dtype=bool)
+    fresh[1:] = (stacked[1:] != stacked[:-1]).any(axis=1)
+    stacked = stacked[fresh]
     for start in range(0, len(stacked), _KERNEL_BLOCK_ROWS):
         part = stacked[start:start + _KERNEL_BLOCK_ROWS]
         scaled, e = part[:, :n] * col, part[:, n:]

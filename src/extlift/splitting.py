@@ -11,9 +11,9 @@ exist, and a backtracking search over generator fibers settles the
 question either way.
 
 Extraspecial-shaped central extensions carry a commutator form on the
-quotient, a read-only (h, h, k) array gathered from the G-indexed
-coordinates of the extension; quotient maps induced from automorphisms of
-G preserve it, which pins down the starred set on that family.
+quotient, a TwoCochain gathered from the G-indexed coordinates of the
+extension; quotient maps induced from automorphisms of G preserve it,
+which pins down the starred set on that family.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from . import config
 from .cohomology import TwoCochain, _moduli_array
 from .errors import (BoundExceeded, NotCentral, NotExtraspecialShape,
                      NotSplit, ParentMismatch)
-from .groups import (FiniteGroup, GroupAutomorphism, GroupHomomorphism,
-                     Subgroup, _compose_pair, _compose_perm, center,
+from .groups import (GroupAutomorphism, GroupHomomorphism, Subgroup,
+                     _compose_pair, _compose_perm, center,
                      close_generator_images, derived_subgroup, require_closed)
 from .wells import (_SEQUENCES, ExtensionData, _fact, _gamma_images,
                     _induced_pair, aut_subgroups, compatible_pairs, pair_key,
@@ -77,27 +77,11 @@ class Section(NamedTuple):
     images: tuple
 
 
-class CommutatorForm(NamedTuple):
-    """values is a read-only (h, h, k) int64 array; values[x, y] holds the
-    N coordinates of [t(x), t(y)]."""
+class CommutatorForm(TwoCochain):
+    """values[x, y] holds the N coordinates of [t(x), t(y)]; a 2-cochain on
+    the quotient, since t(1) = 1."""
 
-    group: FiniteGroup             # the quotient H
-    moduli: tuple
-    values: np.ndarray
-
-    def __call__(self, x: int, y: int):
-        return tuple(self.values[x, y].tolist())
-
-    # by value, as a tuple of tuples compared: an array has no truth value
-    def __eq__(self, other) -> bool:
-        return (type(other) is CommutatorForm and self.group is other.group
-                and self.moduli == other.moduli
-                and self.values.tobytes() == other.values.tobytes())
-
-    __ne__ = object.__ne__      # the negation of __eq__, not tuple's
-
-    def __hash__(self):
-        return hash((id(self.group), self.moduli, self.values.tobytes()))
+    __slots__ = ()
 
 
 def split_kernels(ext: ExtensionData) -> SplitKernels:
@@ -293,10 +277,9 @@ def commutator_form(ext: ExtensionData) -> CommutatorForm:
         raise NotExtraspecialShape("quotient must be elementary abelian of exponent 2")
     # [t(x), t(y)] = t(x)^-1 t(y)^-1 t(x) t(y), in N = [G, G]
     cayley, t, inv = G.cayley, ext._t, ext._inverse[ext._t]
-    F = ext._coords[cayley[cayley[inv[:, None], inv], cayley[t[:, None], t]]]
-    F.flags.writeable = False
-    form = CommutatorForm(ext.H, ext.moduli, F)
-    d = np.array(ext.moduli, dtype=np.int64)
+    form = CommutatorForm(ext.H, ext.moduli, ext._coords[
+        cayley[cayley[inv[:, None], inv], cayley[t[:, None], t]]])
+    F, d = form.values, _moduli_array(ext.moduli)
     h = ext.H.order
     tab = ext.H.cayley
     for x in range(h):

@@ -50,9 +50,11 @@ ExtensionData, which, like the action matrices, are gathers from the
 arrays of abelian.AbelianStructure.  is_compatible is the one-row
 _condition_3, and compatible_pairs asks it of the Aut N x Aut H grid;
 splitting builds its canonical sections by _gamma_images too.
-_cocycle_stack is the one stacked identity check: the block and
-derivation_check, which reads the composition law of each slice from one
-checked stack, take their k from it.  The public functions stay a chain
+_cocycle_stack builds a stack of difference cocycles and checks it by
+cohomology._generator_defects, the generator-triple test that
+two_cocycle_defect runs on one cochain: the block and derivation_check,
+which reads the composition law of each slice from one checked stack,
+take their k from it.  The public functions stay a chain
 of named calls (wells_cocycle_*, coboundary_solve, automorphism_from_triple;
 lambda*, class_of): the traced benchmark times them by name, and on large
 quotients their scalar walk beats a one-row block.
@@ -71,7 +73,7 @@ from .abelian import (AbelianStructure, Vector, abelian_structure,
                       restrict_to_matrix)
 from .cohomology import (_CHECK_BLOCK_TRIPLES, CohomologyClass,
                          CohomologyGroup, OneCochain, TwoCochain, _coboundary,
-                         _identity, _moduli_array, two_cocycle_defect)
+                         _generator_defects, _moduli_array, two_cocycle_defect)
 from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotCentral,
                      NotCompatible, ParentMismatch, TripleConditionsFail)
 from .groups import (FiniteGroup, GroupAutomorphism, Subgroup, _compose_pair,
@@ -202,12 +204,9 @@ class ExtensionData:
         self.id_N = GroupAutomorphism.identity(self.n_group)
         self.id_H = GroupAutomorphism.identity(self.H)
         self.id_pair = CompatiblePair(self.id_N, self.id_H)
-        t = [-1] * self.H.order
-        for g in range(G.order):
-            x = self.pi(g)
-            if t[x] < 0:
-                t[x] = g
-        self.transversal = tuple(t)
+        # quotient_group orders the cosets by their minimal members
+        self.transversal = tuple(
+            np.unique(self.pi.image, return_index=True)[1].tolist())
         self._build_tables()
         self._build_action()
         self._build_mu()
@@ -594,18 +593,12 @@ def _answered(ext: ExtensionData, questions) -> list[tuple]:
         if key not in facts and key not in todo:    # the first asker names it
             todo[key] = (which, pair)
             if len(todo) == step:
-                _store_chunk(ext, todo, class_keys)
+                facts.update(zip(todo, _answer_chunk(ext, list(todo.values()),
+                                                     class_keys)))
+                todo.clear()
     if todo:
-        _store_chunk(ext, todo, class_keys)
+        facts.update(zip(todo, _answer_chunk(ext, list(todo.values()), class_keys)))
     return keys
-
-
-def _store_chunk(ext: ExtensionData, todo: dict, class_keys: dict) -> None:
-    """Answer the questions of todo (fact key -> question) into the table
-    and empty it."""
-    for key, got in zip(todo, _answer_chunk(ext, list(todo.values()), class_keys)):
-        _fact(ext, key, lambda got=got: got)
-    todo.clear()
 
 
 class _PairClass(CohomologyClass):
@@ -638,13 +631,11 @@ def _difference_stack(mu: np.ndarray, T: np.ndarray, P: np.ndarray) -> np.ndarra
 def _cocycle_stack(ext: ExtensionData, T: np.ndarray, P: np.ndarray) -> np.ndarray:
     """The difference cocycles of stacked theta matrices T and phi images P,
     reduced mod d and indexed [pair, x, y, c], checked at the generator
-    triples by one _identity call with the pairs on its trailing axis."""
+    triples by one _generator_defects call with the pairs on its trailing
+    axis."""
     H, d = ext.H, _moduli_array(ext.moduli)
     K = _difference_stack(ext.mu.values, T, P) % d
-    x, s = np.arange(1, H.order), np.array(H.generators, dtype=np.intp)
-    D = _identity(np.moveaxis(K, 0, -1), ext.cohomology._A, H.cayley,
-                  x[:, None, None], s[:, None], x)
-    bad = (D % d[:, None]).any(axis=(0, 1, 2, 3))
+    bad = _generator_defects(np.moveaxis(K, 0, -1), ext.cohomology._A, H, d)
     if bad.any():
         k = TwoCochain(H, ext.moduli, K[np.argmax(bad)])
         raise AssertionError("difference cocycle fails the identity at "

@@ -849,3 +849,20 @@ def reference_commutator_values(ext) -> tuple:
     coords = ext.coeffs.coords_of_member
     return tuple(tuple(coords(G.commutator(t[x], t[y])) for y in range(h))
                  for x in range(h))
+
+
+def reference_center(G: FiniteGroup) -> tuple[int, ...]:
+    """The elements commuting with every element, one product pair at a
+    time."""
+    return tuple(a for a in G.elements()
+                 if all(G.mul(a, b) == G.mul(b, a) for b in G.elements()))
+
+
+def reference_noncommuting_pair(G: FiniteGroup, members) -> Optional[tuple[int, int]]:
+    """The first (b, a) of members with ab != ba, a ascending and then
+    b < a ascending; None when the members commute."""
+    for a in sorted(members):
+        for b in sorted(members):
+            if b < a and G.mul(a, b) != G.mul(b, a):
+                return b, a
+    return None

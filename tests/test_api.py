@@ -4,6 +4,7 @@ stay exported."""
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -77,3 +78,13 @@ def test_traced_names_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), (layer, module, attr)
+
+
+def test_no_check_option_and_one_cochain_class():
+    """Automorphisms and homomorphisms are always checked (a proven image
+    goes through GroupAutomorphism._trusted), and the commutator form is a
+    2-cochain, not a second cochain class."""
+    groups, splitting = _module("groups"), _module("splitting")
+    for cls in (groups.GroupAutomorphism, groups.GroupHomomorphism):
+        assert "check" not in inspect.signature(cls).parameters, cls
+    assert issubclass(splitting.CommutatorForm, _module("cohomology").TwoCochain)

@@ -506,6 +506,25 @@ def test_input_error_paths(capsys):
         assert report["kind"], argv
 
 
+@pytest.mark.parametrize("argv,token", [
+    (["catalog", "--expr", "cyclic(x)"], "x"),
+    (["catalog", "--expr", "cyclic()"], ")"),
+    (["catalog", "--expr", "cyclic("], "$"),
+    (["catalog", "--expr", "cyclic(2)^x"], "x"),
+    (["catalog", "--expr", "direct_product(cyclic(2))"], "cyclic"),
+    (["lift", "--group", "dihedral(y)", "--subgroup", "center", "--phi", "id"],
+     "y"),
+], ids=["name-param", "empty-params", "unclosed", "power", "nested-call",
+        "group-spec"])
+def test_malformed_catalog_integer_is_an_input_error(capsys, argv, token):
+    """A parameter or power that is not an integer exits 2 with an
+    InputError naming the token, and stdout holds that record alone."""
+    code, report, _ = run(capsys, *argv)
+    assert code == 2
+    assert report == {"error": "expected an integer in catalog expression, "
+                               f"got {token!r}", "kind": "InputError"}
+
+
 def test_map_spec_builds_automorphism(capsys):
     # on the kernel Z3 of the 9 element cyclic extension, 1 -> 2 is inversion
     code, report, _ = run(capsys, "extend", "--group", "catalog:cyclic(9)",

@@ -14,8 +14,9 @@ from extlift import (BoundExceeded, CohomologyGroup, GroupAutomorphism,
                      trivial_action, two_cocycle_defect)
 from extlift.catalog import shipped_corpus
 from extlift.cohomology import (_CHECK_BLOCK_TRIPLES, _first_defect,
-                                _holds_at_generator_triples, class_eq,
-                                validate_action)
+                                _generator_defects,
+                                _holds_at_generator_triples, _moduli_array,
+                                _proven_action, class_eq, validate_action)
 from extlift.groups import all_subgroups, center
 from extlift.reports import class_json, corpus_pairs
 
@@ -256,6 +257,32 @@ def test_generator_stage_agrees_with_the_full_scan_on_corpus_perturbations():
         assert _holds_at_generator_triples(f, act)
         assert _first_defect(f, act) is None
     assert failed > 300
+
+
+def test_generator_defects_of_a_stack_match_the_one_cochain_test():
+    """One _generator_defects call over a stack on F's trailing axis flags
+    exactly the cochains that _holds_at_generator_triples, asked of each
+    alone, does not prove: every corpus factor set, and each perturbed at
+    one slot and coordinate."""
+    rng = random.Random(20)
+    flagged = 0
+    for ext in _corpus_extensions():
+        H, m, act = ext.H, ext.moduli, ext.cocycle_action
+        if H.order == 1:
+            continue
+        stack = [ext.mu]
+        for _ in range(3):
+            a, b = rng.randrange(1, H.order), rng.randrange(1, H.order)
+            c = rng.randrange(len(m))
+            stack.append(_perturbed(ext, a, b, c, by=rng.randrange(1, m[c])))
+        A, d = _proven_action(H, m, act)[1], _moduli_array(m)
+        bad = _generator_defects(np.stack([f.values for f in stack], axis=-1),
+                                 A, H, d)
+        assert bad.tolist() == [not _holds_at_generator_triples(f, act)
+                                for f in stack]
+        assert not _generator_defects(ext.mu.values, A, H, d)
+        flagged += int(bad.sum())
+    assert flagged > 200
 
 
 def test_cocycle_defect_matches_brute_force_on_every_small_cochain():

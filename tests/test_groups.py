@@ -5,9 +5,11 @@ leans on as an oracle, so it gets its own full-permutation cross-check
 here on every group of order <= 8 we care about.
 """
 
+import importlib.util
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,8 @@ from extlift import groups as groups_mod
 from extlift.errors import ClosureBoundExceeded, NoIdentity
 
 from oracles import (brute_automorphisms, element_order, greedy_generating_set,
-                     reference_automorphisms)
+                     reference_automorphisms, reference_center,
+                     reference_noncommuting_pair)
 
 
 def test_table_validation_errors():
@@ -336,6 +339,42 @@ def test_center_and_derived_by_definition():
         D = derived_subgroup(G)
         comms = {G.commutator(a, b) for a in G.elements() for b in G.elements()}
         assert set(D.members) == span_of_set(G, comms)
+
+
+def _aut_enum_light_menu() -> tuple:
+    """AUT_ENUM_LIGHT of the benchmark's workloads, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.AUT_ENUM_LIGHT
+
+
+def test_commuting_tests_match_the_element_reference():
+    """center, FiniteGroup.is_abelian, Subgroup.is_abelian and the pair
+    require_abelian names agree with the element-by-element loops on every
+    corpus group and every group of the automorphism-enumeration
+    benchmark's light menu, and on every subgroup of those of order <= 16."""
+    groups = shipped_corpus() + [parse_catalog_expression(expr)
+                                 for expr in _aut_enum_light_menu()]
+    nonabelian = 0
+    for G in groups:
+        assert center(G).members == reference_center(G), G.name
+        bad = reference_noncommuting_pair(G, G.elements())
+        assert G.is_abelian == (bad is None), G.name
+        nonabelian += bad is not None
+        subgroups = all_subgroups(G) if G.order <= 16 else [Subgroup(G, G.elements())]
+        for S in subgroups:
+            bad = reference_noncommuting_pair(G, S.members)
+            assert S.is_abelian == (bad is None), (G.name, S.members)
+            if bad is None:
+                S.require_abelian()
+                continue
+            with pytest.raises(NotAbelian) as info:
+                S.require_abelian()
+            assert str(info.value) == \
+                f"subgroup members {bad[0]} and {bad[1]} do not commute"
+    assert nonabelian >= 20
 
 
 def span_of_set(G, elems):

@@ -3,6 +3,7 @@ against the pure-Python reference engine in oracles."""
 
 import itertools
 import random
+import subprocess
 import sys
 from math import gcd, lcm, prod
 
@@ -219,3 +220,18 @@ def test_entries_beyond_64_bits_raise_instead_of_wrapping():
         TriangularLattice(moduli).insert(vec)
     with pytest.raises(BoundExceeded):
         TriangularLattice((2, 2)).remainder([1 << 64, 0])
+
+
+def test_kernel_order_leaves_numpy_ma_unloaded():
+    """The dedupe of kernel_order imports nothing beyond numpy's core: a
+    fresh interpreter that builds one cohomology group (whose Z^2 count is a
+    kernel_order call) has no numpy.ma loaded."""
+    code = ("import sys\n"
+            "from extlift import CohomologyGroup, catalog\n"
+            "cg = CohomologyGroup(catalog('dihedral', 8), (2,))\n"
+            "assert cg.z2_order > 1\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

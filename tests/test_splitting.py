@@ -11,6 +11,7 @@ from extlift import (BoundExceeded, FiniteGroup, NotCentral,
                      is_split_extension, lift_automorphism, lift_pair,
                      NotCompatible, section_search, shipped_corpus,
                      split_kernels, triple_of)
+from extlift.cohomology import TwoCochain
 from extlift.groups import GroupAutomorphism, center, derived_subgroup
 from extlift.reports import corpus_pairs
 from extlift.splitting import _verify_section
@@ -157,6 +158,7 @@ def test_commutator_form_matches_the_element_reference():
                 continue
             shaped += 1
             ref = reference_commutator_values(ext)
+            assert isinstance(form, TwoCochain)
             assert not form.values.flags.writeable
             again = commutator_form(ext)
             assert form == again and not form != again
