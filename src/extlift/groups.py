@@ -516,6 +516,23 @@ class GroupAutomorphism:
         return GroupAutomorphism._trusted(group, tuple(range(group.order)))
 
 
+def _require_automorphisms(G: FiniteGroup, img: np.ndarray, message: str) -> None:
+    """Raise AssertionError(message) unless each row of img, (m, |G|) entries
+    in range(|G|), is a permutation with img(a*s) = img(a) img(s) for all a
+    and s in {1} and the generators (_require_homomorphism's lemma, as a
+    block), adding GroupAutomorphism's message on the first failing row."""
+    gens = np.array((0,) + G.generators, dtype=np.intp)
+    bad = ~((np.sort(img, axis=1) == np.arange(G.order)).all(axis=1)
+            & (img[:, G.cayley[:, gens]]
+               == G.cayley[img[:, :, None], img[:, None, gens]]).all(axis=(1, 2)))
+    if bad.any():
+        try:
+            GroupAutomorphism(G, img[np.argmax(bad)].tolist())
+        except InputError as exc:
+            raise AssertionError(f"{message}: {exc}") from exc
+        raise AssertionError(message)
+
+
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHomomorphism]:
     """G/N with cosets ordered by minimal member, plus the projection map."""
     if N.group is not G:

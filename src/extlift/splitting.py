@@ -6,9 +6,9 @@ sequence is onto them.  When the underlying extension 1 -> N -> G -> H -> 1
 itself splits, explicit sections exist: over a homomorphic transversal t'
 the factor set is zero, so the gamma of each triple (theta, phi, 0) is
 t'(x) n -> t'(phi x) theta(n), built by wells._gamma_images on the copy
-of the extension over t'.  When it does not split, a section can still
-exist, and a backtracking search over generator fibers settles the
-question either way.
+of the extension over t' and proven automorphisms as one block.  When it
+does not split, a section can still exist, and a backtracking search
+over generator fibers settles the question either way.
 
 Extraspecial-shaped central extensions carry a commutator form on the
 quotient, a TwoCochain gathered from the G-indexed coordinates of the
@@ -25,13 +25,14 @@ import numpy as np
 
 from . import config
 from .cohomology import TwoCochain, _moduli_array
-from .errors import (BoundExceeded, NotCentral, NotExtraspecialShape,
-                     NotSplit, ParentMismatch)
+from .errors import (BoundExceeded, InputError, NotCentral,
+                     NotExtraspecialShape, NotSplit, ParentMismatch)
 from .groups import (GroupAutomorphism, GroupHomomorphism, Subgroup,
-                     _compose_pair, _compose_perm, center,
-                     close_generator_images, derived_subgroup, require_closed)
+                     _compose_pair, _compose_perm, _require_automorphisms,
+                     center, close_generator_images, derived_subgroup,
+                     require_closed)
 from .wells import (_SEQUENCES, ExtensionData, _fact, _gamma_images,
-                    _induced_pair, aut_subgroups, compatible_pairs, pair_key,
+                    _induced_pairs, aut_subgroups, compatible_pairs, pair_key,
                     sequence_autos, slice_pair, starred_sets)
 
 __all__ = [
@@ -124,8 +125,11 @@ def is_split_extension(ext: ExtensionData) -> tuple[bool, Optional[SplitWitness]
     # t'(x) = t(x) n(-chi(x)), gathered by the coordinates' mixed-radix index
     n = ext._member_at[-chi.values % _moduli_array(ext.moduli) @ ext.coeffs.radix]
     members = G.cayley[ext._t, n].tolist()
-    section = GroupHomomorphism(ext.H, G, members)
-    complement = Subgroup(G, members)
+    try:
+        section = GroupHomomorphism(ext.H, G, members)
+        complement = Subgroup(G, members)
+    except InputError as exc:
+        raise AssertionError(f"complement check fails: {exc}") from exc
     if complement.order != ext.H.order:
         raise AssertionError("complement has the wrong order")
     if any(ext.pi(members[x]) != x for x in range(ext.H.order)):
@@ -147,19 +151,19 @@ def _verify_section(ext: ExtensionData, sec: Section) -> None:
     the length of b as a word in S gives f(a b) = f(a) f(b) for all a, b.
     """
     keys = _pair_keys(ext, sec.sequence, sec.domain)
-    for i, key in enumerate(keys):
-        if _induced_pair(ext, sec.images[i]) != key:
-            raise AssertionError("section image projects to the wrong element")
+    img = np.array([f.image for f in sec.images], dtype=np.intp)
+    theta, phi = _induced_pairs(ext, img)
+    if list(zip(map(tuple, theta.tolist()), map(tuple, phi.tolist()))) != keys:
+        raise AssertionError("section image projects to the wrong element")
     identity = pair_key(ext.id_pair)
     gens = require_closed(keys, _compose_pair, identity,
                           "section domain is not closed under composition")
     index = {key: i for i, key in enumerate(keys)}
-    images = [f.image for f in sec.images]
-    for i, a in enumerate(keys):
-        for b in [identity] + gens:
-            prod = index[_compose_pair(a, b)]
-            if _compose_perm(images[i], images[index[b]]) != images[prod]:
-                raise AssertionError("section is not a homomorphism")
+    for b in [identity] + gens:
+        # row i: f(a_i) o f(b) against f(a_i b)
+        prod = [index[_compose_pair(a, b)] for a in keys]
+        if (img[:, img[index[b]]] != img[prod]).any():
+            raise AssertionError("section is not a homomorphism")
 
 
 def canonical_sections(ext: ExtensionData) -> tuple[Section, Section, Optional[Section]]:
@@ -187,8 +191,9 @@ def canonical_sections(ext: ExtensionData) -> tuple[Section, Section, Optional[S
         theta = np.array([p.theta.image for p in pairs], dtype=np.intp)
         chi = np.zeros(P.shape + (ext.coeffs.rank,), dtype=np.int64)
         img = _gamma_images(split, theta, P, chi)
-        sec = Section(which, tuple(domain),
-                      tuple(GroupAutomorphism(ext.G, row) for row in img.tolist()))
+        _require_automorphisms(ext.G, img, "canonical section image is not an automorphism")
+        sec = Section(which, tuple(domain), tuple(
+            GroupAutomorphism._trusted(ext.G, row) for row in map(tuple, img.tolist())))
         _verify_section(ext, sec)
         return sec
 
@@ -233,8 +238,9 @@ def section_search(ext: ExtensionData, which: int) -> Optional[Section]:
     keys = [identity] + [k for k in keys if k != identity]
 
     fibers = {k: [] for k in keys}       # cands is sorted: the identity first
-    for g in cands:
-        fibers[_induced_pair(ext, g)].append(g.image)
+    theta, phi = _induced_pairs(ext, np.array([g.image for g in cands], dtype=np.intp))
+    for g, t, p in zip(cands, theta.tolist(), phi.tolist()):
+        fibers[(tuple(t), tuple(p))].append(g.image)
     if not all(fibers.values()):
         raise AssertionError("projection misses a starred element")
     by_image = {g.image: g for g in cands}

@@ -38,18 +38,20 @@ compatibility mask, the (m, h, h, k) difference cocycles by one gather of
 mu and one product with the theta matrices, the cocycle identity at the
 generator triples with the pairs on a trailing axis, one walk of the B^2
 lattice for every class key and witness expression, and, for the
-witnesses, d(chi) = k, condition (2), gamma by gathers, the homomorphism
+witnesses, d(chi) = k, condition (2), gamma by gathers, the automorphism
 lemma over the block and the induced pair.  In all three sequences
 A o phi = A for a compatible pair (phi = 1 in the first; compatibility
 with theta = 1 gives it in the second; the third is central), so k is a
 cocycle for the extension's own action and one lattice serves every
 question.  Both paths build k by _difference_stack, check conditions (3)
-and (2) by _condition_3 and _condition_2 and build gamma by _gamma_images
-(the public functions with one row), over the coordinate tables of
-ExtensionData, which, like the action matrices, are gathers from the
-arrays of abelian.AbelianStructure.  is_compatible is the one-row
-_condition_3, and compatible_pairs asks it of the Aut N x Aut H grid;
-splitting builds its canonical sections by _gamma_images too.
+and (2) by _condition_3 and _condition_2, build gamma by _gamma_images and
+read its pair by _induced_pairs (the public functions with one row), over
+the coordinate tables of ExtensionData, gathers, like the action
+matrices, from the arrays of abelian.AbelianStructure.  is_compatible is
+the one-row _condition_3, compatible_pairs asks it of the Aut N x Aut H
+grid, aut_subgroups reads its sets as masks over the pairs of Aut(G), and
+splitting builds and checks its sections by _gamma_images and
+_induced_pairs too; groups._require_automorphisms proves computed images.
 _cocycle_stack builds a stack of difference cocycles and checks it by
 cohomology._generator_defects, the generator-triple test that
 two_cocycle_defect runs on one cochain: the block and derivation_check,
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -77,8 +80,8 @@ from .cohomology import (_CHECK_BLOCK_TRIPLES, CohomologyClass,
 from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotCentral,
                      NotCompatible, ParentMismatch, TripleConditionsFail)
 from .groups import (FiniteGroup, GroupAutomorphism, Subgroup, _compose_pair,
-                     _integers, automorphism_group, center, quotient_group,
-                     require_closed)
+                     _integers, _require_automorphisms, automorphism_group,
+                     center, quotient_group, require_closed)
 
 __all__ = [
     "ExtensionData",
@@ -215,7 +218,7 @@ class ExtensionData:
         """G-indexed gathers of coeffs' arrays, shared by with_transversal
         copies: _coords[g] the coordinates of g in N (other rows stay zero),
         _member_at[c . coeffs.radix] the member of G with coordinates c,
-        _position[g] the index of g in N (-1 outside N)."""
+        _position[g] the index of g in N (-1 outside N), _pi[g] = pi(g)."""
         G, N, coeffs = self.G, self.N, self.coeffs
         members = self._members = np.array(N.members, dtype=np.intp)
         self._coords = np.zeros((G.order, coeffs.rank), dtype=np.int64)
@@ -224,6 +227,7 @@ class ExtensionData:
         self._position = np.full(G.order, -1, dtype=np.intp)
         self._position[members] = np.arange(N.order)
         self._inverse = np.array(G.inverse, dtype=np.intp)
+        self._pi = np.array(self.pi.image, dtype=np.intp)
 
     def _build_action(self) -> None:
         """A(x) as one gather: column j the coordinates of t(x)^-1 e_j t(x)
@@ -446,28 +450,27 @@ def _condition_2(ext: ExtensionData, T: np.ndarray, P: np.ndarray,
     return (diff % d[:, None]).any(axis=2).transpose(2, 0, 1)
 
 
-def _induced_pair(ext: ExtensionData, gamma: GroupAutomorphism) -> tuple:
-    """(theta.image, phi.image) induced by gamma, which must map N into (so
-    onto) N: theta(i) is the position of gamma(n_i) in N, phi(x) = pi(gamma(t(x)))."""
-    pos, img = ext.N.position, gamma.image
-    theta = tuple(pos.get(img[m], -1) for m in ext.N.members)
-    if -1 in theta:
-        bad = ext.N.members[theta.index(-1)]
-        raise DoesNotNormalize(f"gamma({bad}) = {img[bad]} leaves the subgroup")
-    pi = ext.pi.image
-    return theta, tuple(pi[img[t]] for t in ext.transversal)
+def _induced_pairs(ext: ExtensionData, img: np.ndarray) -> tuple:
+    """The pairs induced by the gammas of image rows img over G, as theta
+    rows, theta(i) the position of gamma(n_i) in N (-1 where gamma moves
+    n_i out of N), and phi rows, phi(x) = pi(gamma(t(x)))."""
+    return ext._position[img[:, ext._members]], ext._pi[img[:, ext._t]]
 
 
 def triple_of(ext: ExtensionData, gamma: GroupAutomorphism) -> WellsTriple:
     """Decompose an automorphism of G normalizing N into (theta, phi, chi)."""
     if not isinstance(gamma, GroupAutomorphism) or gamma.group is not ext.G:
         raise ParentMismatch("gamma must be an automorphism of G")
-    theta_image, phi_image = _induced_pair(ext, gamma)
+    img = np.array([gamma.image], dtype=np.intp)
+    (theta_row,), (phi_row,) = _induced_pairs(ext, img)
+    theta_image = theta_row.tolist()
+    if -1 in theta_image:
+        bad = ext.N.members[theta_image.index(-1)]
+        raise DoesNotNormalize(f"gamma({bad}) = {gamma.image[bad]} leaves the subgroup")
     theta = GroupAutomorphism(ext.n_group, theta_image)
-    phi = GroupAutomorphism(ext.H, phi_image)
+    phi = GroupAutomorphism(ext.H, phi_row.tolist())
     # chi(x) = t(phi x)^-1 gamma(t(x)), in N by the definition of phi
-    g = ext.G.cayley[ext._inverse[ext._t[list(phi_image)]],
-                     [gamma.image[tx] for tx in ext.transversal]]
+    g = ext.G.cayley[ext._inverse[ext._t[phi_row]], img[0, ext._t]]
     chi = OneCochain(ext.H, ext.moduli, ext._coords[g])
     bad = _triple_defect(ext, theta, phi, chi)
     if bad is not None:
@@ -502,9 +505,9 @@ def _witness(ext: ExtensionData, which: int, theta: GroupAutomorphism,
 
     Exists iff the class of the difference cocycle k vanishes.  A witness
     is certified once: automorphism_from_triple checks the triple conditions
-    and its GroupAutomorphism proves gamma an automorphism of G; the lookups
-    of _induced_pair prove gamma restricts to theta and induces phi, which
-    is all a witness claims.  The conditions already hold: (3) is the
+    and its GroupAutomorphism proves gamma an automorphism of G; the
+    one-row _induced_pairs proves gamma restricts to theta and induces phi,
+    which is all a witness claims.  The conditions already hold: (3) is the
     is_compatible of _difference_cocycle, (2) the d(chi) = k of the solver
     (for sequence 2, (3) with theta = 1 gives A(phi y) = A(y); sequence 3 is
     central).  Decomposing gamma again would recheck the same triple.
@@ -513,7 +516,8 @@ def _witness(ext: ExtensionData, which: int, theta: GroupAutomorphism,
     if chi is None:
         return None
     gamma = automorphism_from_triple(ext, WellsTriple(theta, phi, chi))
-    if _induced_pair(ext, gamma) != (theta.image, phi.image):
+    theta_rows, phi_rows = _induced_pairs(ext, np.array([gamma.image], dtype=np.intp))
+    if theta_rows.tolist() != [list(theta.image)] or phi_rows.tolist() != [list(phi.image)]:
         raise AssertionError(f"{_SEQUENCES[which].witness} witness does not "
                              "invert the decomposition")
     return gamma
@@ -547,9 +551,10 @@ def answers(ext: ExtensionData, questions) -> list[Answer]:
     """One Answer per (which, pair) of questions, in their order.
 
     pair is (theta, phi), with the identity in the slot sequence which
-    fixes.  An incompatible pair is answered Answer(False, None, None); a
-    compatible one carries the witness gamma, or the nontrivial class of
-    its difference cocycle.  Answers live in the fact table under
+    fixes, and which is 1, 2 or 3 (else InputError).  An
+    incompatible pair is answered Answer(False, None, None); a compatible
+    one carries the witness gamma, or the nontrivial class of its
+    difference cocycle.  Answers live in the fact table under
     pair_key(pair), so each pair is answered once per extension, whichever
     sequences ask it; the parents of theta and phi are checked on every
     call, and which = 3 needs a central extension.  Unanswered questions
@@ -586,9 +591,15 @@ def _answered(ext: ExtensionData, questions) -> list[tuple]:
     for which, pair in questions:
         _check_theta(ext, pair.theta)
         _check_phi(ext, pair.phi)
+        if which not in _SEQUENCES:
+            raise InputError(f"sequence selector must be 1, 2 or 3, got {which}")
         if which == 3 and not ext.central:
             raise NotCentral("the pair cocycle needs a central extension")
         key = pair_key(pair)
+        for slot, free, image, one in zip(("theta", "phi"), _SEQUENCES[which].free,
+                                          key, pair_key(ext.id_pair)):
+            if not free and image != one:
+                raise InputError(f"sequence {which} fixes {slot}, got a nonidentity {slot}")
         keys.append(key)
         if key not in facts and key not in todo:    # the first asker names it
             todo[key] = (which, pair)
@@ -667,10 +678,10 @@ def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
     - one walk of the B^2 lattice gives each class key, and, for a k that
       reduces to zero, the witness chi from the multiples it took;
     - for those: the solver check d(chi) = k; condition (2) by
-      _condition_2; gamma by _gamma_images, proven bijective and a
-      homomorphism at {1} and the generators (the lemma of
-      groups._require_homomorphism); and the pair gamma induces, with the
-      sequence of the question that first asked the pair in the message.
+      _condition_2; gamma by _gamma_images, proven automorphisms by
+      groups._require_automorphisms; and the pair gamma induces, by
+      _induced_pairs, with the sequence of the question that first asked
+      the pair in the message.
     A failed check raises AssertionError naming it.
     """
     G, H, cg = ext.G, ext.H, ext.cohomology
@@ -708,19 +719,9 @@ def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
         raise AssertionError(f"triple condition (2) fails at {at}")
     theta = np.array([asked[i][1].theta.image for i in w], dtype=np.intp)
     img = _gamma_images(ext, theta, P[w], chi)
-    gens = np.array((0,) + G.generators, dtype=np.intp)
-    bad = ~((np.sort(img, axis=1) == np.arange(G.order)).all(axis=1)
-            & (img[:, G.cayley[:, gens]]
-               == G.cayley[img[:, :, None], img[:, None, gens]]).all(axis=(1, 2)))
-    if bad.any():
-        try:
-            GroupAutomorphism(G, img[np.argmax(bad)].tolist())
-        except InputError as exc:
-            raise AssertionError(f"triple produced a non-automorphism: {exc}") from exc
-        raise AssertionError("triple produced a non-automorphism")
-    pi = np.array(ext.pi.image, dtype=np.intp)
-    bad = ((ext._position[img[:, ext._members]] != theta).any(axis=1)
-           | (pi[img[:, ext._t]] != P[w]).any(axis=1))
+    _require_automorphisms(G, img, "triple produced a non-automorphism")
+    theta_rows, phi_rows = _induced_pairs(ext, img)
+    bad = (theta_rows != theta).any(axis=1) | (phi_rows != P[w]).any(axis=1)
     if bad.any():
         raise AssertionError(f"{_SEQUENCES[asked[w[np.argmax(bad)]][0]].witness} "
                              "witness does not invert the decomposition")
@@ -741,16 +742,14 @@ class AutSubgroups:
 def aut_subgroups(ext: ExtensionData) -> AutSubgroups:
     """The four sets of ext, found once per extension."""
     def build() -> AutSubgroups:
-        members, member_set = ext.N.members, ext.N.member_set
-        aut_N = tuple(g for g in automorphism_group(ext.G)
-                      if {g.image[m] for m in members} == member_set)
-        pairs = [_induced_pair(ext, g) for g in aut_N]
-        id_theta, id_phi = pair_key(ext.id_pair)
-        aut_upper = tuple(g for g, p in zip(aut_N, pairs) if p[0] == id_theta)
-        aut_N_H = tuple(g for g, p in zip(aut_N, pairs) if p[1] == id_phi)
-        aut_both = tuple(g for g, p in zip(aut_N, pairs)
-                         if p == (id_theta, id_phi))
-        return AutSubgroups(aut_N, aut_upper, aut_N_H, aut_both)
+        # a permutation of G that sends N into N sends it onto N
+        auts = automorphism_group(ext.G)
+        theta, phi = _induced_pairs(ext, np.array([g.image for g in auts], dtype=np.intp))
+        normal = (theta >= 0).all(axis=1)
+        fix_n = (theta == np.arange(ext.N.order)).all(axis=1)
+        fix_h = normal & (phi == np.arange(ext.H.order)).all(axis=1)
+        return AutSubgroups(*(tuple(compress(auts, mask))
+                              for mask in (normal, fix_n, fix_h, fix_n & fix_h)))
     return _fact(ext, "aut_subgroups", build)
 
 

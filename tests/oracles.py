@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from extlift import (BoundExceeded, FiniteGroup, NotCentral, NotCompatible,
-                     ParentMismatch, Subgroup, SylowCheck,
+from extlift import (BoundExceeded, DoesNotNormalize, FiniteGroup, NotCentral,
+                     NotCompatible, ParentMismatch, Subgroup, SylowCheck,
                      SylowNotInvariant, SylowReport, all_subgroups,
                      automorphism_group, config, extend_automorphism,
                      generating_set, hom_by_generator_images,
@@ -32,7 +32,7 @@ from extlift.groups import (GroupAutomorphism, _compose_pair, _compose_perm,
 from extlift.intlin import ext_gcd, kernel_order
 from extlift.splitting import (Section, _pair_keys, _verify_section,
                                split_kernels)
-from extlift.wells import (_induced_pair, aut_subgroups, compatible_pairs,
+from extlift.wells import (AutSubgroups, aut_subgroups, compatible_pairs,
                            pair_key, sequence_autos, slice_pair)
 
 # total normalized-cochain assignments a brute H^2 enumeration may visit
@@ -267,6 +267,33 @@ def brute_triple_defect(ext, T, phi_image, chi_values):
     return None
 
 
+def reference_induced_pair(ext, gamma) -> tuple:
+    """(theta.image, phi.image) induced by gamma, which must map N into (so
+    onto) N, by |N| + h lookups: theta(i) is the position of gamma(n_i) in
+    N, phi(x) = pi(gamma(t(x)))."""
+    pos, img = ext.N.position, gamma.image
+    theta = tuple(pos.get(img[m], -1) for m in ext.N.members)
+    if -1 in theta:
+        bad = ext.N.members[theta.index(-1)]
+        raise DoesNotNormalize(f"gamma({bad}) = {img[bad]} leaves the subgroup")
+    pi = ext.pi.image
+    return theta, tuple(pi[img[t]] for t in ext.transversal)
+
+
+def reference_aut_subgroups(ext) -> AutSubgroups:
+    """The four automorphism sets by a set filter over Aut(G) and the
+    induced pair of each normalizer member."""
+    members, member_set = ext.N.members, ext.N.member_set
+    aut_N = tuple(g for g in automorphism_group(ext.G)
+                  if {g.image[m] for m in members} == member_set)
+    pairs = [reference_induced_pair(ext, g) for g in aut_N]
+    id_theta, id_phi = pair_key(ext.id_pair)
+    aut_upper = tuple(g for g, p in zip(aut_N, pairs) if p[0] == id_theta)
+    aut_N_H = tuple(g for g, p in zip(aut_N, pairs) if p[1] == id_phi)
+    aut_both = tuple(g for g, p in zip(aut_N, pairs) if p == (id_theta, id_phi))
+    return AutSubgroups(aut_N, aut_upper, aut_N_H, aut_both)
+
+
 def reference_chi(ext, gamma) -> tuple:
     """chi(x) = t(phi x)^-1 gamma(t(x)) of the triple of gamma, with
     phi(x) = pi(gamma(t(x))), element by element: the body triple_of had
@@ -457,7 +484,7 @@ def reference_section_search(ext, which: int):
     for g in cands:
         tmembers[cpos[g.image]] = g
 
-    proj = [spos[_induced_pair(ext, tmembers[i])] for i in range(T.order)]
+    proj = [spos[reference_induced_pair(ext, tmembers[i])] for i in range(T.order)]
     fibers = [[i for i in range(T.order) if proj[i] == s] for s in range(S.order)]
     if any(not f for f in fibers):
         raise AssertionError("projection misses a starred element")

@@ -8,6 +8,7 @@ here on every group of order <= 8 we care about.
 import importlib.util
 import math
 import random
+import re
 import time
 from pathlib import Path
 
@@ -616,3 +617,55 @@ def test_homomorphism_check_names_the_first_bad_pair():
                 f"not a homomorphism: images of {bad[0]}*{bad[1]} disagree")
             checked += 1
     assert checked > 300
+
+
+def _constructor_message(G, row):
+    """The InputError message of GroupAutomorphism on row, or None."""
+    try:
+        GroupAutomorphism(G, row)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def test_block_automorphism_proof_matches_the_constructor():
+    """groups._require_automorphisms accepts a row exactly when
+    GroupAutomorphism does, and refuses a block with the constructor's
+    message on its first failing row: on all automorphisms of every corpus
+    group with |G| <= 16, and on random permutations, random permutations
+    fixing 0, automorphisms with two entries swapped and rows with a
+    repeated entry."""
+    rng = np.random.default_rng(21)
+    refused = 0
+    for G in shipped_corpus():
+        if G.order > 16:
+            continue
+        auts = np.array([a.image for a in automorphism_group(G)], dtype=np.intp)
+        groups_mod._require_automorphisms(G, auts, "refused")
+        n = G.order
+        rows = [rng.permutation(n) for _ in range(10)]
+        rows += [np.concatenate([[0], 1 + rng.permutation(n - 1)]) for _ in range(10)]
+        for a in auts[rng.integers(len(auts), size=10)]:
+            row = a.copy()
+            i, j = rng.choice(n, size=2, replace=False)
+            row[[i, j]] = row[[j, i]]
+            rows.append(row)
+        for a in auts[rng.integers(len(auts), size=3)]:
+            row = a.copy()
+            row[-1] = row[-2]
+            rows.append(row)
+        for row in rows:
+            message = _constructor_message(G, row.tolist())
+            if message is None:
+                groups_mod._require_automorphisms(G, row[None], "refused")
+                continue
+            refused += 1
+            with pytest.raises(AssertionError, match=f"^refused: {re.escape(message)}$"):
+                groups_mod._require_automorphisms(G, row[None], "refused")
+        block = np.concatenate([auts, np.array(rows, dtype=np.intp)])
+        block = block[rng.permutation(len(block))]
+        messages = (_constructor_message(G, row) for row in block.tolist())
+        first = next(m for m in messages if m is not None)
+        with pytest.raises(AssertionError, match=f"^refused: {re.escape(first)}$"):
+            groups_mod._require_automorphisms(G, block, "refused")
+    assert refused > 300

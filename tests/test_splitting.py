@@ -1,6 +1,8 @@
 """Starred kernels, split detection, and homomorphic sections, with the
 extraspecial family pinned down through its commutator pairing."""
 
+import json
+
 import pytest
 
 from extlift import (BoundExceeded, FiniteGroup, NotCentral,
@@ -11,9 +13,11 @@ from extlift import (BoundExceeded, FiniteGroup, NotCentral,
                      is_split_extension, lift_automorphism, lift_pair,
                      NotCompatible, section_search, shipped_corpus,
                      split_kernels, triple_of)
-from extlift.cohomology import TwoCochain
+from extlift import splitting
+from extlift.cli import main
+from extlift.cohomology import CohomologyGroup, OneCochain, TwoCochain
 from extlift.groups import GroupAutomorphism, center, derived_subgroup
-from extlift.reports import corpus_pairs
+from extlift.reports import corpus_pairs, group_json
 from extlift.splitting import _verify_section
 from extlift.wells import aut_subgroups, compatible_pairs, slice_pair
 
@@ -396,3 +400,59 @@ def test_section_with_an_image_moved_inside_its_fiber_is_rejected():
                     _verify_section(ext, bad)
                 rejected += 1
     assert rejected >= 100
+
+
+def _section_images_swapped(monkeypatch):
+    """Canonical section images with entries 0 and 1 swapped: permutations
+    of G that are no homomorphisms."""
+    real = splitting._gamma_images
+
+    def wrong(ext, theta, P, chi):
+        img = real(ext, theta, P, chi)
+        img[:, [0, 1]] = img[:, [1, 0]]
+        return img
+    monkeypatch.setattr(splitting, "_gamma_images", wrong)
+
+
+def _complement_off_by_one(monkeypatch):
+    """Solver answers moved by one unit at x = 1, so the transversal that
+    should span a complement is no homomorphism."""
+    real = CohomologyGroup.coboundary_solve
+
+    def wrong(self, f):
+        chi = real(self, f)
+        if chi is None:
+            return None
+        values = chi.values.copy()
+        values[1:2, 0] += 1         # nothing to move when H is trivial
+        return OneCochain(chi.group, chi.moduli, values)
+    monkeypatch.setattr(CohomologyGroup, "coboundary_solve", wrong)
+
+
+@pytest.mark.parametrize("fault,group,members,message", [
+    (_section_images_swapped, catalog("dihedral", 8), [0, 1, 2, 3],
+     "canonical section image is not an automorphism: not a homomorphism: "
+     "images of 0*0 disagree"),
+    (_complement_off_by_one, catalog("cyclic", 6), [0, 2, 4],
+     "complement check fails: not a homomorphism: images of 1*1 disagree"),
+], ids=["canonical-section", "complement"])
+def test_each_splitting_check_names_its_failure(capsys, monkeypatch, tmp_path,
+                                                fault, group, members, message):
+    """A fault injected before a splitting check is an internal failure that
+    the check names, never an input error (exit 2): split exits 4, verify
+    exits 1 with the failure, and verify-all keeps its report, the failure
+    in the pair's entry."""
+    (tmp_path / "group.json").write_text(json.dumps(group_json(group)))
+    fault(monkeypatch)
+    ext_args = ["--group", str(tmp_path / "group.json"),
+                "--subgroup", "members:" + ",".join(map(str, members))]
+    assert main(["split"] + ext_args) == 4
+    assert json.loads(capsys.readouterr().out) == {"error": message,
+                                                   "kind": "AssertionError"}
+    assert main(["verify"] + ext_args) == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert failures == [f"splitting checks: {message}"]
+    assert main(["verify-all", "--corpus", str(tmp_path)]) == 1
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert next(e["failures"] for e in entries if e["n_members"] == members) \
+        == failures

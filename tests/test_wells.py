@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from extlift import (DoesNotNormalize, InputError, NotCentral,
+from extlift import (CompatiblePair, DoesNotNormalize, InputError, NotCentral,
                      NotCompatible, OneCochain, ParentMismatch, Subgroup,
                      TripleConditionsFail, WellsTriple, abelian_structure,
                      answer, answers, aut_subgroups, automorphism_from_triple,
@@ -28,12 +28,14 @@ from extlift.groups import (GroupAutomorphism, all_subgroups, center,
                             derived_subgroup)
 from extlift.intlin import TriangularLattice
 from extlift.reports import corpus_pairs, group_json
-from extlift.wells import _induced_pair, pair_key, slice_pair, starred_sets
+from extlift.wells import _induced_pairs, pair_key, slice_pair, starred_sets
 
 from oracles import (aut_normalizing, brute_triple_defect,
                      extension_witnesses, lift_witnesses, pair_witnesses,
                      reference_chi, reference_derivation_check,
+                     reference_aut_subgroups, reference_induced_pair,
                      reference_is_compatible)
+from test_closure import _extensions
 
 
 def _alt4():
@@ -122,10 +124,39 @@ def test_triple_round_trip_is_identity():
                     reference_chi(ext, gamma)
                 back = automorphism_from_triple(ext, tr)
                 assert back.image == gamma.image
-                assert _induced_pair(ext, gamma) == pair_key(tr)
+                assert reference_induced_pair(ext, gamma) == pair_key(tr)
                 key = (tr.theta.image, tr.phi.image, tr.chi)
                 assert key not in triples, "two automorphisms share a triple"
                 triples[key] = gamma.image
+
+
+def test_induced_pairs_and_aut_subgroups_match_the_references():
+    """_induced_pairs over all of Aut(G), normalizing N or not, against the
+    |N| + h lookups of oracles.reference_induced_pair: the same pair, or a
+    first -1 at the member the reference names as leaving N; and
+    aut_subgroups against the set filter of oracles.reference_aut_subgroups.
+    On every corpus extension with |H| <= 8 and the aut_enum light menu
+    over the centre, each also over the largest member of each coset."""
+    moving = copies = 0
+    for name, base in _extensions():
+        last = {base.pi(g): g for g in range(base.G.order)}
+        other = base.with_transversal([0] + [last[x] for x in range(1, base.H.order)])
+        copies += other.transversal != base.transversal
+        auts = automorphism_group(base.G)
+        for ext in (base, other):
+            theta, phi = _induced_pairs(ext, np.array([g.image for g in auts]))
+            for gamma, t, p in zip(auts, theta.tolist(), phi.tolist()):
+                try:
+                    want = reference_induced_pair(ext, gamma)
+                except DoesNotNormalize as exc:
+                    bad = ext.N.members[t.index(-1)]
+                    assert str(exc) == f"gamma({bad}) = {gamma.image[bad]} " \
+                        "leaves the subgroup", name
+                    moving += 1
+                    continue
+                assert (tuple(t), tuple(p)) == want, name
+            assert aut_subgroups(ext) == reference_aut_subgroups(ext), name
+    assert moving > 0 and copies > 0
 
 
 def test_valid_triples_enumerate_the_normalizing_automorphisms():
@@ -514,6 +545,44 @@ def test_answers_refuse_pair_questions_on_a_non_central_kernel():
     with pytest.raises(NotCentral):
         answers(ext, [(1, ext.id_pair), (3, ext.id_pair)])
     assert answer(ext, 1, ext.id_pair).witness is not None
+
+
+def test_answers_refuse_questions_that_do_not_fit_their_sequence():
+    """A which outside 1, 2, 3, and a pair that moves the slot its sequence
+    fixes, are input errors naming the selector or the slot, and nothing is
+    answered.  On alt4 over V4 the pair ((0,1,3,2), (0,2,1)) asked of
+    sequence 1 used to fail the cocycle identity, the signal of an internal
+    fault; of the 211 such questions over the non-central corpus
+    extensions with |H| <= 8, 14 did that and the rest were answered as if
+    A o phi = A."""
+    a4 = _alt4()
+    ext = extension_from(a4, derived_subgroup(a4))
+    pair = CompatiblePair(GroupAutomorphism(ext.n_group, [0, 1, 3, 2]),
+                          GroupAutomorphism(ext.H, [0, 2, 1]))
+    for which, slot in ((1, "phi"), (2, "theta")):
+        with pytest.raises(InputError, match=f"^sequence {which} fixes {slot}, "
+                                             f"got a nonidentity {slot}$"):
+            answer(ext, which, pair)
+    for which in (0, 4):
+        with pytest.raises(InputError, match=f"^sequence selector must be 1, 2 "
+                                             f"or 3, got {which}$"):
+            answers(ext, [(1, ext.id_pair), (which, ext.id_pair)])
+    assert not ext._facts
+    misfits = 0
+    for G in shipped_corpus():
+        for N in corpus_pairs(G):
+            ext = extension_from(G, N)
+            if ext.central or ext.H.order > 8:
+                continue
+            for pair in compatible_pairs(ext)[0]:
+                moved = (pair.theta.image != ext.id_N.image,
+                         pair.phi.image != ext.id_H.image)
+                for which in (1, 2):
+                    if moved[2 - which]:    # 1 fixes phi, 2 fixes theta
+                        misfits += 1
+                        with pytest.raises(InputError, match=f"^sequence {which} fixes"):
+                            answer(ext, which, pair)
+    assert misfits == 211
 
 
 def _d8_center():
