@@ -8,7 +8,9 @@ always produce byte-identical downstream reports.
 
 from __future__ import annotations
 
-from itertools import chain
+import operator
+from collections import abc
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -32,6 +34,7 @@ __all__ = [
     "Subgroup",
     "GroupHomomorphism",
     "GroupAutomorphism",
+    "AutomorphismArray",
     "group_from_cayley",
     "group_from_permutations",
     "quotient_group",
@@ -98,7 +101,7 @@ class FiniteGroup:
         self.inverse = tuple(inverse)
         self._element_orders: Optional[tuple[int, ...]] = None
         self._is_abelian: Optional[bool] = None
-        self._automorphisms: Optional[list["GroupAutomorphism"]] = None
+        self._automorphisms: Optional["AutomorphismArray"] = None
         self._subgroups: Optional[list["Subgroup"]] = None
         self._center: Optional["Subgroup"] = None
         self._derived: Optional["Subgroup"] = None
@@ -287,11 +290,6 @@ def _compose_perm(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(p[i] for i in q)
 
 
-def _compose_pair(p, q) -> tuple:
-    """Componentwise _compose_perm on pairs of permutations."""
-    return (_compose_perm(p[0], q[0]), _compose_perm(p[1], q[1]))
-
-
 def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
                             name: str = "G") -> FiniteGroup:
     """Close permutation generators under composition; element order is BFS order."""
@@ -472,6 +470,8 @@ class GroupHomomorphism:
 class GroupAutomorphism:
     """A verified automorphism of a finite group."""
 
+    __slots__ = ("group", "image")     # automorphism_group keeps one per row
+
     def __init__(self, group: FiniteGroup, image: Sequence[int]):
         img = _integers(image, "automorphism image must be a list of integers")
         if len(img) != group.order or sorted(img) != list(range(group.order)):
@@ -514,6 +514,81 @@ class GroupAutomorphism:
     @staticmethod
     def identity(group: FiniteGroup) -> "GroupAutomorphism":
         return GroupAutomorphism._trusted(group, tuple(range(group.order)))
+
+
+class AutomorphismArray(abc.Sequence):
+    """Automorphisms of a group as a read-only sequence over one array.
+
+    rows is the read-only (m, |G|) int32 array of their images.  Indexing
+    (negative indices and slices too) and iteration build
+    GroupAutomorphism objects on demand, _SEARCH_CHUNK rows at a time, and
+    keep one per row, so asking for a row twice gives the same object.
+    view(mask) lists the rows a mask keeps, in the same order, over the
+    same array and the same objects.
+    """
+
+    __slots__ = ("group", "_all", "_at", "_objects", "_ready")
+
+    def __init__(self, group: FiniteGroup, rows: np.ndarray,
+                 at: Optional[np.ndarray] = None, objects: Optional[list] = None):
+        self.group, self._all, self._at = group, rows, at   # at: None lists every row
+        self._objects = [None] * len(rows) if objects is None else objects
+        self._ready = False         # every object of this sequence is built
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._at is None:
+            return self._all
+        rows = self._all[self._at]
+        rows.flags.writeable = False
+        return rows
+
+    def view(self, mask: np.ndarray) -> "AutomorphismArray":
+        at = np.flatnonzero(mask)
+        return AutomorphismArray(self.group, self._all,
+                                 at if self._at is None else self._at[at], self._objects)
+
+    def __len__(self) -> int:
+        return len(self._all) if self._at is None else len(self._at)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        i, n = operator.index(i), len(self)
+        if not -n <= i < n:
+            raise IndexError("automorphism index out of range")
+        i %= n
+        r = i if self._at is None else int(self._at[i])
+        if self._objects[r] is None:
+            self._chunk(i - i % _SEARCH_CHUNK)
+        return self._objects[r]
+
+    def __iter__(self):
+        if self._ready:
+            objs = self._objects
+            return iter(objs) if self._at is None else map(objs.__getitem__, self._at.tolist())
+        return self._walk()
+
+    def _walk(self):
+        for lo in range(0, len(self), _SEARCH_CHUNK):
+            yield from self._chunk(lo)
+        self._ready = True
+
+    def _chunk(self, lo: int) -> list:
+        """The objects at positions lo .. lo + _SEARCH_CHUNK - 1, built
+        from their rows where missing."""
+        hi = min(lo + _SEARCH_CHUNK, len(self))
+        at = range(lo, hi) if self._at is None else self._at[lo:hi].tolist()
+        objs = self._objects
+        missing = [r for r in at if objs[r] is None]
+        if missing:
+            trusted, G = GroupAutomorphism._trusted, self.group
+            for r, image in zip(missing, map(tuple, self._all[missing].tolist())):
+                objs[r] = trusted(G, image)
+        return [objs[r] for r in at]
+
+    def __repr__(self) -> str:
+        return f"AutomorphismArray({self.group.name}, {len(self)} automorphisms)"
 
 
 def _require_automorphisms(G: FiniteGroup, img: np.ndarray, message: str) -> None:
@@ -608,42 +683,71 @@ def generating_set(G: FiniteGroup) -> list[int]:
     return list(G.generators)
 
 
-def require_closed(keys: Sequence, compose, identity, message: str) -> list:
-    """Check that the group elements keys form a subgroup; return generators.
+def _row_keys(R: np.ndarray) -> list:
+    """Each row of the integer array R as bytes: equal rows, and only they,
+    have equal keys, so a lookup by key needs no precondition on R."""
+    R = np.ascontiguousarray(R, dtype=np.int64)
+    return R.view(np.dtype((np.void, 8 * R.shape[1]))).ravel().tolist()
 
-    Grows S inside K = set(keys), in the order of keys, closing {identity}
-    under right multiplication by S, and raises AssertionError(message) as
-    soon as a product r*s leaves K.  On success every member of K is reached
-    and every product stays in K, so K is a finite set containing the
-    identity and closed under right multiplication by S: it is the subgroup
-    generated by S, hence closed under all products.  Conversely a closed
-    nonempty K (a subgroup) passes, and the empty set counts as closed, so
-    this accepts exactly the sets that checking all |K|^2 products accepts,
-    at cost O(|K| * |S|); each generator at least doubles the reached
-    subgroup, so |S| <= log2 |K|.
+
+def _row_index(K: np.ndarray) -> dict:
+    """The index of each row of K by its _row_keys key (the first of equal rows)."""
+    keys = _row_keys(K)
+    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+
+
+def _find_rows(index: dict, P: np.ndarray) -> list:
+    """The index of each row of P in a _row_index, -1 where it is none."""
+    return list(map(index.get, _row_keys(P), repeat(-1)))
+
+
+def require_closed(K: np.ndarray, message: str) -> tuple[list[int], list[np.ndarray]]:
+    """Check that the rows of K, permutations of range(L) composed as
+    (r o s)(i) = r[s[i]], form a group; return generators and products.
+
+    S grows greedily, in the order of the rows: each generator is the first
+    row not yet reached.  For each s in S one gather over all of K,
+    K[:, s], must give rows of K (else AssertionError(message)), each
+    looked up by its key; then the identity, which must be a row, is
+    closed under right multiplication by S in index space.  When every
+    row is reached, K is a finite set containing the identity and closed
+    under right multiplication by S: it is the subgroup S generates, hence
+    closed under all products.  Conversely a subgroup passes, and the
+    empty set counts as closed, so this accepts exactly the sets that
+    checking all |K|^2 products accepts, at cost O(|K| * |S|); each
+    generator at least doubles the reached subgroup, so |S| <= log2 |K|.
+    Returns the indices of S and, per generator s, the index of each
+    K_k o s (equal rows count as the first of them).
     """
-    have = set(keys)
-    if not have:
-        return []
-    if identity not in have:
+    m, L = K.shape
+    if not m:
+        return [], []
+    index = _row_index(K)
+    identity = _find_rows(index, np.arange(L)[None])[0]
+    if identity < 0:
         raise AssertionError(message)
-    gens: list = []
-    reached = {identity}
+    canon = range(m) if len(index) == m else _find_rows(index, K)
+    reached = bytearray(m)
+    reached[identity] = True
     order = [identity]
-    for g in keys:
-        if g in reached:
+    gens: list[int] = []
+    steps: list[list[int]] = []
+    for s in range(m):
+        if reached[canon[s]]:
             continue
-        gens.append(g)
-        done = len(order)      # order[:done] is closed under the earlier gens
-        for i, r in enumerate(order):       # runs over appended members too
-            for s in (gens[-1:] if i < done else gens):
-                p = compose(r, s)
-                if p not in reached:
-                    if p not in have:
-                        raise AssertionError(message)
-                    reached.add(p)
-                    order.append(p)
-    return gens
+        step = _find_rows(index, K[:, K[s]])
+        if -1 in step:
+            raise AssertionError(message)
+        gens.append(s)
+        steps.append(step)
+        done = len(order)       # order[:done] is closed under the earlier gens
+        for i, a in enumerate(order):       # runs over appended members too
+            for st in (steps[-1:] if i < done else steps):
+                b = st[a]
+                if not reached[b]:
+                    reached[b] = True
+                    order.append(b)
+    return gens, [np.array(st, dtype=np.intp) for st in steps]
 
 
 def hom_by_generator_images(G: FiniteGroup, T: FiniteGroup,
@@ -731,7 +835,8 @@ class _Level:
 
 
 def _automorphism_rows(G: FiniteGroup) -> np.ndarray:
-    """Image tuples of all automorphisms of G, one row each, unsorted.
+    """Images of all automorphisms of G, one int32 row each, in the order
+    the search finds them (ascending, see automorphism_group).
 
     Level d extends each partial map on K_(d-1) = <g_1..g_(d-1)> by an image
     y of g_d (the generators of G), fills the members of K_d along the BFS
@@ -806,25 +911,38 @@ def _automorphism_rows(G: FiniteGroup) -> np.ndarray:
     return np.concatenate(found)
 
 
-def automorphism_group(G: FiniteGroup) -> list[GroupAutomorphism]:
-    """All automorphisms, sorted lexicographically by image tuple."""
-    if G._automorphisms is not None:
-        return list(G._automorphisms)
-    limit = config.max_order()
-    if G.order > limit:
-        raise BoundExceeded(
-            f"automorphism enumeration limited to order {limit}, got {G.order}")
-    rows = _automorphism_rows(G)
-    # one array check for what GroupAutomorphism checks per object: each
-    # row of |G| entries takes every value
-    hit = np.zeros(rows.shape, dtype=bool)
-    hit[np.arange(len(rows))[:, None], rows] = True
-    if not hit.all():
-        raise AssertionError(f"automorphism search of {G.name} built a non-permutation")
-    auts = [GroupAutomorphism._trusted(G, img)
-            for img in sorted(map(tuple, rows.tolist()))]
-    G._automorphisms = auts
-    return list(auts)
+def automorphism_group(G: FiniteGroup) -> AutomorphismArray:
+    """All automorphisms of G, in aut:IDX order (ascending image rows), as
+    one read-only AutomorphismArray found once per group.
+
+    The search emits its rows in that order, so nothing is sorted: each
+    generator g_d is the smallest element outside K_(d-1)
+    (_table_generators), so two maps that agree on K_(d-1) first differ in
+    column g_d; and the depth-first search extends its parents in order,
+    trying the images of g_d in ascending order.  By induction on d its
+    rows come out in ascending order, which one pass over the array
+    checks: at the first column where a row differs from the one before
+    it, it is greater (so the rows are distinct too).
+    """
+    if G._automorphisms is None:
+        limit = config.max_order()
+        if G.order > limit:
+            raise BoundExceeded(
+                f"automorphism enumeration limited to order {limit}, got {G.order}")
+        rows = _automorphism_rows(G)
+        # one array check for what GroupAutomorphism checks per object: each
+        # row of |G| entries takes every value
+        hit = np.zeros(rows.shape, dtype=bool)
+        hit[np.arange(len(rows))[:, None], rows] = True
+        if not hit.all():
+            raise AssertionError(f"automorphism search of {G.name} built a non-permutation")
+        step = rows[1:] - rows[:-1]        # > 0 at the first nonzero column
+        first = (step != 0).argmax(axis=1)
+        if not (step[np.arange(len(step)), first] > 0).all():
+            raise AssertionError(f"automorphism search of {G.name} emitted rows out of order")
+        rows.flags.writeable = False
+        G._automorphisms = AutomorphismArray(G, rows)
+    return G._automorphisms
 
 
 def is_commuting_automorphism(G: FiniteGroup, a: GroupAutomorphism) -> bool:

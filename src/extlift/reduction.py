@@ -275,11 +275,13 @@ def characteristic_restriction(ext: ExtensionData, gamma: GroupAutomorphism,
     if any(gamma(m) != m for m in ext.N.members):
         raise InputError("automorphism must centralize N")
     quotient = Subgroup(ext.H, {ext.pi(m) for m in P.members})
-    for a in automorphism_group(ext.H):
-        for s in quotient.members:
-            if a(s) not in quotient.member_set:
-                raise NotCharacteristic(
-                    f"quotient image of the subgroup is moved at element {s}")
+    # inside[a(s)] for every automorphism a (in aut:IDX order) and member s
+    inside = np.zeros(ext.H.order, dtype=bool)
+    inside[list(quotient.members)] = True
+    moved = ~inside[automorphism_group(ext.H).rows[:, quotient.members]]
+    if moved.any():
+        s = quotient.members[np.argmax(moved) % quotient.order]
+        raise NotCharacteristic(f"quotient image of the subgroup is moved at element {s}")
     if any(gamma(m) not in P.member_set for m in P.members):
         raise AssertionError("lift moves the preimage of a characteristic subgroup")
     P_grp = P.as_group()

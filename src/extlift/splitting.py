@@ -28,12 +28,13 @@ from .cohomology import TwoCochain, _moduli_array
 from .errors import (BoundExceeded, InputError, NotCentral,
                      NotExtraspecialShape, NotSplit, ParentMismatch)
 from .groups import (GroupAutomorphism, GroupHomomorphism, Subgroup,
-                     _compose_pair, _compose_perm, _require_automorphisms,
-                     center, close_generator_images, derived_subgroup,
-                     require_closed)
+                     _compose_perm, _find_rows, _require_automorphisms,
+                     _row_index, center, close_generator_images,
+                     derived_subgroup, require_closed)
 from .wells import (_SEQUENCES, ExtensionData, _fact, _gamma_images,
-                    _induced_pairs, aut_subgroups, compatible_pairs, pair_key,
-                    sequence_autos, slice_pair, starred_sets)
+                    _induced_pairs, _pair_rows, aut_subgroups,
+                    compatible_pairs, sequence_autos, slice_pair,
+                    starred_sets)
 
 __all__ = [
     "SplitKernels",
@@ -96,9 +97,8 @@ def split_kernels(ext: ExtensionData) -> SplitKernels:
     """
     def build() -> SplitKernels:
         stars = starred_sets(ext, *compatible_pairs(ext))
-        identity = pair_key(ext.id_pair)
         for which, star in stars.items():
-            require_closed(_pair_keys(ext, which, star), _compose_pair, identity,
+            require_closed(_slice_rows(ext, which, star),
                            "starred set is not closed under composition")
         subs = aut_subgroups(ext)
         kernel = len(subs.aut_upper_N_H)
@@ -137,32 +137,33 @@ def is_split_extension(ext: ExtensionData) -> tuple[bool, Optional[SplitWitness]
     return True, SplitWitness(section, complement)
 
 
-def _pair_keys(ext: ExtensionData, which: int, members) -> list[tuple]:
-    """Members of a slice of sequence which, keyed as pairs."""
-    return [pair_key(slice_pair(ext, which, m)) for m in members]
+def _slice_rows(ext: ExtensionData, which: int, members) -> np.ndarray:
+    """Members of a slice of sequence which as wells._pair_rows."""
+    pairs = [slice_pair(ext, which, m) for m in members]
+    theta = np.array([p.theta.image for p in pairs], dtype=np.intp)
+    phi = np.array([p.phi.image for p in pairs], dtype=np.intp)
+    return _pair_rows(ext, theta.reshape(len(pairs), ext.N.order),
+                      phi.reshape(len(pairs), ext.H.order))
 
 
 def _verify_section(ext: ExtensionData, sec: Section) -> None:
     """Check sec is a homomorphism whose images project onto their domain.
 
     The domain is checked to be a group and a generating set S of it is
-    grown (require_closed); then f(a s) = f(a) f(s) is checked for every a
-    and every s in {1} + S.  Taking s = 1 forces f(1) = id, and induction on
-    the length of b as a word in S gives f(a b) = f(a) f(b) for all a, b.
+    grown (require_closed, which gives the index of each a s); then
+    f(a s) = f(a) f(s) is checked for every a and every s in {1} + S.
+    Taking s = 1 forces f(1) = id, and induction on the length of b as a
+    word in S gives f(a b) = f(a) f(b) for all a, b.
     """
-    keys = _pair_keys(ext, sec.sequence, sec.domain)
+    K = _slice_rows(ext, sec.sequence, sec.domain)
     img = np.array([f.image for f in sec.images], dtype=np.intp)
-    theta, phi = _induced_pairs(ext, img)
-    if list(zip(map(tuple, theta.tolist()), map(tuple, phi.tolist()))) != keys:
+    if not np.array_equal(_pair_rows(ext, *_induced_pairs(ext, img)), K):
         raise AssertionError("section image projects to the wrong element")
-    identity = pair_key(ext.id_pair)
-    gens = require_closed(keys, _compose_pair, identity,
-                          "section domain is not closed under composition")
-    index = {key: i for i, key in enumerate(keys)}
-    for b in [identity] + gens:
-        # row i: f(a_i) o f(b) against f(a_i b)
-        prod = [index[_compose_pair(a, b)] for a in keys]
-        if (img[:, img[index[b]]] != img[prod]).any():
+    gens, prods = require_closed(K, "section domain is not closed under composition")
+    identity = int(np.flatnonzero((K == np.arange(K.shape[1])).all(axis=1))[0])
+    for s, prod in [(identity, np.arange(len(K)))] + list(zip(gens, prods)):
+        # row i: f(a_i) o f(s) against f(a_i s)
+        if (img[:, img[s]] != img[prod]).any():
             raise AssertionError("section is not a homomorphism")
 
 
@@ -200,24 +201,26 @@ def canonical_sections(ext: ExtensionData) -> tuple[Section, Section, Optional[S
     return build(1), build(2), build(3) if ext.central else None
 
 
-def _order(key, compose, identity) -> int:
-    """Order of a group element, by repeated composition."""
-    k, x = 1, key
-    while x != identity:
-        x = compose(x, key)
-        k += 1
-    return k
+def _orders(R: np.ndarray) -> np.ndarray:
+    """The order of each permutation row of R."""
+    orders, power, k = np.zeros(len(R), dtype=np.intp), R, 1
+    while not orders.all():
+        orders[(orders == 0) & (power == np.arange(R.shape[1])).all(axis=1)] = k
+        power, k = np.take_along_axis(R, power, axis=1), k + 1
+    return orders
 
 
 def section_search(ext: ExtensionData, which: int) -> Optional[Section]:
     """Search for a homomorphic section of sequence 1, 2 or 3.
 
-    Over pair keys (theta.image, phi.image) and image tuples, the identity
-    first in both, generators of the starred group get images from their
-    projection fibers, constrained to matching element order (sections are
-    injective); each full assignment is extended by the generator closure,
-    and the first consistent extension is returned verified.  None means
-    exhaustion, so the sequence genuinely does not split.
+    Over the domain's pair rows (wells._pair_rows) and the candidates'
+    image rows, the identity first in the domain, generators of the
+    starred group get images from their projection fibers, constrained to
+    matching element order (sections are injective); each full assignment
+    is extended by the generator closure, which multiplies domain indices
+    by the products require_closed returns, and the first consistent
+    extension is returned verified.  None means exhaustion, so the
+    sequence genuinely does not split.
     """
     if which not in (1, 2, 3):
         raise ParentMismatch(f"sequence selector must be 1, 2 or 3, got {which}")
@@ -230,37 +233,38 @@ def section_search(ext: ExtensionData, which: int) -> Optional[Section]:
             f"search bound {config.DEFAULT_SECTION_BOUND}")
     cands = sequence_autos(aut_subgroups(ext), which)
 
-    identity = pair_key(ext.id_pair)
-    keys = _pair_keys(ext, which, domain)
-    gens = require_closed(keys, _compose_pair, identity,
-                          "starred set is not closed under composition")
-    members = dict(zip(keys, domain))
-    keys = [identity] + [k for k in keys if k != identity]
+    K = _slice_rows(ext, which, domain)
+    gens, prods = require_closed(K, "starred set is not closed under composition")
+    identity = int(np.flatnonzero((K == np.arange(K.shape[1])).all(axis=1))[0])
+    order = [identity] + [i for i in range(len(K)) if i != identity]
 
-    fibers = {k: [] for k in keys}       # cands is sorted: the identity first
-    theta, phi = _induced_pairs(ext, np.array([g.image for g in cands], dtype=np.intp))
-    for g, t, p in zip(cands, theta.tolist(), phi.tolist()):
-        fibers[(tuple(t), tuple(p))].append(g.image)
-    if not all(fibers.values()):
+    C = cands.rows
+    fiber = np.array(_find_rows(_row_index(K), _pair_rows(ext, *_induced_pairs(ext, C))),
+                     dtype=np.intp)
+    if (fiber < 0).any():
+        raise AssertionError("section candidate projects outside the starred set")
+    if (np.bincount(fiber, minlength=len(K)) == 0).any():
         raise AssertionError("projection misses a starred element")
-    by_image = {g.image: g for g in cands}
-    id_image = tuple(range(ext.G.order))
     choices = []
-    for g in gens:
-        order = _order(g, _compose_pair, identity)
-        choices.append([c for c in fibers[g]
-                        if _order(c, _compose_perm, id_image) == order])
+    for g, o in zip(gens, _orders(K[gens])):
+        rows = C[fiber == g]
+        choices.append(list(map(tuple, rows[_orders(rows) == o].tolist())))
+    steps = [p.tolist() for p in prods]
 
-    closed = (close_generator_images(identity, id_image, list(zip(gens, picked)),
-                                     _compose_pair, _compose_perm)
+    def mul(a: int, k: int) -> int:         # domain index a times generator k
+        return steps[k][a]
+
+    id_image = tuple(range(ext.G.order))
+    closed = (close_generator_images(identity, id_image, list(enumerate(picked)),
+                                     mul, _compose_perm)
               for picked in product(*choices))
     found = next((m for m in closed if m is not None), None)
     if found is None:
         return None
-    images = tuple(by_image.get(found[k]) for k in keys)
-    if None in images:
+    at = _find_rows(_row_index(C), np.array([found[k] for k in order]))
+    if -1 in at:
         raise AssertionError("section image is not a candidate automorphism")
-    sec = Section(which, tuple(members[k] for k in keys), images)
+    sec = Section(which, tuple(domain[k] for k in order), tuple(cands[i] for i in at))
     _verify_section(ext, sec)
     return sec
 

@@ -48,8 +48,10 @@ and (2) by _condition_3 and _condition_2, build gamma by _gamma_images and
 read its pair by _induced_pairs (the public functions with one row), over
 the coordinate tables of ExtensionData, gathers, like the action
 matrices, from the arrays of abelian.AbelianStructure.  is_compatible is
-the one-row _condition_3, compatible_pairs asks it of the Aut N x Aut H
-grid, aut_subgroups reads its sets as masks over the pairs of Aut(G), and
+the one-row _condition_3, and compatible_pairs one stacked mask of it over
+the image rows of the Aut N x Aut H grid, kept as index pairs and closed
+by groups.require_closed over their _pair_rows; aut_subgroups reads its
+sets as masks over the rows of Aut(G), views of its one array; and
 splitting builds and checks its sections by _gamma_images and
 _induced_pairs too; groups._require_automorphisms proves computed images.
 _cocycle_stack builds a stack of difference cocycles and checks it by
@@ -66,7 +68,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -79,9 +80,9 @@ from .cohomology import (_CHECK_BLOCK_TRIPLES, CohomologyClass,
                          _generator_defects, _moduli_array, two_cocycle_defect)
 from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotCentral,
                      NotCompatible, ParentMismatch, TripleConditionsFail)
-from .groups import (FiniteGroup, GroupAutomorphism, Subgroup, _compose_pair,
-                     _integers, _require_automorphisms, automorphism_group,
-                     center, quotient_group, require_closed)
+from .groups import (AutomorphismArray, FiniteGroup, GroupAutomorphism,
+                     Subgroup, _integers, _require_automorphisms,
+                     automorphism_group, center, quotient_group, require_closed)
 
 __all__ = [
     "ExtensionData",
@@ -201,7 +202,7 @@ class ExtensionData:
         self.coeffs: AbelianStructure = abelian_structure(N)
         self.n_group = self.coeffs.n_group
         self._cohomology: Optional[CohomologyGroup] = None
-        # (pairs, c1, c2, closure checked), see compatible_pairs
+        # (pairs, c1, c2, (i, j), closure checked), see compatible_pairs
         self._compatible: Optional[tuple] = None
         self._facts: dict = {}
         self.id_N = GroupAutomorphism.identity(self.n_group)
@@ -341,28 +342,60 @@ def compatible_pairs(ext: ExtensionData, verify_closure: bool = True):
     """All compatible pairs C plus the slices C1 (phi = 1) and C2 (theta = 1).
 
     C is found once per extension (rebuilds with another transversal share
-    it) and handed out as fresh lists.  With verify_closure the result has
-    passed require_closed: C is a subgroup of Aut N x Aut H.
+    it) and handed out as fresh lists, in the order of the Aut N x Aut H
+    grid.  ext._compatible keeps it next to its index arrays (i, j): the
+    pair (Aut N[i], Aut H[j]).  The identity is row 0 of each automorphism
+    array (the smallest image row), so C1 is j = 0 and C2 is i = 0.  With
+    verify_closure the result has passed require_closed over the pair
+    rows: C is a subgroup of Aut N x Aut H.
     """
+    auts = None
     if ext._compatible is None:
-        auts_n = automorphism_group(ext.n_group)
-        auts_h = automorphism_group(ext.H)
+        auts_n, auts_h = auts = automorphism_group(ext.n_group), automorphism_group(ext.H)
         if len(auts_n) * len(auts_h) > config.AUT_SEARCH_BOUND:
             raise BoundExceeded(
                 f"compatible pairs: |Aut N| * |Aut H| = {len(auts_n)} * "
                 f"{len(auts_h)} passes {config.AUT_SEARCH_BOUND}")
-        pairs = tuple(CompatiblePair(th, ph) for th in auts_n for ph in auts_h
-                      if is_compatible(ext, th, ph))
-        c1 = tuple(p.theta for p in pairs if p.phi.image == ext.id_H.image)
-        c2 = tuple(p.phi for p in pairs if p.theta.image == ext.id_N.image)
-        ext._compatible = (pairs, c1, c2, False)
-    pairs, c1, c2, closed = ext._compatible
+        i, j = _compatible_grid(ext, auts_n.rows, auts_h.rows)
+        thetas, phis = list(auts_n), list(auts_h)
+        pairs = tuple(CompatiblePair(thetas[a], phis[b])
+                      for a, b in zip(i.tolist(), j.tolist()))
+        c1 = tuple(thetas[a] for a in i[j == 0].tolist())
+        c2 = tuple(phis[b] for b in j[i == 0].tolist())
+        ext._compatible = (pairs, c1, c2, (i, j), False)
+    pairs, c1, c2, (i, j), closed = ext._compatible
     if verify_closure and not closed:
-        require_closed([pair_key(p) for p in pairs], _compose_pair,
-                       pair_key(ext.id_pair),
+        auts_n, auts_h = auts or (automorphism_group(ext.n_group), automorphism_group(ext.H))
+        require_closed(_pair_rows(ext, auts_n.rows[i], auts_h.rows[j]),
                        "compatible pairs are not closed under composition")
-        ext._compatible = (pairs, c1, c2, True)
+        ext._compatible = (pairs, c1, c2, (i, j), True)
     return list(pairs), list(c1), list(c2)
+
+
+def _compatible_grid(ext: ExtensionData, thetas: np.ndarray, phis: np.ndarray) -> tuple:
+    """The index arrays (i, j), i-major, of the compatible pairs
+    (thetas[i], phis[j]) among image rows: every pair on a central
+    extension, else one stacked _condition_3 mask over the theta matrices
+    of a block of rows against every phi row.  The check holds about four
+    arrays of block x |phis| x h x k x k values, together at most
+    _CHECK_BLOCK_TRIPLES."""
+    if ext.central:             # every A(x) is the identity
+        return np.divmod(np.arange(len(thetas) * len(phis)), len(phis))
+    coeffs = ext.coeffs
+    # column u of each matrix: the coordinates of theta(e_u)
+    T = coeffs.coords[thetas[:, coeffs.member_at[coeffs.radix]]].transpose(0, 2, 1)
+    A_phi = ext.action[phis]
+    step = max(1, _CHECK_BLOCK_TRIPLES // (4 * A_phi.size))
+    ok = np.concatenate([~_condition_3(ext, T[lo:lo + step, None], A_phi).any(axis=-1)
+                         for lo in range(0, len(T), step)])
+    return np.nonzero(ok)
+
+
+def _pair_rows(ext: ExtensionData, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Pairs (theta, phi) as rows of one permutation of |N| + h points, the
+    theta rows then the phi rows shifted by |N|: (r o s) is r[s] on pairs
+    as on permutations, as require_closed composes them."""
+    return np.concatenate([theta, phi + ext.N.order], axis=1)
 
 
 def _difference_cocycle(ext: ExtensionData, which: int, theta: GroupAutomorphism,
@@ -433,9 +466,10 @@ def _triple_defect(ext: ExtensionData, theta: GroupAutomorphism,
 
 def _condition_3(ext: ExtensionData, T: np.ndarray, A_phi: np.ndarray) -> np.ndarray:
     """Where T A(x) = A(phi x) T fails mod d, indexed [pair, x], for stacked
-    theta matrices T and the stacked action at phi, A_phi = A[phi images]."""
+    theta matrices T and the stacked action at phi, A_phi = A[phi images];
+    T of shape (m, 1, k, k) against every phi gives [theta, phi, x]."""
     d = _moduli_array(ext.moduli)
-    return ((T[:, None] @ ext.action - A_phi @ T[:, None]) % d[:, None]).any(axis=(2, 3))
+    return ((T[:, None] @ ext.action - A_phi @ T[:, None]) % d[:, None]).any(axis=(-2, -1))
 
 
 def _condition_2(ext: ExtensionData, T: np.ndarray, P: np.ndarray,
@@ -732,28 +766,30 @@ def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
 
 @dataclass(frozen=True)
 class AutSubgroups:
-    """The four automorphism sets attached to (G, N), as sorted tuples."""
-    aut_N_of_G: tuple        # normalize N
-    aut_upper_N: tuple       # fix N pointwise
-    aut_N_H: tuple           # normalize N and induce identity on H
-    aut_upper_N_H: tuple     # both
+    """The four automorphism sets attached to (G, N), each a view of
+    automorphism_group(G) in its order, sharing its array and objects."""
+    aut_N_of_G: AutomorphismArray        # normalize N
+    aut_upper_N: AutomorphismArray       # fix N pointwise
+    aut_N_H: AutomorphismArray           # normalize N and induce identity on H
+    aut_upper_N_H: AutomorphismArray     # both
 
 
 def aut_subgroups(ext: ExtensionData) -> AutSubgroups:
-    """The four sets of ext, found once per extension."""
+    """The four sets of ext, found once per extension, as masks over the
+    rows of Aut(G)."""
     def build() -> AutSubgroups:
         # a permutation of G that sends N into N sends it onto N
         auts = automorphism_group(ext.G)
-        theta, phi = _induced_pairs(ext, np.array([g.image for g in auts], dtype=np.intp))
+        theta, phi = _induced_pairs(ext, auts.rows)
         normal = (theta >= 0).all(axis=1)
         fix_n = (theta == np.arange(ext.N.order)).all(axis=1)
         fix_h = normal & (phi == np.arange(ext.H.order)).all(axis=1)
-        return AutSubgroups(*(tuple(compress(auts, mask))
+        return AutSubgroups(*(auts.view(mask)
                               for mask in (normal, fix_n, fix_h, fix_n & fix_h)))
     return _fact(ext, "aut_subgroups", build)
 
 
-def sequence_autos(subs: AutSubgroups, which: int) -> tuple:
+def sequence_autos(subs: AutSubgroups, which: int) -> AutomorphismArray:
     """The automorphisms of G that sequence which projects to its slice."""
     return getattr(subs, _SEQUENCES[which].autos)
 

@@ -27,10 +27,10 @@ from extlift import (BoundExceeded, DoesNotNormalize, FiniteGroup, NotCentral,
 from extlift.abelian import restrict_to_matrix
 from extlift.cohomology import (OneCochain, TwoCochain, coboundary_of,
                                 trivial_action)
-from extlift.groups import (GroupAutomorphism, _compose_pair, _compose_perm,
+from extlift.groups import (GroupAutomorphism, _compose_perm,
                             prime_factors)
 from extlift.intlin import ext_gcd, kernel_order
-from extlift.splitting import (Section, _pair_keys, _verify_section,
+from extlift.splitting import (Section, _verify_section,
                                split_kernels)
 from extlift.wells import (AutSubgroups, aut_subgroups, compatible_pairs,
                            pair_key, sequence_autos, slice_pair)
@@ -408,6 +408,61 @@ def reference_automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
     return found
 
 
+def compose_pair(p, q) -> tuple:
+    """Componentwise composition of pairs of permutation tuples."""
+    return (_compose_perm(p[0], q[0]), _compose_perm(p[1], q[1]))
+
+
+def pair_keys(ext, which: int, members) -> list[tuple]:
+    """Members of a slice of sequence which, keyed as pairs."""
+    return [pair_key(slice_pair(ext, which, m)) for m in members]
+
+
+def reference_require_closed(keys: Sequence, compose, identity, message: str) -> list:
+    """The closure check over hashable keys that groups.require_closed ran
+    before it took an array of permutation rows (the reference for its
+    greedy generators).
+
+    Grows S inside K = set(keys), in the order of keys, closing {identity}
+    under right multiplication by S, and raises AssertionError(message) as
+    soon as a product r*s leaves K; returns S.
+    """
+    have = set(keys)
+    if not have:
+        return []
+    if identity not in have:
+        raise AssertionError(message)
+    gens: list = []
+    reached = {identity}
+    order = [identity]
+    for g in keys:
+        if g in reached:
+            continue
+        gens.append(g)
+        done = len(order)      # order[:done] is closed under the earlier gens
+        for i, r in enumerate(order):       # runs over appended members too
+            for s in (gens[-1:] if i < done else gens):
+                p = compose(r, s)
+                if p not in reached:
+                    if p not in have:
+                        raise AssertionError(message)
+                    reached.add(p)
+                    order.append(p)
+    return gens
+
+
+def reference_characteristic_message(H: FiniteGroup, members) -> Optional[str]:
+    """The NotCharacteristic message of reduction.characteristic_restriction
+    for the subgroup members of H, or None: the loop over every
+    automorphism and every member it ran before it read Aut(H)'s rows."""
+    member_set = set(members)
+    for a in automorphism_group(H):
+        for s in members:
+            if a(s) not in member_set:
+                return f"quotient image of the subgroup is moved at element {s}"
+    return None
+
+
 def require_closed_quadratic(keys, mul) -> None:
     """The all-pairs closure check, the reference for groups.require_closed:
     every product of two members must be a member."""
@@ -472,8 +527,8 @@ def reference_section_search(ext, which: int):
             f"search bound {config.DEFAULT_SECTION_BOUND}")
     cands = sequence_autos(aut_subgroups(ext), which)
 
-    keys = _pair_keys(ext, which, domain)
-    S, spos = _abstract_group(keys, _compose_pair, pair_key(ext.id_pair))
+    keys = pair_keys(ext, which, domain)
+    S, spos = _abstract_group(keys, compose_pair, pair_key(ext.id_pair))
     members = [None] * len(domain)
     for i, m in enumerate(domain):
         members[spos[keys[i]]] = m

@@ -1,11 +1,13 @@
-"""Closure checks grown from generators against the all-pairs reference,
-on the compatible pairs C and the slices C1, C2 of many extensions."""
+"""Closure checks grown from generators against the all-pairs reference
+and the tuple form's generators, on the compatible pairs C and the slices
+C1, C2 of many extensions."""
 
 import importlib.util
 import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 from extlift import (BoundExceeded, automorphism_group, catalog,
@@ -13,10 +15,11 @@ from extlift import (BoundExceeded, automorphism_group, catalog,
                      random_transversal, shipped_corpus, split_kernels,
                      splitting, wells)
 from extlift.catalog import parse_catalog_expression
-from extlift.groups import _compose_pair, _compose_perm, center, require_closed
+from extlift.groups import _compose_perm, center, require_closed
 from extlift.reports import corpus_pairs
 
-from oracles import require_closed_quadratic
+from oracles import (compose_pair, reference_require_closed,
+                     require_closed_quadratic)
 
 MAX_QUOTIENT = 8
 
@@ -41,13 +44,14 @@ def _extensions():
 
 
 def _sets(ext):
-    """(name, keys, compose, identity) for C, C1 and C2."""
+    """(name, K) for C, C1 and C2, K their rows as require_closed takes
+    them (C as wells._pair_rows)."""
     pairs, c1, c2 = compatible_pairs(ext, verify_closure=False)
-    id_n, id_h = ext.id_N.image, ext.id_H.image
-    return [("C", [(p.theta.image, p.phi.image) for p in pairs],
-             _compose_pair, (id_n, id_h)),
-            ("C1", [th.image for th in c1], _compose_perm, id_n),
-            ("C2", [ph.image for ph in c2], _compose_perm, id_h)]
+    theta = np.array([p.theta.image for p in pairs])
+    phi = np.array([p.phi.image for p in pairs])
+    return [("C", wells._pair_rows(ext, theta, phi)),
+            ("C1", np.array([th.image for th in c1])),
+            ("C2", np.array([ph.image for ph in c2]))]
 
 
 def _accepts(check, *args):
@@ -58,43 +62,65 @@ def _accepts(check, *args):
     return True
 
 
-def _agree(keys, compose, identity):
-    new = _accepts(require_closed, keys, compose, identity, "not closed")
-    assert new == _accepts(require_closed_quadratic, keys, compose)
+def _agree(K):
+    """Whether require_closed accepts the rows K, asserting that the
+    all-pairs check over their tuples agrees."""
+    new = _accepts(require_closed, K, "not closed")
+    assert new == _accepts(require_closed_quadratic, list(map(tuple, K.tolist())),
+                           _compose_perm)
     return new
 
 
 def test_generator_closure_matches_all_pairs_check():
+    """Accepts what the all-pairs check accepts, returns the generators of
+    the tuple form in the oracles (over pair keys for C) and the index of
+    each K_k o s."""
     rng = random.Random(5)
     cases = 0
     for label, ext in _extensions():
-        for name, keys, compose, identity in _sets(ext):
+        for name, K in _sets(ext):
             where = f"{name} of {label}"
-            assert _agree(keys, compose, identity), where
-            gens = require_closed(keys, compose, identity, "not closed")
+            assert _agree(K), where
+            gens, prods = require_closed(K, "not closed")
+            keys = list(map(tuple, K.tolist()))
+            if name == "C":
+                n = ext.N.order
+                split = [(k[:n], tuple(v - n for v in k[n:])) for k in keys]
+                want = reference_require_closed(
+                    split, compose_pair, (ext.id_N.image, ext.id_H.image), "not closed")
+                assert [split[g] for g in gens] == want, where
+            identity = tuple(range(K.shape[1]))
+            assert [keys[g] for g in gens] == reference_require_closed(
+                keys, _compose_perm, identity, "not closed"), where
+            for g, prod in zip(gens, prods):
+                assert [keys[i] for i in prod.tolist()] == \
+                    [_compose_perm(k, keys[g]) for k in keys], where
             assert len(gens) <= math.log2(len(keys)), where
-            others = [k for k in keys if k != identity]
+            others = [i for i, k in enumerate(keys) if k != identity]
             if not others:
                 continue
             drop = rng.choice(others)
             # K minus a member is closed only when it leaves {1} (|K| = 2)
-            assert _agree([k for k in keys if k != drop], compose,
-                          identity) == (len(keys) == 2), where
-            assert not _agree(others, compose, identity), where
+            assert _agree(np.delete(K, drop, axis=0)) == (len(keys) == 2), where
+            assert not _agree(K[others]), where
+            # a repeated row is one member: same verdict, same generators
+            again = np.concatenate([K, K[[drop]]])
+            assert _agree(again), where
+            assert require_closed(again, "not closed")[0] == gens, where
             cases += 1
     assert cases > 200
 
 
 def test_empty_set_counts_as_closed():
-    assert _agree([], _compose_perm, (0, 1, 2))
-    assert require_closed([], _compose_perm, (0, 1, 2), "not closed") == []
+    empty = np.zeros((0, 3), dtype=np.intp)
+    assert _agree(empty)
+    assert require_closed(empty, "not closed") == ([], [])
 
 
 def test_set_closed_without_generators_is_the_trivial_group():
-    identity = (0, 1, 2)
-    assert require_closed([identity], _compose_perm, identity, "not closed") == []
+    assert require_closed(np.array([[0, 1, 2]]), "not closed") == ([], [])
     with pytest.raises(AssertionError, match="not closed"):
-        require_closed([(1, 2, 0)], _compose_perm, identity, "not closed")
+        require_closed(np.array([[1, 2, 0]]), "not closed")
 
 
 def test_compatible_pairs_are_found_once_and_handed_out_fresh(monkeypatch):
@@ -108,26 +134,28 @@ def test_compatible_pairs_are_found_once_and_handed_out_fresh(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(wells, "is_compatible",
-                        counting(wells.is_compatible, found))
+    # the compatibility mask over the grid, and the closure check
+    monkeypatch.setattr(wells, "_compatible_grid",
+                        counting(wells._compatible_grid, found))
     monkeypatch.setattr(wells, "require_closed",
                         counting(wells.require_closed, checked))
     pairs, c1, c2 = compatible_pairs(ext, verify_closure=False)
-    assert (len(found), len(checked)) == (6, 0)
+    assert (len(found), len(checked)) == (1, 0)
     pairs.clear()
     c2.pop()
     assert [len(r) for r in compatible_pairs(ext)] == [6, 1, 6]
-    assert (len(found), len(checked)) == (6, 1)
+    assert (len(found), len(checked)) == (1, 1)
     other = ext.with_transversal(random_transversal(ext, random.Random(3)))
     assert [len(r) for r in compatible_pairs(other)] == [6, 1, 6]
-    assert (len(found), len(checked)) == (6, 1)
+    assert (len(found), len(checked)) == (1, 1)
 
 
 def test_compatible_pairs_missing_a_member_are_rejected():
     G = catalog("dihedral", 8)
     ext = extension_from(G, center(G))
     pairs, c1, c2 = compatible_pairs(ext, verify_closure=False)
-    ext._compatible = (tuple(pairs[:-1]), tuple(c1), tuple(c2), False)
+    i, j = ext._compatible[3]
+    ext._compatible = (tuple(pairs[:-1]), tuple(c1), tuple(c2), (i[:-1], j[:-1]), False)
     with pytest.raises(AssertionError, match="compatible pairs are not "
                                              "closed under composition"):
         compatible_pairs(ext)
@@ -157,14 +185,14 @@ def test_compatible_pairs_of_extraspecial_plus_2_over_its_centre():
 
 
 def test_compatible_pairs_bound_applies_before_the_product_loop(monkeypatch):
-    """|Aut N| * |Aut H| = 1 * 20160 passes a bound of 20159 before any pair
-    is tested, and fits one of 20160."""
+    """|Aut N| * |Aut H| = 1 * 20160 passes a bound of 20159 before the
+    grid is tested, and fits one of 20160."""
     G = parse_catalog_expression("extraspecial_plus(2)")
     ext = extension_from(G, center(G))
     automorphism_group(ext.n_group), automorphism_group(ext.H)   # cached now
-    tested = []
-    monkeypatch.setattr(wells, "is_compatible",
-                        lambda *args: tested.append(args) or True)
+    tested, real = [], wells._compatible_grid
+    monkeypatch.setattr(wells, "_compatible_grid",
+                        lambda *args: tested.append(args) or real(*args))
     monkeypatch.setattr(config, "AUT_SEARCH_BOUND", 20159)
     with pytest.raises(BoundExceeded, match=r"1 \* 20160 passes 20159"):
         compatible_pairs(ext, verify_closure=False)

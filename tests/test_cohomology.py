@@ -152,7 +152,7 @@ def test_coboundary_matches_its_definition():
     chi = OneCochain(H, m, [(0,) * k] + [tuple(rng.randrange(d) for d in m)
                                          for _ in range(h - 1)])
     c = chi.values.tolist()
-    for phi in [None] + automorphism_group(H):
+    for phi in [None] + list(automorphism_group(H)):
         p = list(range(h)) if phi is None else phi.image
         delta = coboundary_of(chi, ext.action, phi)
         for x in range(h):

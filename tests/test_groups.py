@@ -558,6 +558,64 @@ def test_automorphism_search_matches_the_recursive_reference(monkeypatch):
         assert [a.image for a in automorphism_group(G)] == reference[label], label
 
 
+@pytest.mark.parametrize("chunk", [None, 1], ids=["default-chunk", "chunk-1"])
+def test_automorphism_array_is_a_read_only_sequence(monkeypatch, chunk):
+    """automorphism_group(G) is one AutomorphismArray per group over the
+    rows of oracles.reference_automorphisms, in the same order: [i], [-1],
+    slices, len and iteration give those images (built on demand, also
+    one row per chunk), a row gives the same object each time, views list
+    the rows of a mask and share the objects, and no rows can be written."""
+    if chunk is not None:
+        monkeypatch.setattr(groups_mod, "_SEARCH_CHUNK", chunk)
+    for expr in ("dihedral(8)", "quaternion(8)*cyclic(2)", "cyclic(2)^3",
+                 "heisenberg(3)", "cyclic(2)"):
+        G = parse_catalog_expression(expr)
+        want = reference_automorphisms(G)
+        m = len(want)
+        auts = automorphism_group(G)
+        assert auts is automorphism_group(G), expr
+        assert len(auts) == m and auts.rows.tolist() == [list(w) for w in want], expr
+        assert auts[-1].image == want[-1] and auts[m // 2].image == want[m // 2], expr
+        assert auts[-1] is auts[m - 1] and auts[-m] is auts[0], expr
+        assert [a.image for a in auts[1:7:2]] == want[1:7:2], expr
+        assert [a.image for a in auts[::-1]] == want[::-1], expr
+        assert [a.image for a in auts] == want, expr
+        assert [a.image for a in auts] == want, expr      # warm
+        assert all(auts[i] is a and a.group is G for i, a in enumerate(auts)), expr
+        for bad in (m, -m - 1):
+            with pytest.raises(IndexError):
+                auts[bad]
+        mask = np.arange(m) % 3 == 1
+        view = auts.view(mask)
+        inner = view.view(np.arange(len(view)) % 2 == 0)
+        for v, rows in ((view, want[1::3]), (inner, want[1::6])):
+            assert len(v) == len(rows) and v.rows.tolist() == [list(r) for r in rows], expr
+            assert [a.image for a in v] == rows == [a.image for a in v], expr
+            if rows:
+                assert v[-1] is auts[want.index(rows[-1])], expr
+        assert all(a is auts[1 + 3 * i] for i, a in enumerate(view)), expr
+        for rows in (auts.rows, view.rows):
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1
+
+
+@pytest.mark.parametrize("fault", ["swapped", "repeated"])
+def test_automorphism_rows_out_of_order_are_refused(monkeypatch, fault):
+    """Rows the search emits out of aut:IDX order, or twice, are an
+    internal fault: AssertionError, and nothing is cached."""
+    real = groups_mod._automorphism_rows
+
+    def wrong(G):
+        rows = real(G)
+        rows[[1, 2]] = rows[[2, 1]] if fault == "swapped" else rows[[1, 1]]
+        return rows
+    monkeypatch.setattr(groups_mod, "_automorphism_rows", wrong)
+    G = catalog("dihedral", 8)
+    with pytest.raises(AssertionError, match="emitted rows out of order"):
+        automorphism_group(G)
+    assert G._automorphisms is None
+
+
 def test_automorphism_search_bound_counts_partial_maps(monkeypatch):
     """elementary_abelian(2,4) builds 15 + 15*14 + 210*12 + 2520*8 = 22 905
     partial maps, one per level-by-level search node."""

@@ -11,11 +11,13 @@ from extlift import (InputError, NotCharacteristic, NotCompatible,
                      lift_automorphism, local_extension, quotient_sylows,
                      restrict_to_quotient_sylow, shipped_corpus,
                      sylow_extend_check, sylow_lift_check, sylow_preimage)
-from extlift.groups import GroupAutomorphism, center, derived_subgroup
+from extlift.groups import (GroupAutomorphism, all_subgroups, center,
+                            derived_subgroup)
 from extlift.reports import corpus_pairs
 
-from oracles import (reference_central_pair_mode, reference_sylow_extend_check,
-                     reference_sylow_lift_check)
+from oracles import (reference_central_pair_mode,
+                     reference_characteristic_message,
+                     reference_sylow_extend_check, reference_sylow_lift_check)
 
 
 def _z3_x_s3():
@@ -330,3 +332,30 @@ def test_corollary_predicates_rejects_a_foreign_theta():
         corollary_predicates(central, theta=alien)
     out = corollary_predicates(central, theta=central.id_N)
     assert out["central_pair_mode"] is None
+
+
+def test_characteristic_check_matches_the_loop():
+    """characteristic_restriction refuses the preimage P of a subgroup Q of
+    H exactly when the loop over every automorphism of H and every member
+    of Q (oracles.reference_characteristic_message) finds a member moved
+    out of Q, with the same message: on every subgroup of H of every
+    corpus extension with |H| <= 8, restricting the identity of G."""
+    checked = refused = 0
+    for G in shipped_corpus():
+        gamma = GroupAutomorphism.identity(G)
+        for N in corpus_pairs(G):
+            ext = extension_from(G, N)
+            if ext.H.order > 8:
+                continue
+            for Q in all_subgroups(ext.H):
+                P = Subgroup(G, [g for g in range(G.order) if ext.pi(g) in Q])
+                want = reference_characteristic_message(ext.H, Q.members)
+                checked += 1
+                if want is None:
+                    assert characteristic_restriction(ext, gamma, P).is_identity
+                    continue
+                with pytest.raises(NotCharacteristic) as info:
+                    characteristic_restriction(ext, gamma, P)
+                assert str(info.value) == want
+                refused += 1
+    assert checked > refused > 50

@@ -429,13 +429,27 @@ def _complement_off_by_one(monkeypatch):
     monkeypatch.setattr(CohomologyGroup, "coboundary_solve", wrong)
 
 
+def _candidate_phi_rows_reversed(monkeypatch):
+    """The phi rows splitting reads for its sections reversed, so no
+    candidate of the section search projects into the starred set (the
+    fiber lookup once raised a bare KeyError here)."""
+    real = splitting._induced_pairs
+
+    def wrong(ext, img):
+        theta, phi = real(ext, img)
+        return theta, phi[:, ::-1]
+    monkeypatch.setattr(splitting, "_induced_pairs", wrong)
+
+
 @pytest.mark.parametrize("fault,group,members,message", [
     (_section_images_swapped, catalog("dihedral", 8), [0, 1, 2, 3],
      "canonical section image is not an automorphism: not a homomorphism: "
      "images of 0*0 disagree"),
     (_complement_off_by_one, catalog("cyclic", 6), [0, 2, 4],
      "complement check fails: not a homomorphism: images of 1*1 disagree"),
-], ids=["canonical-section", "complement"])
+    (_candidate_phi_rows_reversed, catalog("dihedral", 8), [0, 2],
+     "section candidate projects outside the starred set"),
+], ids=["canonical-section", "complement", "section-search"])
 def test_each_splitting_check_names_its_failure(capsys, monkeypatch, tmp_path,
                                                 fault, group, members, message):
     """A fault injected before a splitting check is an internal failure that
