@@ -2,7 +2,8 @@
 
 The three short exact sequences built in wells restrict to the subsets with
 trivial obstruction class: those starred sets are the exact images, so each
-sequence is onto them.  When the underlying extension 1 -> N -> G -> H -> 1
+sequence is onto them, and each is proven a group once (split_kernels),
+the sections reading that proof.  When the extension 1 -> N -> G -> H -> 1
 itself splits, explicit sections exist: over a homomorphic transversal t'
 the factor set is zero, so the gamma of each triple (theta, phi, 0) is
 t'(x) n -> t'(phi x) theta(n), built by wells._gamma_images on the copy
@@ -32,9 +33,8 @@ from .groups import (GroupAutomorphism, GroupHomomorphism, Subgroup,
                      _row_index, center, close_generator_images,
                      derived_subgroup, require_closed)
 from .wells import (_SEQUENCES, ExtensionData, _fact, _gamma_images,
-                    _induced_pairs, _pair_rows, aut_subgroups,
-                    compatible_pairs, sequence_autos, slice_pair,
-                    starred_sets)
+                    _induced_pairs, _pair_rows, aut_subgroups, sequence_autos,
+                    slice_pair, starred_sets)
 
 __all__ = [
     "SplitKernels",
@@ -87,26 +87,40 @@ class CommutatorForm(TwoCochain):
 
 
 def split_kernels(ext: ExtensionData) -> SplitKernels:
+    """The starred sets, proven groups of the orders exactness forces (see _proven)."""
+    return _proven(ext)[0]
+
+
+def _proven(ext: ExtensionData) -> tuple[SplitKernels, dict]:
     """Filter the compatible sets by obstruction triviality and verify orders.
 
     Exactness makes each starred set the image of a group under the
     projection, hence closed under composition, and forces the order
     identity |domain| = |kernel| * |starred set| for each sequence; both
-    facts are rechecked here against the enumerated automorphism group,
-    once per extension.
+    facts are rechecked here against the enumerated automorphism group.
+    The one closure proof is kept by sequence as (set, K, generators,
+    products): K the set's wells._pair_rows, the rest what require_closed
+    returned over K.  K's row 0 is the identity: compatible_pairs lists C
+    in Aut N x Aut H grid order, whose rows 0 are the identities, and the
+    identity pair's class is trivial.
     """
-    def build() -> SplitKernels:
-        stars = starred_sets(ext, *compatible_pairs(ext))
-        for which, star in stars.items():
-            require_closed(_slice_rows(ext, which, star),
-                           "starred set is not closed under composition")
-        subs = aut_subgroups(ext)
+    def build() -> tuple[SplitKernels, dict]:
+        stars, subs, proofs = starred_sets(ext), aut_subgroups(ext), {}
         kernel = len(subs.aut_upper_N_H)
         for which, star in stars.items():
+            pairs = [slice_pair(ext, which, m) for m in star]
+            theta = np.array([p.theta.image for p in pairs], dtype=np.intp)
+            phi = np.array([p.phi.image for p in pairs], dtype=np.intp)
+            K = _pair_rows(ext, theta.reshape(len(pairs), ext.N.order),
+                           phi.reshape(len(pairs), ext.H.order))
+            proofs[which] = (star, K, *require_closed(
+                K, "starred set is not closed under composition"))
+            if not np.array_equal(K[:1], [np.arange(K.shape[1])]):
+                raise AssertionError("starred set does not start with the identity")
             if len(sequence_autos(subs, which)) != kernel * len(star):
                 raise AssertionError(
                     f"{_SEQUENCES[which].ordinal} sequence order identity fails")
-        return SplitKernels(stars[1], stars[2], stars.get(3))
+        return SplitKernels(stars[1], stars[2], stars.get(3)), proofs
     return _fact(ext, "split_kernels", build)
 
 
@@ -137,32 +151,23 @@ def is_split_extension(ext: ExtensionData) -> tuple[bool, Optional[SplitWitness]
     return True, SplitWitness(section, complement)
 
 
-def _slice_rows(ext: ExtensionData, which: int, members) -> np.ndarray:
-    """Members of a slice of sequence which as wells._pair_rows."""
-    pairs = [slice_pair(ext, which, m) for m in members]
-    theta = np.array([p.theta.image for p in pairs], dtype=np.intp)
-    phi = np.array([p.phi.image for p in pairs], dtype=np.intp)
-    return _pair_rows(ext, theta.reshape(len(pairs), ext.N.order),
-                      phi.reshape(len(pairs), ext.H.order))
-
-
 def _verify_section(ext: ExtensionData, sec: Section) -> None:
     """Check sec is a homomorphism whose images project onto their domain.
 
-    The domain is checked to be a group and a generating set S of it is
-    grown (require_closed, which gives the index of each a s); then
-    f(a s) = f(a) f(s) is checked for every a and every s in {1} + S.
-    Taking s = 1 forces f(1) = id, and induction on the length of b as a
-    word in S gives f(a b) = f(a) f(b) for all a, b.
+    The domain must be the starred set, whose pair rows K, generating set
+    S and index of each a s (s in S) split_kernels proved and kept (see
+    _proven); then f(a s) = f(a) f(s) is checked for every a and every s
+    in {1} + S.  Taking s = 1 forces f(1) = id, and induction on the
+    length of b as a word in S gives f(a b) = f(a) f(b) for all a, b.
     """
-    K = _slice_rows(ext, sec.sequence, sec.domain)
+    domain, K, gens, prods = _proven(ext)[1][sec.sequence]
+    if sec.domain != domain:
+        raise AssertionError("section domain is not the starred set")
     img = np.array([f.image for f in sec.images], dtype=np.intp)
     if not np.array_equal(_pair_rows(ext, *_induced_pairs(ext, img)), K):
         raise AssertionError("section image projects to the wrong element")
-    gens, prods = require_closed(K, "section domain is not closed under composition")
-    identity = int(np.flatnonzero((K == np.arange(K.shape[1])).all(axis=1))[0])
-    for s, prod in [(identity, np.arange(len(K)))] + list(zip(gens, prods)):
-        # row i: f(a_i) o f(s) against f(a_i s)
+    for s, prod in [(0, np.arange(len(K)))] + list(zip(gens, prods)):
+        # row i: f(a_i) o f(s) against f(a_i s); row 0 of K is the identity
         if (img[:, img[s]] != img[prod]).any():
             raise AssertionError("section is not a homomorphism")
 
@@ -178,7 +183,7 @@ def canonical_sections(ext: ExtensionData) -> tuple[Section, Section, Optional[S
     ok, witness = is_split_extension(ext)
     if not ok:
         raise NotSplit("extension has no complement, canonical sections unavailable")
-    stars = split_kernels(ext)
+    proofs = _proven(ext)[1]
     # over t' the factor set is zero, so a zero chi makes each triple's
     # gamma the map t'(x) n -> t'(phi x) theta(n)
     split = ext.with_transversal(witness.section.image)
@@ -186,14 +191,12 @@ def canonical_sections(ext: ExtensionData) -> tuple[Section, Section, Optional[S
         raise AssertionError("homomorphic transversal has a nonzero factor set")
 
     def build(which: int) -> Section:
-        domain = stars[which - 1]
-        pairs = [slice_pair(ext, which, m) for m in domain]
-        P = np.array([p.phi.image for p in pairs], dtype=np.intp)
-        theta = np.array([p.theta.image for p in pairs], dtype=np.intp)
+        domain, K, _, _ = proofs[which]
+        theta, P = K[:, :ext.N.order], K[:, ext.N.order:] - ext.N.order
         chi = np.zeros(P.shape + (ext.coeffs.rank,), dtype=np.int64)
         img = _gamma_images(split, theta, P, chi)
         _require_automorphisms(ext.G, img, "canonical section image is not an automorphism")
-        sec = Section(which, tuple(domain), tuple(
+        sec = Section(which, domain, tuple(
             GroupAutomorphism._trusted(ext.G, row) for row in map(tuple, img.tolist())))
         _verify_section(ext, sec)
         return sec
@@ -213,30 +216,25 @@ def _orders(R: np.ndarray) -> np.ndarray:
 def section_search(ext: ExtensionData, which: int) -> Optional[Section]:
     """Search for a homomorphic section of sequence 1, 2 or 3.
 
-    Over the domain's pair rows (wells._pair_rows) and the candidates'
-    image rows, the identity first in the domain, generators of the
-    starred group get images from their projection fibers, constrained to
-    matching element order (sections are injective); each full assignment
-    is extended by the generator closure, which multiplies domain indices
-    by the products require_closed returns, and the first consistent
-    extension is returned verified.  None means exhaustion, so the
-    sequence genuinely does not split.
+    Over the domain's pair rows (row 0 the identity) and the candidates'
+    image rows, generators of the starred group get images from their
+    projection fibers, constrained to matching element order (sections are
+    injective); each full assignment is extended by the generator closure,
+    which multiplies domain indices by the products of split_kernels'
+    proof (see _proven), and the first consistent extension is returned
+    verified.  None means exhaustion, so the sequence genuinely does not
+    split.
     """
     if which not in (1, 2, 3):
         raise ParentMismatch(f"sequence selector must be 1, 2 or 3, got {which}")
     if which == 3 and not ext.central:
         raise NotCentral("pair sequence only exists for central extensions")
-    domain = split_kernels(ext)[which - 1]
+    domain, K, gens, prods = _proven(ext)[1][which]
     if len(domain) > config.DEFAULT_SECTION_BOUND:
         raise BoundExceeded(
             f"starred set of order {len(domain)} exceeds the section "
             f"search bound {config.DEFAULT_SECTION_BOUND}")
     cands = sequence_autos(aut_subgroups(ext), which)
-
-    K = _slice_rows(ext, which, domain)
-    gens, prods = require_closed(K, "starred set is not closed under composition")
-    identity = int(np.flatnonzero((K == np.arange(K.shape[1])).all(axis=1))[0])
-    order = [identity] + [i for i in range(len(K)) if i != identity]
 
     C = cands.rows
     fiber = np.array(_find_rows(_row_index(K), _pair_rows(ext, *_induced_pairs(ext, C))),
@@ -255,16 +253,16 @@ def section_search(ext: ExtensionData, which: int) -> Optional[Section]:
         return steps[k][a]
 
     id_image = tuple(range(ext.G.order))
-    closed = (close_generator_images(identity, id_image, list(enumerate(picked)),
+    closed = (close_generator_images(0, id_image, list(enumerate(picked)),
                                      mul, _compose_perm)
               for picked in product(*choices))
     found = next((m for m in closed if m is not None), None)
     if found is None:
         return None
-    at = _find_rows(_row_index(C), np.array([found[k] for k in order]))
+    at = _find_rows(_row_index(C), np.array([found[k] for k in range(len(K))]))
     if -1 in at:
         raise AssertionError("section image is not a candidate automorphism")
-    sec = Section(which, tuple(domain[k] for k in order), tuple(cands[i] for i in at))
+    sec = Section(which, domain, tuple(cands[i] for i in at))
     _verify_section(ext, sec)
     return sec
 

@@ -80,8 +80,8 @@ from .cohomology import (_CHECK_BLOCK_TRIPLES, CohomologyClass,
                          _generator_defects, _moduli_array, two_cocycle_defect)
 from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotCentral,
                      NotCompatible, ParentMismatch, TripleConditionsFail)
-from .groups import (AutomorphismArray, FiniteGroup, GroupAutomorphism,
-                     Subgroup, _integers, _require_automorphisms,
+from .groups import (AutomorphismArray, FiniteGroup, GroupAutomorphism, Subgroup,
+                     _find_rows, _integers, _require_automorphisms, _row_index,
                      automorphism_group, center, quotient_group, require_closed)
 
 __all__ = [
@@ -186,7 +186,7 @@ class ExtensionData:
     (_fact): each answer(ext, which, pair), keyed by pair_key(pair), since a
     pair has one answer whichever sequence asks it (an obstructed one held
     as its class key until asked, see _answered), and starred_sets,
-    split_kernels and aut_subgroups.
+    split_kernels (with each starred set's closure proof) and aut_subgroups.
     with_transversal starts the copy with an empty table, so every verdict
     and self-check is found again over the new factor set.
     """
@@ -809,14 +809,14 @@ def pair_key(pair) -> tuple:
     return (pair.theta.image, pair.phi.image)
 
 
-def starred_sets(ext: ExtensionData, pairs, c1, c2) -> dict[int, tuple]:
+def starred_sets(ext: ExtensionData) -> dict[int, tuple]:
     """C1*, C2* and, for central extensions, C*: the members of C1, C2 and C
     (as compatible_pairs gives them) with trivial obstruction class, keyed by
     sequence.  They are found once per extension and handed out as a fresh
     dict."""
     def build() -> dict[int, tuple]:
-        slices = {which: members for which, members in ((1, c1), (2, c2), (3, pairs))
-                  if which < 3 or ext.central}
+        pairs, c1, c2 = compatible_pairs(ext)
+        slices = {1: c1, 2: c2, 3: pairs} if ext.central else {1: c1, 2: c2}
         keys = iter(_answered(ext, ((which, slice_pair(ext, which, m))
                                     for which, members in slices.items()
                                     for m in members)))
@@ -853,7 +853,7 @@ def verify_exactness(ext: ExtensionData) -> dict:
     """
     subs = aut_subgroups(ext)
     pairs, c1, c2 = compatible_pairs(ext)
-    stars = starred_sets(ext, pairs, c1, c2)
+    stars = starred_sets(ext)
     cg = ext.cohomology
     violations: list[str] = []
     both_keys = {g.image for g in subs.aut_upper_N_H}
@@ -924,13 +924,13 @@ def derivation_check(ext: ExtensionData) -> dict:
     k_(t1 t2) = k_t1 + T1 k_t2, on C2 (theta = 1) k_(p1 p2) = k_p2 +
     k_p1 o (p2 x p2).  Each slice's cocycles are read once from
     _cocycle_stack, and the law is compared for a block of g1 rows against
-    every g2 at once; a block holds four arrays of rows x |slice| x h^2 x k
-    values, together at most _CHECK_BLOCK_TRIPLES.  Where the two sides
-    differ their classes are compared too (equal cochains have equal
-    classes).  compatible_pairs found every member compatible, and
-    _condition_3 over the slice must agree.  The action
-    f -> Theta f o (phi x phi) must move coboundaries to coboundaries; that
-    is probed on the first eight members of each slice.
+    every g2 at once, each g1 g2 found among the slice's rows; a block holds
+    four arrays of rows x |slice| x h^2 x k values, together at most
+    _CHECK_BLOCK_TRIPLES.  Where the two sides differ their classes are
+    compared too (equal cochains have equal classes).  compatible_pairs
+    found every member compatible, and _condition_3 over the slice must
+    agree.  The action f -> Theta f o (phi x phi) must move coboundaries to
+    coboundaries; that is probed on the first eight members of each slice.
     """
     _, c1, c2 = compatible_pairs(ext)
     H, cg, moduli = ext.H, ext.cohomology, ext.moduli
@@ -952,15 +952,16 @@ def derivation_check(ext: ExtensionData) -> dict:
                                  "fails condition (3)")
         K = _cocycle_stack(ext, T, P)
         images = np.array([g.image for g in members], dtype=np.intp)
-        index = {g.image: i for i, g in enumerate(members)}
+        index = _row_index(images)
         step = max(1, _CHECK_BLOCK_TRIPLES // max(1, 4 * m * h * h * k))
         for r0 in range(0, m, step):
             rows = np.arange(r0, min(r0 + step, m))
             # both sides for g1 in rows, g2 in members, [g1, g2, x, y, c]:
             # k_(g1 g2) at the member whose image is g1 o g2
-            composed = images[rows][:, images].reshape(rows.size * m, -1)
-            lhs = K[[index[tuple(c)] for c in composed.tolist()]].reshape(
-                (rows.size,) + K.shape)
+            at = _find_rows(index, images[rows][:, images].reshape(rows.size * m, -1))
+            if -1 in at:
+                raise AssertionError(f"{name} slice is not closed under composition")
+            lhs = K[at].reshape((rows.size,) + K.shape)
             rhs = (K[rows][:, P[:, :, None], P[:, None, :]]
                    + np.einsum("jxyc,idc->ijxyd", K, T[rows]))
             for i, j in np.argwhere(((lhs - rhs) % d).any(axis=(2, 3, 4))).tolist():

@@ -32,8 +32,9 @@ from extlift.groups import (GroupAutomorphism, _compose_perm,
 from extlift.intlin import ext_gcd, kernel_order
 from extlift.splitting import (Section, _verify_section,
                                split_kernels)
-from extlift.wells import (AutSubgroups, aut_subgroups, compatible_pairs,
-                           pair_key, sequence_autos, slice_pair)
+from extlift.wells import (AutSubgroups, _pair_rows, aut_subgroups,
+                           compatible_pairs, pair_key, sequence_autos,
+                           slice_pair)
 
 # total normalized-cochain assignments a brute H^2 enumeration may visit
 H2_SPACE_BOUND = 2 ** 16
@@ -416,6 +417,17 @@ def compose_pair(p, q) -> tuple:
 def pair_keys(ext, which: int, members) -> list[tuple]:
     """Members of a slice of sequence which, keyed as pairs."""
     return [pair_key(slice_pair(ext, which, m)) for m in members]
+
+
+def slice_rows(ext, which: int, members) -> np.ndarray:
+    """Members of a slice of sequence which as wells._pair_rows, rebuilt
+    from their objects one member at a time (the reference for the rows
+    splitting keeps with each starred set)."""
+    pairs = [slice_pair(ext, which, m) for m in members]
+    theta = np.array([p.theta.image for p in pairs], dtype=np.intp)
+    phi = np.array([p.phi.image for p in pairs], dtype=np.intp)
+    return _pair_rows(ext, theta.reshape(len(pairs), ext.N.order),
+                      phi.reshape(len(pairs), ext.H.order))
 
 
 def reference_require_closed(keys: Sequence, compose, identity, message: str) -> list:

@@ -2,6 +2,7 @@
 points that callers, tests and the benchmark's span tracer reach by name
 stay exported."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -88,3 +89,29 @@ def test_no_check_option_and_one_cochain_class():
     for cls in (groups.GroupAutomorphism, groups.GroupHomomorphism):
         assert "check" not in inspect.signature(cls).parameters, cls
     assert issubclass(splitting.CommutatorForm, _module("cohomology").TwoCochain)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names the module at path imports but neither uses nor lists in
+    __all__ (a star import binds no name and is not checked)."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = extlift if path.stem == "__init__" else _module(path.stem)
+    exported = set(getattr(module, "__all__", ()))
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in used | exported]
+
+
+@pytest.mark.parametrize("path", sorted(Path(extlift.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_stale_imports(path):
+    """Every name a module imports is used there or re-exported."""
+    assert _unused_imports(path) == []

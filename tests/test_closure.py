@@ -6,6 +6,7 @@ import importlib.util
 import math
 import pathlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from extlift import (BoundExceeded, automorphism_group, catalog,
                      random_transversal, shipped_corpus, split_kernels,
                      splitting, wells)
 from extlift.catalog import parse_catalog_expression
-from extlift.groups import _compose_perm, center, require_closed
-from extlift.reports import corpus_pairs
+from extlift.groups import Subgroup, _compose_perm, center, require_closed
+from extlift.reports import corpus_pairs, verify_report
 
 from oracles import (compose_pair, reference_require_closed,
-                     require_closed_quadratic)
+                     require_closed_quadratic, slice_rows)
 
 MAX_QUOTIENT = 8
 
@@ -176,6 +177,70 @@ def test_starred_set_missing_a_member_is_rejected(monkeypatch):
     with pytest.raises(AssertionError, match="starred set is not closed "
                                              "under composition"):
         split_kernels(extension_from(G, center(G)))
+
+
+def test_starred_set_without_the_identity_first_is_rejected(monkeypatch):
+    """The sections take K's row 0 for the identity, so split_kernels
+    refuses a starred set that is a group in another order."""
+    G = catalog("quaternion", 8)
+    real = splitting.starred_sets
+
+    def reversed_c2(*args):
+        stars = real(*args)
+        return {**stars, 2: stars[2][::-1]}
+
+    monkeypatch.setattr(splitting, "starred_sets", reversed_c2)
+    with pytest.raises(AssertionError, match="starred set does not start "
+                                             "with the identity"):
+        split_kernels(extension_from(G, center(G)))
+
+
+def test_kept_starred_rows_are_the_rebuilt_rows_and_their_proof():
+    """split_kernels keeps each starred set's pair rows K, the identity
+    first, with the generators and products require_closed gives over K."""
+    cases = 0
+    for label, ext in _extensions():
+        stars, proofs = splitting._proven(ext)
+        assert sorted(proofs) == ([1, 2, 3] if ext.central else [1, 2]), label
+        for which, (star, K, gens, prods) in proofs.items():
+            where = f"C{which}* of {label}"
+            assert star is stars[which - 1], where
+            assert np.array_equal(K, slice_rows(ext, which, star)), where
+            assert np.array_equal(K[0], np.arange(K.shape[1])), where
+            want_gens, want_prods = require_closed(K, "not closed")
+            assert gens == want_gens, where
+            assert [p.tolist() for p in prods] == [p.tolist() for p in want_prods], where
+            cases += 1
+    assert cases > 150
+
+
+@pytest.mark.parametrize("expr,members", [("dihedral(8)", (0, 1, 2, 3)),
+                                          ("quaternion(8)", None)],
+                         ids=["d8-c4-canonical", "q8-center-search"])
+def test_one_report_proves_each_set_closed_once(monkeypatch, expr, members):
+    """One verify_report runs require_closed once on C and once on each
+    starred set: the sections read split_kernels' proof."""
+    G = parse_catalog_expression(expr)
+    N = center(G) if members is None else Subgroup(G, members)
+    ext = extension_from(G, N)
+    proved = []
+
+    def counting(K, message):
+        proved.append(K.tobytes())
+        return require_closed(K, message)
+    for module in (wells, splitting):
+        monkeypatch.setattr(module, "require_closed", counting)
+    report = verify_report(ext)
+    assert report["ok"]
+    assert report["splitting"]["extension_splits"] == (members is not None)
+    assert ("seq_4_2_splits" in report["splitting"]) == (members is None)
+    i, j = ext._compatible[3]
+    C = wells._pair_rows(ext, automorphism_group(ext.n_group).rows[i],
+                         automorphism_group(ext.H).rows[j])
+    sets = [C] + [K for _, K, _, _ in splitting._proven(ext)[1].values()]
+    assert len(sets) == (4 if ext.central else 3)
+    want = Counter(K.tobytes() for K in sets)
+    assert Counter(k for k in proved if k in want) == want
 
 
 def test_compatible_pairs_of_extraspecial_plus_2_over_its_centre():

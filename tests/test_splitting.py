@@ -379,6 +379,19 @@ def test_section_with_two_images_swapped_is_rejected():
     assert swapped >= 4
 
 
+def test_section_on_part_of_the_starred_set_is_rejected():
+    """A section cut down to all but the last member of its domain, images
+    cut alike, is a homomorphism on no group split_kernels proved."""
+    cut = 0
+    for name, ext, sec in _split_sections():
+        short = sec._replace(domain=sec.domain[:-1], images=sec.images[:-1])
+        with pytest.raises(AssertionError,
+                           match="section domain is not the starred set"):
+            _verify_section(ext, short)
+        cut += 1
+    assert cut >= 4
+
+
 def test_section_with_an_image_moved_inside_its_fiber_is_rejected():
     """f(a) -> f(a) k for k fixing N and H keeps every projection, so only
     the homomorphism check can object; on domains of order at least 3 the

@@ -24,6 +24,7 @@ from extlift import (CompatiblePair, DoesNotNormalize, InputError, NotCentral,
                      verify_exactness, wells_cocycle_pair, wells_cocycle_phi,
                      wells_cocycle_theta)
 from extlift.abelian import restrict_to_matrix
+from extlift.catalog import parse_catalog_expression
 from extlift.cli import main
 from extlift.groups import (GroupAutomorphism, all_subgroups, center,
                             derived_subgroup)
@@ -302,6 +303,24 @@ def _law_lines(name, pairs, failing_class):
     return out
 
 
+@pytest.mark.parametrize("expr", ["dihedral(8)", "quaternion(8)",
+                                  "dihedral(16)", "heisenberg(3)"])
+def test_derivation_check_names_a_slice_that_is_not_closed(monkeypatch, expr):
+    """With C2 one member short, some composite of two members falls outside
+    the slice: an internal fault that derivation_check names."""
+    wells = importlib.import_module("extlift.wells")
+    G = parse_catalog_expression(expr)
+    ext = extension_from(G, center(G))
+    real = wells.compatible_pairs
+
+    def c2_one_short(e):
+        pairs, c1, c2 = real(e)
+        return pairs, c1, c2[:-1]
+    monkeypatch.setattr(wells, "compatible_pairs", c2_one_short)
+    with pytest.raises(AssertionError, match="phi slice is not closed under composition"):
+        derivation_check(ext)
+
+
 def test_derivation_check_reports_shifted_cocycles(monkeypatch):
     """Shifting one member's difference cocycle by a coboundary breaks only
     the cochain law; shifting it by a non-coboundary cocycle breaks the
@@ -534,7 +553,7 @@ def test_each_pair_is_answered_once_whichever_sequence_asks(monkeypatch):
         return real(e, asked, class_keys)
     monkeypatch.setattr(wells, "_answer_chunk", counting)
     pairs, c1, c2 = compatible_pairs(ext)
-    starred_sets(ext, pairs, c1, c2)
+    starred_sets(ext)
     assert sum(rows) == len(pairs) < len(pairs) + len(c1) + len(c2)
     for theta in c1:
         pair = slice_pair(ext, 1, theta)
