@@ -20,7 +20,10 @@ the local verdicts; a global witness restricts to every invariant preimage.
 
 Local data is expressed in the same N coordinates as the ambient extension:
 the members of N sit inside P in the same relative order as inside G, so
-the standalone copies of N built from either side carry identical tables.
+the standalone copies of N built from either side carry identical tables
+(local_extension asserts it) and a proven theta of N is one of the local N.
+Sylow lists and preimages' local extensions are facts of ext (wells._fact);
+for a p-group H the one preimage is G, and that fact holds ext itself.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .cohomology import CohomologyClass
-from .errors import (InputError, NotCharacteristic, ParentMismatch,
-                     SylowNotInvariant)
+from .errors import (BadParameters, InputError, NotCharacteristic,
+                     ParentMismatch, SylowNotInvariant)
 from .groups import (GroupAutomorphism, Subgroup, automorphism_group,
-                     is_commuting_automorphism, is_nilpotent, prime_factors,
-                     sylow_subgroup)
-from .wells import (_SEQUENCES, CompatiblePair, ExtensionData, answer,
-                    slice_pair, wells_cocycle_phi)
+                     is_commuting_automorphism, is_nilpotent, is_prime,
+                     prime_factors, sylow_subgroup)
+from .wells import (_SEQUENCES, CompatiblePair, ExtensionData, _fact,
+                    answer, slice_pair, wells_cocycle_phi)
 
 __all__ = [
     "SylowReport",
@@ -103,11 +106,17 @@ def quotient_sylows(ext: ExtensionData, p: int) -> list[Subgroup]:
 
 def sylow_preimage(ext: ExtensionData, p: int,
                    sylow: Optional[Subgroup] = None) -> Subgroup:
-    """P = preimage in G of a Sylow p-subgroup of H; contains N by design."""
+    """P = preimage in G of a Sylow p-subgroup of H; contains N by design.
+
+    A given sylow must be a subgroup of H whose order is the p-part of |H|.
+    """
     if sylow is None:
         sylow = sylow_subgroup(ext.H, p)
     elif sylow.group is not ext.H:
         raise ParentMismatch("Sylow subgroup must live in the quotient group")
+    elif not is_prime(p) or sylow.order != gcd(ext.H.order, p ** ext.H.order):
+        raise BadParameters(f"subgroup of order {sylow.order} is not a Sylow "
+                            f"{p}-subgroup of {ext.H.name}")
     members = [g for g in range(ext.G.order) if ext.pi(g) in sylow]
     return Subgroup(ext.G, members)
 
@@ -129,17 +138,13 @@ def local_extension(ext: ExtensionData, P: Subgroup) -> LocalExtension:
     return LocalExtension(P, sub, embed)
 
 
-def _local_theta(ext: ExtensionData, local: LocalExtension,
-                 theta: GroupAutomorphism) -> GroupAutomorphism:
-    # identical tables let the image tuple be reused verbatim
-    if local.ext is ext:
-        return theta
-    return GroupAutomorphism(local.ext.n_group, theta.image)
-
-
 def restrict_to_quotient_sylow(ext: ExtensionData, local: LocalExtension,
                                phi: GroupAutomorphism) -> Optional[GroupAutomorphism]:
     """phi pulled back along embed, or None when the image is not invariant."""
+    if phi.group is not ext.H:
+        raise ParentMismatch("automorphism must act on the quotient group")
+    if local.subgroup.group is not ext.G:
+        raise ParentMismatch("local extension must live in the extension group")
     back = {x: i for i, x in enumerate(local.embed)}
     images = []
     for i in range(local.ext.H.order):
@@ -171,15 +176,17 @@ def _sylow_check(ext: ExtensionData, which: int,
     reports = []
     for p in prime_factors(ext.H.order):
         report = None
-        tried = (quotient_sylows(ext, p) if seq.all_sylows
-                 else [sylow_subgroup(ext.H, p)])
+        tried = (_fact(ext, ("sylows", p), lambda: quotient_sylows(ext, p))
+                 if seq.all_sylows else [sylow_subgroup(ext.H, p)])
         for S in tried:
             if free_phi and not _leaves_invariant(phi, S):
                 continue
-            local = local_extension(ext, sylow_preimage(ext, p, S))
+            local = _fact(ext, ("local", S.members), lambda: local_extension(
+                ext, sylow_preimage(ext, p, S)))
             sub = local.ext
             local_pair = CompatiblePair(
-                _local_theta(ext, local, theta) if free_theta else sub.id_N,
+                GroupAutomorphism._trusted(sub.n_group, theta.image)
+                if free_theta else sub.id_N,
                 restrict_to_quotient_sylow(ext, local, phi) if free_phi else sub.id_H)
             got = answer(sub, which, local_pair)
             cand = SylowReport(p, local.subgroup, ext.H.order // sub.H.order,
@@ -318,7 +325,7 @@ def corollary_predicates(ext: ExtensionData,
         out["sylows_phi_invariant"] = all(
             _leaves_invariant(phi, S)
             for p in prime_factors(ext.H.order)
-            for S in quotient_sylows(ext, p))
+            for S in _fact(ext, ("sylows", p), lambda: quotient_sylows(ext, p)))
         try:
             out["lift_verdict"] = sylow_lift_check(ext, phi).verdict
         except SylowNotInvariant:

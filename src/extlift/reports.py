@@ -126,9 +126,7 @@ def automorphism_json(a: GroupAutomorphism) -> list[int]:
 
 def h2_report(H: FiniteGroup, coeffs: FiniteGroup) -> dict:
     """Cohomology orders of H with trivial action on an abelian group."""
-    whole = Subgroup(coeffs, range(coeffs.order))
-    whole.require_abelian()
-    structure = abelian_structure(whole)
+    structure = abelian_structure(Subgroup(coeffs, range(coeffs.order)))
     cg = CohomologyGroup(H, structure, None)
     return {
         "group": H.name,

@@ -186,7 +186,8 @@ class ExtensionData:
     (_fact): each answer(ext, which, pair), keyed by pair_key(pair), since a
     pair has one answer whichever sequence asks it (an obstructed one held
     as its class key until asked, see _answered), and starred_sets,
-    split_kernels (with each starred set's closure proof) and aut_subgroups.
+    split_kernels (with each starred set's closure proof), aut_subgroups
+    and the Sylow lists and local extensions of reduction.
     with_transversal starts the copy with an empty table, so every verdict
     and self-check is found again over the new factor set.
     """
@@ -194,12 +195,11 @@ class ExtensionData:
     def __init__(self, G: FiniteGroup, N: Subgroup):
         if N.group is not G:
             raise ParentMismatch("subgroup belongs to a different group")
-        N.require_abelian()
-        N.require_normal()
         self.G = G
         self.N = N
-        self.H, self.pi = quotient_group(G, N)
+        # abelian_structure proves N abelian, then quotient_group proves it normal
         self.coeffs: AbelianStructure = abelian_structure(N)
+        self.H, self.pi = quotient_group(G, N)
         self.n_group = self.coeffs.n_group
         self._cohomology: Optional[CohomologyGroup] = None
         # (pairs, c1, c2, (i, j), closure checked), see compatible_pairs

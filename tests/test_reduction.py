@@ -1,23 +1,30 @@
 """Prime-by-prime reduction of lifting and extension problems, checked
 against the direct global computations they are meant to replace."""
 
+import importlib
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
-from extlift import (InputError, NotCharacteristic, NotCompatible,
-                     ParentMismatch, Subgroup, SylowNotInvariant,
+from extlift import (BadParameters, InputError, NotCharacteristic,
+                     NotCompatible, ParentMismatch, Subgroup, SylowNotInvariant,
                      automorphism_group, catalog, characteristic_restriction,
                      compatible_pairs, corollary_predicates, direct_product,
                      extension_from, extend_automorphism, index_kill_check,
                      lift_automorphism, local_extension, quotient_sylows,
                      restrict_to_quotient_sylow, shipped_corpus,
                      sylow_extend_check, sylow_lift_check, sylow_preimage)
+from extlift.catalog import parse_catalog_expression
 from extlift.groups import (GroupAutomorphism, all_subgroups, center,
-                            derived_subgroup)
-from extlift.reports import corpus_pairs
+                            derived_subgroup, prime_factors)
+from extlift.reports import corpus_pairs, verify_report
 
 from oracles import (reference_central_pair_mode,
                      reference_characteristic_message,
                      reference_sylow_extend_check, reference_sylow_lift_check)
+
+reduction = importlib.import_module("extlift.reduction")
 
 
 def _z3_x_s3():
@@ -359,3 +366,94 @@ def test_characteristic_check_matches_the_loop():
                 assert str(info.value) == want
                 refused += 1
     assert checked > refused > 50
+
+
+def _d12_over_center():
+    d12 = parse_catalog_expression("dihedral(12)")
+    return extension_from(d12, center(d12))
+
+
+def test_restrict_to_quotient_sylow_refuses_foreign_input():
+    """An automorphism of another group, or a local extension of another
+    G, is a parent mismatch, not a map that moves the Sylow."""
+    ext = _d12_over_center()
+    local = local_extension(ext, sylow_preimage(ext, 3))
+    phi = automorphism_group(parse_catalog_expression("cyclic(6)"))[1]
+    with pytest.raises(ParentMismatch):
+        restrict_to_quotient_sylow(ext, local, phi)
+    d8 = _small_exts()[0]
+    alien = local_extension(d8, Subgroup(d8.G, range(d8.G.order)))
+    with pytest.raises(ParentMismatch):
+        restrict_to_quotient_sylow(ext, alien, ext.id_H)
+    assert restrict_to_quotient_sylow(ext, local, ext.id_H).is_identity
+
+
+def test_sylow_preimage_refuses_a_subgroup_that_is_not_sylow():
+    ext = _d12_over_center()
+    two = quotient_sylows(ext, 2)[0]
+    for p, S in ((2, Subgroup(ext.H, [0])), (4, two), (3, two), (1, two)):
+        with pytest.raises(BadParameters, match="is not a Sylow"):
+            sylow_preimage(ext, p, S)
+    with pytest.raises(BadParameters, match="is not prime"):
+        sylow_preimage(ext, 4)
+    # every Sylow the reduction tries is accepted
+    for ext in _small_exts() + [ext]:
+        for p in prime_factors(ext.H.order):
+            for S in quotient_sylows(ext, p):
+                P = sylow_preimage(ext, p, S)
+                assert P.order == ext.N.order * S.order
+
+
+@pytest.mark.parametrize("expr", ["dihedral(20)", "dihedral(12)"])
+def test_one_report_builds_each_local_extension_once(monkeypatch, expr):
+    """verify_report asks every phi of C2 and theta of C1 prime by prime;
+    each Sylow preimage's local extension is built on first use and kept
+    as a fact of the extension.  A transversal copy starts without them."""
+    builds, build = Counter(), reduction.local_extension
+
+    def counted(ext, P):
+        builds[id(ext), P.members] += 1
+        return build(ext, P)
+    monkeypatch.setattr(reduction, "local_extension", counted)
+    G = parse_catalog_expression(expr)
+    ext = extension_from(G, center(G))
+    verify_report(ext)
+    assert builds and max(builds.values()) == 1
+    assert len([k for k in ext._facts if k[:1] == ("local",)]) == len(builds)
+    copy = ext.with_transversal(ext.transversal)
+    assert not [k for k in copy._facts if k[:1] in (("local",), ("sylows",))]
+
+
+def test_extending_theta_never_enumerates_conjugate_sylows(monkeypatch):
+    """Sequence 1 asks the deterministically grown Sylow only."""
+    def enumerated(ext, p):
+        raise AssertionError("conjugate Sylows enumerated")
+    monkeypatch.setattr(reduction, "quotient_sylows", enumerated)
+    for ext in _small_exts() + [_d12_over_center()]:
+        for theta in automorphism_group(ext.n_group):
+            sylow_extend_check(ext, theta)
+    # the patch is live: lifting phi walks the conjugates
+    with pytest.raises(AssertionError, match="conjugate Sylows enumerated"):
+        sylow_lift_check(ext, ext.id_H)
+
+
+@pytest.mark.parametrize("skew", [
+    lambda sub: setattr(sub, "n_group", catalog("cyclic", 3)),
+    lambda sub: setattr(sub, "coeffs", SimpleNamespace(invariant_factors=(4,))),
+], ids=["table", "moduli"])
+def test_local_n_in_other_coordinates_is_caught(monkeypatch, skew):
+    """The local theta reuses the global image tuple unchecked; that rests
+    on local_extension's assertion, which still runs on the reduction's
+    path."""
+    ext = _d12_over_center()
+
+    class Skewed(reduction.ExtensionData):
+        def __init__(self, G, N):
+            super().__init__(G, N)
+            skew(self)
+    monkeypatch.setattr(reduction, "ExtensionData", Skewed)
+    for check, arg in ((sylow_extend_check, ext.id_N),
+                       (sylow_lift_check, ext.id_H)):
+        with pytest.raises(AssertionError,
+                           match="induced extension does not share the N coordinates"):
+            check(ext, arg)

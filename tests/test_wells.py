@@ -7,13 +7,15 @@ import itertools
 import json
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from extlift import (CompatiblePair, DoesNotNormalize, InputError, NotCentral,
-                     NotCompatible, OneCochain, ParentMismatch, Subgroup,
-                     TripleConditionsFail, WellsTriple, abelian_structure,
+from extlift import (CompatiblePair, DoesNotNormalize, InputError, NotAbelian,
+                     NotCentral, NotCompatible, NotNormal, OneCochain,
+                     ParentMismatch, Subgroup, TripleConditionsFail,
+                     WellsTriple, abelian_structure,
                      answer, answers, aut_subgroups, automorphism_from_triple,
                      automorphism_group, catalog, coboundary_of,
                      compatible_pairs, derivation_check, extend_automorphism,
@@ -29,7 +31,7 @@ from extlift.cli import main
 from extlift.groups import (GroupAutomorphism, all_subgroups, center,
                             derived_subgroup)
 from extlift.intlin import TriangularLattice
-from extlift.reports import corpus_pairs, group_json
+from extlift.reports import corpus_pairs, group_json, h2_report
 from extlift.wells import _induced_pairs, pair_key, slice_pair, starred_sets
 
 from oracles import (aut_normalizing, brute_triple_defect,
@@ -896,3 +898,42 @@ def test_extension_requires_matching_parent_and_abelian_normal_kernel():
     s3 = catalog("dihedral", 6)
     with pytest.raises(InputError):
         extension_from(s3, Subgroup(s3, [0, 3]))
+
+
+@pytest.mark.parametrize("expr,members,error,message", [
+    ("quaternion(8)", range(8), NotAbelian,
+     "subgroup members 1 and 4 do not commute"),
+    ("dihedral(8)", [0, 4], NotNormal,
+     "conjugate of 4 by 1 leaves the subgroup in dihedral8"),
+    # neither abelian nor normal: abelian is checked first
+    ("dihedral(24)", [0, 4, 8, 12, 16, 20], NotAbelian,
+     "subgroup members 4 and 12 do not commute"),
+])
+def test_extension_data_refuses_n_with_the_first_failed_check(
+        expr, members, error, message):
+    G = parse_catalog_expression(expr)
+    with pytest.raises(error) as info:
+        extension_from(G, Subgroup(G, members))
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_n_is_proven_abelian_and_normal_once_per_extension(monkeypatch):
+    """ExtensionData proves N abelian (in abelian_structure) and normal (in
+    quotient_group) once each; h2_report proves its coefficients abelian
+    once."""
+    calls = Counter()
+    for name in ("require_abelian", "require_normal"):
+        def counted(self, _name=name, _check=getattr(Subgroup, name)):
+            calls[_name, self.members] += 1
+            return _check(self)
+        monkeypatch.setattr(Subgroup, name, counted)
+    G = catalog("dihedral", 12)
+    N = Subgroup(G, [0, 1, 2, 3, 4, 5])
+    extension_from(G, N)
+    assert calls == {("require_abelian", N.members): 1,
+                     ("require_normal", N.members): 1}
+    calls.clear()
+    h2_report(catalog("cyclic", 3), catalog("elementary_abelian", 2, 2))
+    assert calls == {("require_abelian", (0, 1, 2, 3)): 1}
+    with pytest.raises(NotAbelian, match="do not commute"):
+        h2_report(catalog("cyclic", 2), catalog("dihedral", 6))
