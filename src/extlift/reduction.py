@@ -22,8 +22,9 @@ Local data is expressed in the same N coordinates as the ambient extension:
 the members of N sit inside P in the same relative order as inside G, so
 the standalone copies of N built from either side carry identical tables
 (local_extension asserts it) and a proven theta of N is one of the local N.
-Sylow lists and preimages' local extensions are facts of ext (wells._fact);
-for a p-group H the one preimage is G, and that fact holds ext itself.
+Each prime's grown Sylow and Sylow list and each preimage's local extension
+are facts of ext (wells._fact); for a p-group H the one preimage is G, and
+that fact holds ext itself.
 """
 
 from __future__ import annotations
@@ -177,7 +178,8 @@ def _sylow_check(ext: ExtensionData, which: int,
     for p in prime_factors(ext.H.order):
         report = None
         tried = (_fact(ext, ("sylows", p), lambda: quotient_sylows(ext, p))
-                 if seq.all_sylows else [sylow_subgroup(ext.H, p)])
+                 if seq.all_sylows else
+                 [_fact(ext, ("sylow", p), lambda: sylow_subgroup(ext.H, p))])
         for S in tried:
             if free_phi and not _leaves_invariant(phi, S):
                 continue

@@ -32,8 +32,9 @@ from .wells import (CompatiblePair, ExtensionData, answer, answers,
                     compatible_pairs, derivation_check, extension_from,
                     random_transversal, slice_pair, verify_exactness)
 
-# C1/C2 larger than this are skipped by the quadratic checks (derivation
-# identities, transversal stability, per-automorphism cross-validation).
+# C1/C2 larger than this are skipped by the quadratic checks (transversal
+# stability, per-automorphism cross-validation); derivation_check is not
+# quadratic, and is gated too only so that derivation_ok keeps its bytes.
 EXHAUSTIVE_BOUND = 48
 
 DEFAULT_SEED = 7

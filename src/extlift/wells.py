@@ -25,8 +25,8 @@ means "this sequence leaves that side fixed".  So one action
 f -> Theta f o (phi x phi) on cochains, one difference cocycle
 k = mu o (phi x phi) - Theta mu, one witness routine and one exactness loop
 serve all three, and an identity slot skips its gather or matrix product.
-The same action moves H^2 classes, and one composition law
-k_(g1 g2) = k_g1 o (phi2 x phi2) + Theta1 k_g2 is checked on C1 and C2.
+The same action moves H^2 classes, and one composition law k_(g1 g2) =
+k_g1 o (phi2 x phi2) + Theta1 k_g2 is checked on C1 and C2 at generators g2.
 Sequence 1 (gamma -> theta on Aut_N^H G), 2 (gamma -> phi on Aut^N G) and,
 for central extensions, 3 (gamma -> (theta, phi) on Aut_N G) key their
 members and projections as the pair (theta.image, phi.image).
@@ -57,8 +57,8 @@ _induced_pairs too; groups._require_automorphisms proves computed images.
 _cocycle_stack builds a stack of difference cocycles and checks it by
 cohomology._generator_defects, the generator-triple test that
 two_cocycle_defect runs on one cochain: the block and derivation_check,
-which reads the composition law of each slice from one checked stack,
-take their k from it.  The public functions stay a chain
+which compares the law of each slice over one checked stack, take their k
+from it.  The public functions stay a chain
 of named calls (wells_cocycle_*, coboundary_solve, automorphism_from_triple;
 lambda*, class_of): the traced benchmark times them by name, and on large
 quotients their scalar walk beats a one-row block.
@@ -81,8 +81,8 @@ from .cohomology import (_CHECK_BLOCK_TRIPLES, CohomologyClass,
 from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotCentral,
                      NotCompatible, ParentMismatch, TripleConditionsFail)
 from .groups import (AutomorphismArray, FiniteGroup, GroupAutomorphism, Subgroup,
-                     _find_rows, _integers, _require_automorphisms, _row_index,
-                     automorphism_group, center, quotient_group, require_closed)
+                     _integers, _require_automorphisms, automorphism_group,
+                     center, quotient_group, require_closed)
 
 __all__ = [
     "ExtensionData",
@@ -187,7 +187,7 @@ class ExtensionData:
     pair has one answer whichever sequence asks it (an obstructed one held
     as its class key until asked, see _answered), and starred_sets,
     split_kernels (with each starred set's closure proof), aut_subgroups
-    and the Sylow lists and local extensions of reduction.
+    and the Sylows, Sylow lists and local extensions of reduction.
     with_transversal starts the copy with an empty table, so every verdict
     and self-check is found again over the new factor set.
     """
@@ -922,15 +922,18 @@ def derivation_check(ext: ExtensionData) -> dict:
     A member g of C1 or C2 is the pair (theta, phi), and
     k_(g1 g2) = k_g1 o (phi2 x phi2) + Theta1 k_g2: on C1 (phi = 1) this is
     k_(t1 t2) = k_t1 + T1 k_t2, on C2 (theta = 1) k_(p1 p2) = k_p2 +
-    k_p1 o (p2 x p2).  Each slice's cocycles are read once from
-    _cocycle_stack, and the law is compared for a block of g1 rows against
-    every g2 at once, each g1 g2 found among the slice's rows; a block holds
-    four arrays of rows x |slice| x h^2 x k values, together at most
-    _CHECK_BLOCK_TRIPLES.  Where the two sides differ their classes are
-    compared too (equal cochains have equal classes).  compatible_pairs
-    found every member compatible, and _condition_3 over the slice must
-    agree.  The action f -> Theta f o (phi x phi) must move coboundaries to
-    coboundaries; that is probed on the first eight members of each slice.
+    k_p1 o (p2 x p2).  One require_closed over a slice's image rows proves
+    it closed and gives generators S and each g s; the law is compared at
+    every (g, s), s in {1} + S, over its cocycles from _cocycle_stack.
+    That proves it at every pair: s = 1 forces k_1 = 0, and the law at
+    (g, w) for all g and at (g w, s) gives k_(g w s) = k_g o (phi_(w s) x
+    phi_(w s)) + Theta_g k_(w s), as phi_(w s) = phi_w phi_s and
+    Theta_(g w) = Theta_g Theta_w, so by induction on word length in S.
+    Where the two sides differ their classes are compared too (equal
+    cochains have equal classes).  compatible_pairs found every member
+    compatible, and _condition_3 over the slice must agree.  The action
+    f -> Theta f o (phi x phi) must move coboundaries to coboundaries;
+    that is probed on the first eight members of each slice.
     """
     _, c1, c2 = compatible_pairs(ext)
     H, cg, moduli = ext.H, ext.cohomology, ext.moduli
@@ -943,7 +946,6 @@ def derivation_check(ext: ExtensionData) -> dict:
     unit = np.eye(h * k, dtype=np.int64)[:, k:k + p].reshape(h, k, p)
     delta = _coboundary(unit, cg._A, H.cayley)
     for which, name, members in ((1, "theta", c1), (2, "phi", c2)):
-        m = len(members)
         pairs = [slice_pair(ext, which, g) for g in members]
         T = np.stack([restrict_to_matrix(ext.coeffs, th) for th, _ in pairs])
         P = np.array([ph.image for _, ph in pairs], dtype=np.intp)
@@ -952,24 +954,22 @@ def derivation_check(ext: ExtensionData) -> dict:
                                  "fails condition (3)")
         K = _cocycle_stack(ext, T, P)
         images = np.array([g.image for g in members], dtype=np.intp)
-        index = _row_index(images)
-        step = max(1, _CHECK_BLOCK_TRIPLES // max(1, 4 * m * h * h * k))
-        for r0 in range(0, m, step):
-            rows = np.arange(r0, min(r0 + step, m))
-            # both sides for g1 in rows, g2 in members, [g1, g2, x, y, c]:
-            # k_(g1 g2) at the member whose image is g1 o g2
-            at = _find_rows(index, images[rows][:, images].reshape(rows.size * m, -1))
-            if -1 in at:
-                raise AssertionError(f"{name} slice is not closed under composition")
-            lhs = K[at].reshape((rows.size,) + K.shape)
-            rhs = (K[rows][:, P[:, :, None], P[:, None, :]]
-                   + np.einsum("jxyc,idc->ijxyd", K, T[rows]))
-            for i, j in np.argwhere(((lhs - rhs) % d).any(axis=(2, 3, 4))).tolist():
-                where = f"{members[rows[i]].image} o {members[j].image}"
-                violations.append(f"{name} derivation law fails at {where}")
-                if (cg.class_of(TwoCochain(H, moduli, lhs[i, j]))
-                        != cg.class_of(TwoCochain(H, moduli, rhs[i, j]))):
-                    violations.append(f"{name} class law fails at {where}")
+        gens, prods = require_closed(images, f"{name} slice is not closed under composition")
+        one = int(np.flatnonzero((images == np.arange(images.shape[1])).all(axis=1))[0])
+        failed = []
+        for s, prod in [(one, np.arange(len(K)))] + list(zip(gens, prods)):
+            # both sides for every g, [g, x, y, c]: k_(g s) against
+            # k_g o (phi_s x phi_s) + Theta_g k_s
+            lhs = K[prod]
+            rhs = K[:, P[s][:, None], P[s]] + K[s] @ T.transpose(0, 2, 1)[:, None]
+            failed.extend((g, s, lhs[g], rhs[g]) for g in
+                          np.flatnonzero(((lhs - rhs) % d).any(axis=(1, 2, 3))).tolist())
+        for g, s, lhs, rhs in sorted(failed, key=lambda f: f[:2]):
+            where = f"{members[g].image} o {members[s].image}"
+            violations.append(f"{name} derivation law fails at {where}")
+            if (cg.class_of(TwoCochain(H, moduli, lhs))
+                    != cg.class_of(TwoCochain(H, moduli, rhs))):
+                violations.append(f"{name} class law fails at {where}")
         # Theta delta o (phi x phi) against d(Theta unit o phi), indexed
         # [x, y, c, member, probe]
         T8, P8 = T[:8], P[:8]

@@ -837,11 +837,35 @@ def _acted(ext, values, theta=None, phi=None) -> np.ndarray:
     return values
 
 
-def reference_derivation_check(ext) -> dict:
+def greedy_generators(members) -> list[tuple[int, ...]]:
+    """The image tuples of the greedy generators of a slice (members of
+    Aut N or Aut H): each is the first member, in slice order, not in the
+    subgroup that the earlier picks generate, that subgroup grown from the
+    identity by composing image tuples one product at a time."""
+    gens: list[tuple[int, ...]] = []
+    reached = {tuple(range(len(members[0].image)))}
+    for g in members:
+        if g.image in reached:
+            continue
+        gens.append(g.image)
+        queue = deque(reached)
+        while queue:
+            a = queue.popleft()
+            for s in gens:
+                b = tuple(a[i] for i in s)
+                if b not in reached:
+                    reached.add(b)
+                    queue.append(b)
+    return gens
+
+
+def reference_derivation_check(ext, generators_only: bool = False) -> dict:
     """derivation_check one member and one pair at a time: each difference
     cocycle from wells_cocycle_theta or wells_cocycle_phi, each side of
     k_(g1 g2) = k_g1 o (phi2 x phi2) + Theta1 k_g2 as a TwoCochain, and each
-    coboundary probe through coboundary_of."""
+    coboundary probe through coboundary_of.  Every pair (g1, g2) is checked;
+    with generators_only, only those whose g2 is the identity or one of
+    greedy_generators of its slice."""
     _, c1, c2 = compatible_pairs(ext)
     m, H, cg = ext.moduli, ext.H, ext.cohomology
     action = ext.cocycle_action
@@ -851,8 +875,11 @@ def reference_derivation_check(ext) -> dict:
         pairs = [slice_pair(ext, which, g) for g in members]
         kg = {g.image: (wells_cocycle_theta(ext, g) if which == 1
                         else wells_cocycle_phi(ext, g)) for g in members}
+        right = {tuple(range(len(members[0].image))), *greedy_generators(members)}
         for g1, (theta1, _) in zip(members, pairs):
             for g2, (_, phi2) in zip(members, pairs):
+                if generators_only and g2.image not in right:
+                    continue
                 lhs = kg[g1.compose(g2).image]
                 rhs = TwoCochain(H, m, _acted(ext, kg[g1.image].values, phi=phi2)
                                  + _acted(ext, kg[g2.image].values, theta=theta1))

@@ -437,6 +437,23 @@ def test_extending_theta_never_enumerates_conjugate_sylows(monkeypatch):
         sylow_lift_check(ext, ext.id_H)
 
 
+def test_extending_theta_grows_each_primes_sylow_once(monkeypatch):
+    """Every sylow_extend_check on one extension reads each prime's grown
+    Sylow of H from the extension's facts: it is grown once."""
+    ext = _mixed_ext()
+    _, c1, _ = compatible_pairs(ext)
+    assert len(c1) >= 2 and len(prime_factors(ext.H.order)) == 2
+    grown = Counter()
+
+    def counted(H, p, real=reduction.sylow_subgroup):
+        grown[p] += H is ext.H
+        return real(H, p)
+    monkeypatch.setattr(reduction, "sylow_subgroup", counted)
+    for theta in 2 * c1:
+        sylow_extend_check(ext, theta)
+    assert grown == {p: 1 for p in prime_factors(ext.H.order)}
+
+
 @pytest.mark.parametrize("skew", [
     lambda sub: setattr(sub, "n_group", catalog("cyclic", 3)),
     lambda sub: setattr(sub, "coeffs", SimpleNamespace(invariant_factors=(4,))),

@@ -36,7 +36,8 @@ from extlift.wells import _induced_pairs, pair_key, slice_pair, starred_sets
 
 from oracles import (aut_normalizing, brute_triple_defect,
                      extension_witnesses, lift_witnesses, pair_witnesses,
-                     reference_chi, reference_derivation_check,
+                     greedy_generators, reference_chi,
+                     reference_derivation_check,
                      reference_aut_subgroups, reference_induced_pair,
                      reference_is_compatible)
 from test_closure import _extensions
@@ -357,17 +358,65 @@ def test_derivation_check_reports_shifted_cocycles(monkeypatch):
     assert derivation_check(ext)["violations"] == []
 
 
-def test_derivation_check_class_law_only_where_classes_differ(monkeypatch):
+def _z16_c1(monkeypatch, shifted):
+    """derivation_check on Z16 over its index-2 subgroup, with the cocycle
+    of C1[shifted] moved by the factor set, and the image keys of C1: the
+    Klein four group {1, a, b, c}, whose greedy generators S are a, b; and
+    the lines of the all-pairs check."""
     z16 = catalog("cyclic", 16)
     ext = extension_from(z16, Subgroup(z16, range(0, 16, 2)))
     _, c1, c2 = compatible_pairs(ext)
-    one, a, b, c = (t.image for t in c1)
+    keys = [t.image for t in c1]
     assert [p.image for p in c2] == [(0, 1)]
+    assert greedy_generators(c1) == keys[1:3]
     with monkeypatch.context() as mp:
-        _shift_cocycles(mp, ext, (a, ext.id_H.image), ext.mu)
+        _shift_cocycles(mp, ext, (keys[shifted], ext.id_H.image), ext.mu)
         report = derivation_check(ext)
-    moved = [(a, b), (a, c), (b, a), (b, c), (c, a), (c, b)]
-    assert report["violations"] == _law_lines("theta", [(a, a)] + moved, moved)
+        assert report == reference_derivation_check(ext, generators_only=True)
+        every = reference_derivation_check(ext)["violations"]
+    return report, keys, every
+
+
+def test_derivation_check_class_law_only_where_classes_differ(monkeypatch):
+    """Shifting a's cocycle breaks the law at each pair of members other
+    than 1 with a as a factor or as the product, and the class law at all
+    of them but (a, a).  Only right factors in {1, a, b} are named."""
+    report, (one, a, b, c), _ = _z16_c1(monkeypatch, 1)
+    moved = [(a, b), (b, a), (c, a), (c, b)]
+    assert report["violations"] == _law_lines("theta", [(a, a), (a, b), (b, a),
+                                                        (c, a), (c, b)], moved)
+
+
+def test_derivation_check_catches_a_shifted_identity_at_s_1(monkeypatch):
+    """A shifted cocycle of the identity (of C1, and so of C2 = {1}) breaks
+    the law at every (g, 1), at every (1, s), and at (s, s) for the
+    involutions a and b in S; the all-pairs check also names (1, c) and
+    (c, c)."""
+    report, (one, a, b, c), every = _z16_c1(monkeypatch, 0)
+    pairs = [(one, one), (one, a), (one, b), (a, one), (a, a), (b, one),
+             (b, b), (c, one)]
+    phi = [((0, 1), (0, 1))]
+    assert report["violations"] == (_law_lines("theta", pairs, pairs)
+                                    + _law_lines("phi", phi, phi))
+    assert set(_law_lines("theta", [(one, c), (c, c)], ())) <= set(every)
+
+
+def test_derivation_check_names_failures_only_at_generator_right_factors(monkeypatch):
+    """A shifted cocycle of c, which is not in {1} + S, is caught at (a, b),
+    (b, a), (c, a) and (c, b); the all-pairs check also names (a, c) and
+    (b, c)."""
+    report, (one, a, b, c), every = _z16_c1(monkeypatch, 3)
+    pairs = [(a, b), (b, a), (c, a), (c, b)]
+    assert report["violations"] == _law_lines("theta", pairs, pairs)
+    assert set(_law_lines("theta", [(a, c), (b, c)], ())) <= set(every)
+
+
+def test_derivation_check_on_a_large_slice():
+    """C2 of heisenberg(5) over its center is all 480 automorphisms of
+    the quotient (Z5)^2, beyond the bound of the reports' quadratic checks."""
+    G = parse_catalog_expression("heisenberg(5)")
+    report = derivation_check(extension_from(G, center(G)))
+    assert report["ok"] is True and report["c2_order"] == 480
 
 
 def _derivation_cases():
@@ -387,24 +436,29 @@ def _derivation_cases():
         yield extension_from(G, N)
 
 
-@pytest.mark.parametrize("block", [None, 1], ids=["default-block", "one-row-blocks"])
-def test_derivation_check_matches_the_per_pair_reference(monkeypatch, block):
-    """The stacked law and probe give the dict of the one-pair-at-a-time
-    reference, also when every block of the law holds one g1 row; and so
-    they do with the cocycles of the last member of C1 and of C2 shifted by
-    the factor set, which breaks the law at many pairs."""
-    if block is not None:
-        monkeypatch.setattr(importlib.import_module("extlift.wells"),
-                            "_CHECK_BLOCK_TRIPLES", block)
+def _matches_the_reference(ext) -> dict:
+    """derivation_check on ext, which must give the verdict of the all-pairs
+    reference and exactly its dict at right factors in {1} + S."""
+    report = derivation_check(ext)
+    assert report["ok"] == reference_derivation_check(ext)["ok"], ext
+    assert report == reference_derivation_check(ext, generators_only=True), ext
+    return report
+
+
+def test_derivation_check_matches_the_per_pair_reference(monkeypatch):
+    """The law at the generators and the stacked probe give the verdict of
+    the one-pair-at-a-time reference over all pairs, and its dict over the
+    pairs whose right factor is 1 or a greedy generator; and so they do
+    with the cocycles of the last member of C1 and of C2 shifted by the
+    factor set, which breaks the law at many pairs."""
     seen = broken = 0
     for ext in _derivation_cases():
-        assert derivation_check(ext) == reference_derivation_check(ext), ext
+        _matches_the_reference(ext)
         _, c1, c2 = compatible_pairs(ext)
         with monkeypatch.context() as mp:
             _shift_cocycles(mp, ext, (c1[-1].image, ext.id_H.image), ext.mu)
             _shift_cocycles(mp, ext, (ext.id_N.image, c2[-1].image), ext.mu)
-            report = derivation_check(ext)
-            assert report == reference_derivation_check(ext), ext
+            report = _matches_the_reference(ext)
         seen += 1
         broken += not report["ok"]
     assert seen == 2 * 115 + 3 and broken > 100
