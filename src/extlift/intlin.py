@@ -1,12 +1,13 @@
 """Exact integer linear algebra over products of cyclic groups.
 
-One engine: a triangular lattice basis in Z^n (an (n, n) int64 array) that
-contains the lattice of the coordinate moduli, so membership and subgroup
-orders in prod_i Z/m_i reduce to divisibility by the pivots.  A step whose
-products could leave int64 raises BoundExceeded instead of wrapping.
-Expressions are kept mod lcm(moduli), as lcm times a generator lies in the
-modulus lattice; rows still equal to m_i e_i are never walked, as a step
-against one only reduces entry i mod m_i.
+One engine: a triangular lattice basis in Z^n that contains the lattice of
+the coordinate moduli, so membership and subgroup orders in prod_i Z/m_i
+reduce to divisibility by the pivots.  Only the rows whose pivot fell below
+the modulus are stored, in (r, n) int64 arrays that grow with r; a row still
+equal to m_i e_i is implicit and never walked, as a step against one only
+reduces entry i mod m_i.  A step whose products could leave int64 raises
+BoundExceeded instead of wrapping.  Expressions are kept mod lcm(moduli), as
+lcm times a generator lies in the modulus lattice.
 """
 
 from __future__ import annotations
@@ -61,13 +62,15 @@ def _int64(values) -> np.ndarray:
 class TriangularLattice:
     """Upper-triangular basis of a lattice L with diag(moduli) <= L <= Z^n.
 
-    The basis keeps one pivot row per coordinate (the initial rows are the
-    moduli times unit vectors), so it stays square and triangular as vectors
-    are inserted.  Each row carries an expression vector recording how it
-    was assembled from inserted generators; reducing a vector against the
-    basis then recovers generator coefficients (coboundary witnesses).
-    Between inserts every entry lies in [0, max(moduli)]; after a
-    BoundExceeded the lattice is unusable.
+    The basis keeps one pivot row per coordinate.  The initial rows are the
+    moduli times unit vectors; they stay implicit until an insert lowers
+    their pivot, and only then is the row stored.  `_diag` holds every
+    pivot, and the row of column `_piv[k]` is `_rows[_at[k]]`, so the
+    arrays hold r <= (inserted vectors) rows, not n.  Each row carries an
+    expression vector recording how it was assembled from inserted
+    generators; reducing a vector against the basis then recovers generator
+    coefficients (coboundary witnesses).  Between inserts every entry lies
+    in [0, max(moduli)]; after a BoundExceeded the lattice is unusable.
     """
 
     def __init__(self, moduli: Sequence[int], expr_len: int = 0):
@@ -81,15 +84,15 @@ class TriangularLattice:
         self._lcm = lcm(*self.moduli)
         if expr_len:
             _fits(2 * (self._lcm - 1) ** 2)
-        # pages of zeros stay unmapped: an untouched row costs one page
-        self.rows = np.zeros((self.n, self.n), dtype=np.int64)
-        np.fill_diagonal(self.rows, self._mod)
-        self.exprs = np.zeros((self.n, expr_len), dtype=np.int64)
-        self._piv: list[int] = []       # rows whose pivot fell below the modulus
+        self._diag = self._mod.copy()
+        self._rows = np.zeros((0, self.n), dtype=np.int64)
+        self._exprs = np.zeros((0, expr_len), dtype=np.int64)
+        self._piv: list[int] = []       # columns whose pivot fell below the modulus
         self._pivots: list[int] = []    # and those pivots
+        self._at: list[int] = []        # and where their rows are stored
 
     def det(self) -> int:
-        return prod(self.rows.diagonal().tolist())
+        return prod(self._diag.tolist())
 
     def span_order(self) -> int:
         """Order of L / diag(moduli), i.e. of the spanned subgroup of prod Z/m_i."""
@@ -105,13 +108,27 @@ class TriangularLattice:
             raise ValueError(f"expected vector of length {n}, got {v.size}")
         return v
 
+    def _store(self, i: int) -> None:
+        """Store the implicit row m_i e_i, with a zero expression."""
+        r = len(self._at)
+        if r == len(self._rows):
+            size = min(max(2 * r, 4), self.n)
+            self._rows, self._exprs = (
+                np.concatenate([a, np.zeros((size - r, a.shape[1]), dtype=np.int64)])
+                for a in (self._rows, self._exprs))
+        self._rows[r, i] = self._mod[i]
+        at = bisect_left(self._piv, i)
+        self._piv.insert(at, i)
+        self._pivots.insert(at, self.moduli[i])
+        self._at.insert(at, r)
+
     def insert(self, vec: Sequence[int], expr: Optional[Sequence[int]] = None) -> None:
         """Grow the lattice by an integer vector, restoring triangular form."""
         v = self._vector(vec)
-        L, rows, exprs, mod = self._lcm, self.rows, self.exprs, self._mod
+        L, piv, mod = self._lcm, self._diag, self._mod
         e = (np.zeros(self.expr_len, dtype=np.int64) if expr is None
              else self._vector(expr, self.expr_len) % L)
-        piv, track = rows.diagonal(), self.expr_len > 0
+        track = self.expr_len > 0
         changed: list[int] = []
         i = 0
         while i < self.n:
@@ -122,34 +139,38 @@ class TriangularLattice:
                 break
             i += int(live[0])
             vi, p = int(v[i]), int(piv[i])
+            if p == mod[i]:
+                # only the gcd step fires on m_i e_i, so its pivot falls
+                self._store(i)
+            at = bisect_left(self._piv, i)
+            s, exprs = self._at[at], self._exprs
             # the pivot entries are set, not computed: only tails are bounded
-            row, tail = rows[i, i + 1:], v[i + 1:]
-            big, wide = _absmax(tail), (_absmax(row) if p < mod[i] else 0)
+            row, tail = self._rows[s, i + 1:], v[i + 1:]
+            big, wide = _absmax(tail), _absmax(row)
             if vi % p == 0:
                 q = vi // p
                 _fits(big + abs(q) * wide)
                 tail -= q * row
                 if track:
-                    e = (e - (q % L) * exprs[i]) % L
+                    e = (e - (q % L) * exprs[s]) % L
             else:
                 g, a, b = ext_gcd(p, vi)
                 pg, vg = p // g, vi // g
                 _fits(max(abs(a) * wide + abs(b) * big, pg * big + abs(vg) * wide))
                 row[:], tail[:] = a * row + b * tail, pg * tail - vg * row
-                rows[i, i] = g
+                self._rows[s, i] = piv[i] = self._pivots[at] = g
                 if track:
-                    exprs[i], e = (((a % L) * exprs[i] + (b % L) * e) % L,
-                                   ((pg % L) * e - (vg % L) * exprs[i]) % L)
+                    exprs[s], e = (((a % L) * exprs[s] + (b % L) * e) % L,
+                                   ((pg % L) * e - (vg % L) * exprs[s]) % L)
                 changed.append(i)
             v[i] = 0
             i += 1
-        self._piv = np.flatnonzero(piv < mod).tolist()
-        self._pivots = piv[self._piv].tolist()
         # keep off-pivot entries small: walk each changed row against those below
         for at, i in enumerate(changed):
-            row = rows[i]
+            s = self._at[bisect_left(self._piv, i)]
+            row = self._rows[s]
             taken = self._taken(*self._walk(row, i + 1, dirty=changed[at + 1:]))
-            exprs[i] = (exprs[i] - taken) % L
+            self._exprs[s] = (self._exprs[s] - taken) % L
             free = piv[i + 1:] == mod[i + 1:]
             row[i + 1:][free] %= mod[i + 1:][free]
 
@@ -157,33 +178,38 @@ class TriangularLattice:
               dirty: Sequence[int] = ()) -> tuple[list[int], list[int]]:
         """Take multiples of the rows from `start` on whose pivot fell below
         the modulus off v, in pivot order, leaving each pivot entry in
-        [0, pivot); return the rows stepped on and their multiples.  Entries
-        under untouched modulus rows are left to the caller.  Rows in
-        `dirty` changed in this insert and are measured, not assumed small.
+        [0, pivot); return where the rows stepped on are stored and their
+        multiples.  Entries under untouched modulus rows are left to the
+        caller.  Rows in `dirty` changed in this insert and are measured,
+        not assumed small.
         """
-        rows, js, qs, big = self.rows, [], [], None
-        first = bisect_left(self._piv, start)
-        for j, p in zip(self._piv[first:], self._pivots[first:]):
+        rows, ats, qs, big = self._rows, [], [], None
+        piv, pivots, where = self._piv, self._pivots, self._at
+        if start:
+            first = bisect_left(piv, start)
+            piv, pivots, where = piv[first:], pivots[first:], where[first:]
+        for j, p, s in zip(piv, pivots, where):
             q = int(v[j]) // p
             if q:
-                step = abs(q) * (_absmax(rows[j, j:]) if j in dirty else self._top)
+                row = rows[s, j:]
+                step = abs(q) * (_absmax(row) if j in dirty else self._top)
                 # a running bound only grows: measure when it would fail
                 big = (_absmax(v[j:]) if big is None or big + step > _INT64_MAX
                        else big) + step
                 _fits(big)
-                v[j:] -= q * rows[j, j:]
-                js.append(j)
+                v[j:] -= q * row
+                ats.append(s)
                 qs.append(q)
-        return js, qs
+        return ats, qs
 
-    def _taken(self, js: Sequence[int], qs) -> np.ndarray:
-        """The expression of rows js taken qs times, mod lcm; qs is one
-        multiple per row, or a block of them, one line per vector."""
+    def _taken(self, ats: Sequence[int], qs) -> np.ndarray:
+        """The expression of the stored rows ats taken qs times, mod lcm; qs
+        is one multiple per row, or a block of them, one line per vector."""
         if not self.expr_len:
             return np.zeros(np.shape(qs)[:-1] + (0,), dtype=np.int64)
         L = self._lcm
-        _fits(len(js) * (L - 1) ** 2)
-        return (np.asarray(qs, dtype=np.int64) % L) @ self.exprs[list(js)] % L
+        _fits(len(ats) * (L - 1) ** 2)
+        return (np.asarray(qs, dtype=np.int64) % L) @ self._exprs[ats] % L
 
     def reduce(self, vec: Sequence[int]) -> Optional[np.ndarray]:
         """Express vec over the basis; return the generator expression or None.
@@ -192,11 +218,11 @@ class TriangularLattice:
         lies in the lattice.  The basis is not modified.
         """
         v = self._vector(vec)
-        js, qs = self._walk(v)
+        ats, qs = self._walk(v)
         # on a member every floor step divides exactly: the steps of its expression
         if (v % self._mod).any():
             return None
-        return self._taken(js, qs)
+        return self._taken(ats, qs)
 
     def contains(self, vec: Sequence[int]) -> bool:
         return self.reduce(vec) is not None
@@ -216,17 +242,17 @@ class TriangularLattice:
     def _remainders(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The remainder of every row of an int64 block, in place, and the
         multiples of the rows in _piv the walk took off each: a row lies in
-        the lattice iff its remainder is zero, and then _taken(_piv, its
+        the lattice iff its remainder is zero, and then _taken(_at, its
         multiples) is its expression, as reduce gives it."""
         big = _absmax(block)
         taken = np.zeros((len(block), len(self._piv)), dtype=np.int64)
-        for at, (j, p) in enumerate(zip(self._piv, self._pivots)):
+        for at, (j, p, s) in enumerate(zip(self._piv, self._pivots, self._at)):
             q = taken[:, at] = block[:, j] // p
             step = _absmax(q) * self._top
             if step:
                 big = (_absmax(block[:, j:]) if big + step > _INT64_MAX else big) + step
                 _fits(big)
-                block[:, j:] -= q[:, None] * self.rows[j, j:]
+                block[:, j:] -= q[:, None] * self._rows[s, j:]
         block %= self._mod
         return block, taken
 

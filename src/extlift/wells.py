@@ -742,7 +742,7 @@ def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
     if not w.size:
         return got
     chi = np.zeros((w.size, H.order, d.size), dtype=np.int64)
-    chi[:, 1:] = lattice._taken(lattice._piv, taken[zero]).reshape(
+    chi[:, 1:] = lattice._taken(lattice._at, taken[zero]).reshape(
         w.size, H.order - 1, d.size) % d
     C = np.moveaxis(chi, 0, -1)
     if ((_coboundary(C, cg._A, tab) - F[..., zero]) % d[:, None]).any():

@@ -332,6 +332,12 @@ STDOUT_SHA256 = [
      "4b9d3d89d98da6b0911ae99c102412ac0ee1692662159cdbbb09ebc639d7f629"),
     (["split", "--group", "dihedral(8)", "--subgroup", "members:0"],
      "e4d604b4e1f8ded2c2b79a2f74600f2d90cdea089fda7ed519ac9bcc64d08cd9"),
+    # large quotients: B^2 lattices with n = 127^2 and 255^2 slots
+    (["h2", "--group", "cyclic(128)", "--coeffs", "cyclic(2)"],
+     "07ecd3411b248d29b99060b62a24c9c790e635e9b06bfd914d58e5d6fef2ca99"),
+    (["lift", "--group", "cyclic(256)", "--subgroup", "members:0,128",
+      "--phi", "inversion"],
+     "6ca751db2df10eb626a6a1a1686233c8c54c9f484de2615a41bd1fd6faa9ad43"),
 ]
 
 
@@ -344,6 +350,25 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
     main(argv)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_h2_on_a_large_quotient_peaks_under_200_mb():
+    """The B^2 lattice of cyclic(128) over Z2 has n = 127^2 slots, 2 GB as a
+    square int64 array.  The child prints its own peak RSS (ru_maxrss, KiB
+    on Linux), which the test's other subprocesses cannot inflate."""
+    code = ("import resource, sys\n"
+            "from extlift.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+            " file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "h2", "--group", "cyclic(128)",
+         "--coeffs", "cyclic(2)"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["h2_order"] == 2
+    peak_mb = int(proc.stderr.split()[-1]) / 1024
+    assert peak_mb < 200, peak_mb
 
 
 def test_max_order_flag_trips_bound(capsys):

@@ -105,6 +105,18 @@ def test_large_builds_keep_their_orders():
     assert (cg.z2_order, cg.b2_order, cg.h2_order) == (2 ** 63, 2 ** 62, 2)
 
 
+def test_b2_lattice_stores_only_its_pivot_rows():
+    """n = 63^2 = 3 969 slots, where a square int64 basis would take 126 MB:
+    the lattice stores the rows whose pivot fell below the modulus (with
+    room to grow), and the orders stay those of the square engine."""
+    cg = CohomologyGroup(catalog("cyclic", 64), (2,))
+    lattice = cg._lattice
+    assert lattice.n == 3969 and lattice._piv
+    assert lattice._rows.shape[0] <= 2 * len(lattice._piv)
+    assert lattice._exprs.shape[0] <= 2 * len(lattice._piv)
+    assert (cg.z2_order, cg.b2_order, cg.h2_order) == (2 ** 63, 2 ** 62, 2)
+
+
 def test_pinned_klein_four_value():
     assert CohomologyGroup(V4, (2,)).h2_order == 8
 

@@ -158,6 +158,20 @@ def test_kernel_order_trivial_cases():
     assert kernel_order([[2, 0], [0, 3]], [4, 6], [4, 6]) == total // (2 * 2)
 
 
+def _dense(lattice):
+    """The square basis and expressions the compact lattice stands for: its
+    stored rows at their pivot columns, m_i e_i with a zero expression
+    elsewhere."""
+    n, moduli = lattice.n, lattice.moduli
+    rows = [[m * (j == i) for j in range(n)] for i, m in enumerate(moduli)]
+    exprs = [[0] * lattice.expr_len for _ in range(n)]
+    for i, p, s in zip(lattice._piv, lattice._pivots, lattice._at):
+        assert lattice._diag[i] == lattice._rows[s, i] == p < moduli[i]
+        rows[i], exprs[i] = lattice._rows[s].tolist(), lattice._exprs[s].tolist()
+    assert [r[i] for i, r in enumerate(rows)] == lattice._diag.tolist()
+    return rows, exprs
+
+
 @pytest.mark.parametrize("moduli", [(4, 6, 8), (2, 4, 8, 8), (3, 9, 9), (12, 18, 8)])
 def test_lattice_matches_reference_engine(moduli):
     """Same rows, det, remainders and (mod lcm) expressions as the reference:
@@ -175,8 +189,9 @@ def test_lattice_matches_reference_engine(moduli):
             unit = [int(j == i) for j in range(count)]
             new.insert(vec, unit)
             ref.insert(vec, unit)
-            assert new.rows.tolist() == ref.rows
-            assert new.exprs.tolist() == [[x % L for x in e] for e in ref.exprs]
+            rows, exprs = _dense(new)
+            assert rows == ref.rows
+            assert exprs == [[x % L for x in e] for e in ref.exprs]
         assert new.det() == ref.det()
         assert new.span_order() == ref.span_order()
         for vec in vectors:
