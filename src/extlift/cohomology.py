@@ -31,8 +31,12 @@ arrays x, y, z that broadcast together, on any array F indexed [x, y, ...]
 
 - _generator_defects tests the (x, s, z) in one call of shape
   (h-1, |S|, h-1, k, ...), one flag per cochain of a stack on F's
-  trailing axes; two_cocycle_defect asks it of one cochain and
-  wells._cocycle_stack of a stack of difference cocycles.
+  trailing axes; wells._cocycle_stack asks it of a stack of difference
+  cocycles and two_cocycle_defect of one cochain: the factor set in
+  wells._build_mu, the f of class_of, that of coboundary_solve when it
+  does not reduce to zero, and the k of reduction.index_kill_check.  A
+  difference cocycle of the one-question chain is proven only there,
+  once (wells._difference_cocycle builds it unchecked).
 - two_cocycle_defect scans all (h-1)^3 triples only when a generator
   triple fails, a block of first arguments at a time in O(h^2 k) memory,
   to name the lexicographically first failing one.
@@ -431,6 +435,13 @@ def _first_defect(f: TwoCochain, action: Action):
     return None
 
 
+def _require_cocycle(f: TwoCochain, action: Action) -> None:
+    """NotACocycle naming the first failing triple, unless f is a cocycle."""
+    defect = two_cocycle_defect(f, action)
+    if defect is not None:
+        raise NotACocycle(defect)
+
+
 def is_two_cocycle(f: TwoCochain, action: Action) -> bool:
     """True iff f(xy,z) + A(z) f(x,y) = f(x,yz) + f(y,z) for all x, y, z."""
     return two_cocycle_defect(f, action) is None
@@ -546,8 +557,7 @@ class CohomologyGroup:
         cocycle identity is asked only when f does not reduce to zero."""
         expr = self._lattice.reduce(self.vector_of(f))
         if expr is None:
-            if two_cocycle_defect(f, self.action) is not None:
-                raise NotACocycle("coboundary_solve requires a 2-cocycle")
+            _require_cocycle(f, self.action)
             return None
         vals = np.zeros((self._h, self._k), dtype=np.int64)
         vals[1:] = expr.reshape(self._h - 1, self._k)
@@ -557,9 +567,7 @@ class CohomologyGroup:
         return chi
 
     def class_of(self, f: TwoCochain) -> CohomologyClass:
-        defect = two_cocycle_defect(f, self.action)
-        if defect is not None:
-            raise NotACocycle(f"cocycle identity fails at {defect}")
+        _require_cocycle(f, self.action)
         key = self._lattice.remainder(self.vector_of(f))
         return CohomologyClass(self, f, key)
 

@@ -98,7 +98,12 @@ class ParentMismatch(InputError):
 
 
 class NotACocycle(InputError):
-    """Cochain fails the two-cocycle identity."""
+    """Cochain fails the two-cocycle identity; at is the first failing
+    triple (x, y, z)."""
+
+    def __init__(self, at: tuple):
+        super().__init__(f"cocycle identity fails at {at}")
+        self.at = at
 
 
 class PrimeDoesNotDivide(InputError):

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cohomology import CohomologyClass
+from .cohomology import CohomologyClass, two_cocycle_defect
 from .errors import (BadParameters, InputError, NotCharacteristic,
                      ParentMismatch, SylowNotInvariant)
 from .groups import (GroupAutomorphism, Subgroup, automorphism_group,
@@ -240,12 +240,17 @@ def index_kill_check(ext: ExtensionData, phi: GroupAutomorphism,
     k_phi vanish; the entry for each prime records whether that held.  The
     indices attached to successful primes are jointly coprime exactly when
     every prime succeeds, which forces the class itself to die.
-    wells_cocycle_phi proves k a cocycle, so every r k is one: their class
-    keys are read from one walk of the B^2 lattice.
+    wells_cocycle_phi does not ask the cocycle identity of k (a cocycle by
+    the lemma of wells._difference_cocycle), so it is asked here, once;
+    then every r k is a cocycle, and their class keys are raw remainders
+    from one walk of the B^2 lattice.
     """
     if phi.group is not ext.H:
         raise ParentMismatch("automorphism must act on the quotient group")
     k = wells_cocycle_phi(ext, phi)
+    defect = two_cocycle_defect(k, ext.cocycle_action)
+    if defect is not None:
+        raise AssertionError(f"difference cocycle fails the identity at {defect}")
     cg = ext.cohomology
     if check is None:
         check = sylow_lift_check(ext, phi)

@@ -61,7 +61,11 @@ which compares the law of each slice over one checked stack, take their k
 from it.  The public functions stay a chain
 of named calls (wells_cocycle_*, coboundary_solve, automorphism_from_triple;
 lambda*, class_of): the traced benchmark times them by name, and on large
-quotients their scalar walk beats a one-row block.
+quotients their scalar walk beats a one-row block.  wells_cocycle_* do not
+ask the identity of k, a cocycle by the lemma in _difference_cocycle; its
+consumer proves it once: class_of asks it, coboundary_solve proves it by
+d(chi) = k for a witness and asks it when k does not reduce (both through
+_proven), and reduction.index_kill_check asks it of k itself.
 """
 
 from __future__ import annotations
@@ -78,8 +82,9 @@ from .abelian import (AbelianStructure, Vector, abelian_structure,
 from .cohomology import (_CHECK_BLOCK_TRIPLES, CohomologyClass,
                          CohomologyGroup, OneCochain, TwoCochain, _coboundary,
                          _generator_defects, _moduli_array, two_cocycle_defect)
-from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotCentral,
-                     NotCompatible, ParentMismatch, TripleConditionsFail)
+from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotACocycle,
+                     NotCentral, NotCompatible, ParentMismatch,
+                     TripleConditionsFail)
 from .groups import (AutomorphismArray, FiniteGroup, GroupAutomorphism, Subgroup,
                      _integers, _require_automorphisms, automorphism_group,
                      center, quotient_group, require_closed)
@@ -400,10 +405,17 @@ def _pair_rows(ext: ExtensionData, theta: np.ndarray, phi: np.ndarray) -> np.nda
 
 def _difference_cocycle(ext: ExtensionData, which: int, theta: GroupAutomorphism,
                         phi: GroupAutomorphism) -> TwoCochain:
-    """k(x,y) = mu(phi x, phi y) - Theta mu(x,y), checked to be a 2-cocycle.
+    """k(x,y) = mu(phi x, phi y) - Theta mu(x,y), a 2-cocycle by the lemma.
 
     (theta, phi) must be a compatible pair of sequence which, and sequence 3
-    needs a central extension.
+    needs a central extension.  k is a 2-cocycle for the action A o phi:
+    mu is one (_build_mu checks it) and Theta A(x) = A(phi x) Theta is
+    condition (3) (is_compatible checks it).  In all three sequences
+    A o phi = A (phi = 1 in the first, compatibility with theta = 1 gives
+    it in the second, the third is central), so k is a cocycle for the
+    extension's own action.  The identity is not asked here: the consumer
+    of k asks it once (_proven, reduction.index_kill_check), so only a
+    fault in _difference_stack could fail it.
     """
     if which == 3 and not ext.central:
         raise NotCentral("the pair cocycle needs a central extension")
@@ -411,11 +423,7 @@ def _difference_cocycle(ext: ExtensionData, which: int, theta: GroupAutomorphism
         raise NotCompatible(f"{_SEQUENCES[which].pair} is not a compatible pair")
     T = restrict_to_matrix(ext.coeffs, theta)[None]
     k = _difference_stack(ext.mu.values, T, np.array([phi.image], dtype=np.intp))
-    k = TwoCochain(ext.H, ext.moduli, k[0])
-    defect = two_cocycle_defect(k, ext.cocycle_action)
-    if defect is not None:
-        raise AssertionError(f"difference cocycle fails the identity at {defect}")
-    return k
+    return TwoCochain(ext.H, ext.moduli, k[0])
 
 
 def wells_cocycle_theta(ext: ExtensionData, theta: GroupAutomorphism) -> TwoCochain:
@@ -434,17 +442,28 @@ def wells_cocycle_pair(ext: ExtensionData, theta: GroupAutomorphism,
     return _difference_cocycle(ext, 3, theta, phi)
 
 
+def _proven(ask, k: TwoCochain):
+    """ask(k), for ask the class_of or coboundary_solve of the extension's
+    cohomology: the one place the chain proves a difference cocycle k a
+    cocycle.  k comes from wells_cocycle_*, never from a caller, so a
+    NotACocycle on it is a broken invariant and leaves as AssertionError."""
+    try:
+        return ask(k)
+    except NotACocycle as exc:
+        raise AssertionError(f"difference cocycle fails the identity at {exc.at}") from None
+
+
 def lambda1(ext: ExtensionData, theta: GroupAutomorphism) -> CohomologyClass:
-    return ext.cohomology.class_of(wells_cocycle_theta(ext, theta))
+    return _proven(ext.cohomology.class_of, wells_cocycle_theta(ext, theta))
 
 
 def lambda2(ext: ExtensionData, phi: GroupAutomorphism) -> CohomologyClass:
-    return ext.cohomology.class_of(wells_cocycle_phi(ext, phi))
+    return _proven(ext.cohomology.class_of, wells_cocycle_phi(ext, phi))
 
 
 def lambda_pair(ext: ExtensionData, theta: GroupAutomorphism,
                 phi: GroupAutomorphism) -> CohomologyClass:
-    return ext.cohomology.class_of(wells_cocycle_pair(ext, theta, phi))
+    return _proven(ext.cohomology.class_of, wells_cocycle_pair(ext, theta, phi))
 
 
 def _triple_defect(ext: ExtensionData, theta: GroupAutomorphism,
@@ -537,16 +556,17 @@ def _witness(ext: ExtensionData, which: int, theta: GroupAutomorphism,
              phi: GroupAutomorphism, k: TwoCochain) -> Optional[GroupAutomorphism]:
     """gamma inducing (theta, phi) on sequence which, if any.
 
-    Exists iff the class of the difference cocycle k vanishes.  A witness
-    is certified once: automorphism_from_triple checks the triple conditions
-    and its GroupAutomorphism proves gamma an automorphism of G; the
-    one-row _induced_pairs proves gamma restricts to theta and induces phi,
-    which is all a witness claims.  The conditions already hold: (3) is the
+    Exists iff the class of the difference cocycle k vanishes; the solver
+    proves k a cocycle once (_proven).  A witness is certified once:
+    automorphism_from_triple checks the triple conditions and its
+    GroupAutomorphism proves gamma an automorphism of G; the one-row
+    _induced_pairs proves gamma restricts to theta and induces phi, which
+    is all a witness claims.  The conditions already hold: (3) is the
     is_compatible of _difference_cocycle, (2) the d(chi) = k of the solver
     (for sequence 2, (3) with theta = 1 gives A(phi y) = A(y); sequence 3 is
     central).  Decomposing gamma again would recheck the same triple.
     """
-    chi = ext.cohomology.coboundary_solve(k)
+    chi = _proven(ext.cohomology.coboundary_solve, k)
     if chi is None:
         return None
     gamma = automorphism_from_triple(ext, WellsTriple(theta, phi, chi))

@@ -940,6 +940,26 @@ def reference_coordinate_table(N, gens, factors) -> list[tuple]:
     return coords
 
 
+def reference_difference_cocycle(ext, theta, phi) -> TwoCochain:
+    """k(x, y) = mu(phi x, phi y) - Theta mu(x, y), one value at a time:
+    Theta mu(x, y) is the coordinate vector of theta applied to the member
+    of N whose coordinates are mu(x, y), both read from the coordinate
+    table that reference_coordinate_table builds, not from a matrix."""
+    coords = reference_coordinate_table(ext.n_group, ext.coeffs.generators,
+                                        ext.moduli)
+    member = {c: i for i, c in enumerate(coords)}
+    mu, moduli, h = ext.mu, ext.moduli, ext.H.order
+    values = []
+    for x in range(h):
+        row = []
+        for y in range(h):
+            moved = coords[theta.image[member[mu(x, y)]]]
+            row.append(tuple((a - b) % m for a, b, m in
+                             zip(mu(phi(x), phi(y)), moved, moduli)))
+        values.append(row)
+    return TwoCochain(ext.H, moduli, values)
+
+
 def reference_is_compatible(ext, theta, phi) -> bool:
     """theta o alpha_x = alpha_(phi x) o theta for every x, on permutations
     of N, with alpha_x(n) = t(x)^-1 n t(x) found by conjugation in G."""

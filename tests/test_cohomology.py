@@ -462,7 +462,8 @@ def test_solve_rejects_non_cocycles():
     f = TwoCochain.from_function(Z4, (4,),
                                  lambda x, y: (1 if x == y == 1 else 0,))
     assert two_cocycle_defect(f, cg.action) is not None
-    with pytest.raises(NotACocycle):
+    with pytest.raises(NotACocycle,
+                       match=r"^cocycle identity fails at \(1, 1, 2\)$"):
         cg.coboundary_solve(f)
     with pytest.raises(NotACocycle,
                        match=r"^cocycle identity fails at \(1, 1, 2\)$"):

@@ -7,7 +7,9 @@ import itertools
 import json
 import random
 import re
+import sys
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,14 +17,16 @@ import pytest
 from extlift import (CompatiblePair, DoesNotNormalize, InputError, NotAbelian,
                      NotCentral, NotCompatible, NotNormal, OneCochain,
                      ParentMismatch, Subgroup, TripleConditionsFail,
-                     WellsTriple, abelian_structure,
+                     TwoCochain, WellsTriple, abelian_structure,
                      answer, answers, aut_subgroups, automorphism_from_triple,
                      automorphism_group, catalog, coboundary_of,
                      compatible_pairs, derivation_check, extend_automorphism,
                      extension_from, group_from_permutations,
-                     h2_conjugation_action, is_compatible, is_two_cocycle,
+                     h2_conjugation_action, index_kill_check, is_compatible,
+                     is_two_cocycle,
                      lambda1, lambda2, lambda_pair, lift_automorphism,
-                     lift_pair, random_transversal, shipped_corpus, triple_of,
+                     lift_pair, random_transversal, shipped_corpus,
+                     sylow_lift_check, triple_of,
                      verify_exactness, wells_cocycle_pair, wells_cocycle_phi,
                      wells_cocycle_theta)
 from extlift.abelian import restrict_to_matrix
@@ -34,10 +38,10 @@ from extlift.intlin import TriangularLattice
 from extlift.reports import corpus_pairs, group_json, h2_report
 from extlift.wells import _induced_pairs, pair_key, slice_pair, starred_sets
 
-from oracles import (aut_normalizing, brute_triple_defect,
+from oracles import (aut_normalizing, brute_cocycle_defect, brute_triple_defect,
                      extension_witnesses, lift_witnesses, pair_witnesses,
                      greedy_generators, reference_chi,
-                     reference_derivation_check,
+                     reference_derivation_check, reference_difference_cocycle,
                      reference_aut_subgroups, reference_induced_pair,
                      reference_is_compatible)
 from test_closure import _extensions
@@ -797,6 +801,118 @@ def test_each_block_check_names_its_failure(capsys, monkeypatch, tmp_path,
         group = str(path)
     fault(monkeypatch, importlib.import_module("extlift.wells"))
     assert re.match(message, _verify_error(capsys, group, subgroup))
+
+
+def test_difference_cocycles_match_the_element_reference():
+    """The lemma that lets the chain skip the identity: on every corpus
+    extension with |H| <= 8 and two random transversal copies of each, the
+    k of wells_cocycle_theta (C1), wells_cocycle_phi (C2) and, on a
+    central kernel, wells_cocycle_pair (C), and the rows of one
+    _difference_stack over all of C, equal the element-by-element
+    reference.  Every k passes the all-triples brute identity for the
+    action A o phi, which is A on every pair the chain asks."""
+    wells = importlib.import_module("extlift.wells")
+    rng = random.Random(28)
+    cocycles, proven = 0, set()
+    for G in shipped_corpus():
+        for N in corpus_pairs(G):
+            base = extension_from(G, N)
+            if base.H.order > 8:
+                continue
+            for ext in [base] + [base.with_transversal(random_transversal(base, rng))
+                                 for _ in range(2)]:
+                pairs, c1, c2 = compatible_pairs(ext)
+                ref = {pair_key(p): reference_difference_cocycle(ext, *p)
+                       for p in pairs}
+                chain = ([(slice_pair(ext, 1, t), wells_cocycle_theta(ext, t)) for t in c1]
+                         + [(slice_pair(ext, 2, p), wells_cocycle_phi(ext, p)) for p in c2]
+                         + [(p, wells_cocycle_pair(ext, *p)) for p in pairs if ext.central])
+                for pair, _ in chain:
+                    assert ext.central or (ext.action[list(pair.phi.image)]
+                                           == ext.action).all()
+                T = np.stack([restrict_to_matrix(ext.coeffs, p.theta) for p in pairs])
+                P = np.array([p.phi.image for p in pairs], dtype=np.intp)
+                stack = wells._difference_stack(ext.mu.values, T, P)
+                got = chain + [(p, TwoCochain(ext.H, ext.moduli, k))
+                               for p, k in zip(pairs, stack)]
+                for pair, k in got:
+                    assert k == ref[pair_key(pair)]
+                cocycles += len(got)
+                for pair in pairs:
+                    A = None if ext.central else ext.action[list(pair.phi.image)]
+                    k = ref[pair_key(pair)]
+                    key = (id(ext.H), k.values.tobytes(), None if A is None else A.tobytes())
+                    if key not in proven:
+                        assert brute_cocycle_defect(k, A) is None
+                        proven.add(key)
+    assert cocycles > 5000
+
+
+# each question of the one-question chain on ext, ready to ask; what it
+# needs besides its k is made at once
+_CHAIN_QUESTIONS = {
+    "lambda1": lambda ext: partial(lambda1, ext, ext.id_N),
+    "lambda2": lambda ext: partial(lambda2, ext, ext.id_H),
+    "lambda_pair": lambda ext: partial(lambda_pair, ext, *ext.id_pair),
+    "extend_automorphism": lambda ext: partial(extend_automorphism, ext, ext.id_N),
+    "lift_automorphism": lambda ext: partial(lift_automorphism, ext, ext.id_H),
+    "lift_pair": lambda ext: partial(lift_pair, ext, *ext.id_pair),
+    "index_kill_check": lambda ext: partial(index_kill_check, ext, ext.id_H,
+                                            sylow_lift_check(ext, ext.id_H)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHAIN_QUESTIONS))
+def test_chain_names_a_difference_cocycle_that_is_no_cocycle(monkeypatch, name):
+    """With _difference_stack one unit off, each question of the
+    one-question chain on dihedral(8) over its centre, whose k is proven
+    only by its consumer, stops with the internal AssertionError that
+    names the failing triple, not with the NotACocycle (an InputError)
+    that its class_of or coboundary_solve raises.  index_kill_check gets
+    its Sylow check made before the fault, so its own identity check is
+    what fires."""
+    d8 = catalog("dihedral", 8)
+    ask = _CHAIN_QUESTIONS[name](extension_from(d8, center(d8)))
+    _one_unit_off(monkeypatch, importlib.import_module("extlift.wells"))
+    with pytest.raises(AssertionError,
+                       match=r"^difference cocycle fails the identity at \(\d+, \d+, \d+\)$"):
+        ask()
+
+
+def test_the_chain_asks_the_identity_once_per_question(monkeypatch):
+    """Each lambda* question asks two_cocycle_defect once (class_of); a
+    witnessed lift or extend asks it never (d(chi) = k proves k) and an
+    obstructed one once (coboundary_solve); on dihedral(20) and
+    heisenberg(5) over their centres, over C1, C2 and the first pairs of
+    C."""
+    calls, real = [], importlib.import_module("extlift.cohomology").two_cocycle_defect
+
+    def counting(f, action):
+        calls.append(None)
+        return real(f, action)
+    # every module that imported the name holds its own binding
+    holders = [m for name, m in sys.modules.items() if name.startswith("extlift.")
+               and getattr(m, "two_cocycle_defect", None) is real]
+    seen = Counter()
+    for G in (catalog("dihedral", 20), catalog("heisenberg", 5)):
+        ext = extension_from(G, center(G))
+        pairs, c1, c2 = compatible_pairs(ext)
+        ext.cohomology
+        questions = ([(lift_automorphism, lambda2, (p,)) for p in c2]
+                     + [(extend_automorphism, lambda1, (t,)) for t in c1]
+                     + [(lift_pair, lambda_pair, tuple(p)) for p in pairs[:64]])
+        with monkeypatch.context() as m:
+            for module in holders:
+                m.setattr(module, "two_cocycle_defect", counting)
+            for solve, klass, args in questions:
+                del calls[:]
+                witness = solve(ext, *args)
+                assert len(calls) == (witness is None)
+                del calls[:]
+                klass(ext, *args)
+                assert len(calls) == 1
+                seen[witness is None] += 1
+    assert len(holders) >= 3 and seen[True] and seen[False]
 
 
 def test_incompatible_theta_is_rejected():
