@@ -31,12 +31,12 @@ arrays x, y, z that broadcast together, on any array F indexed [x, y, ...]
 
 - _generator_defects tests the (x, s, z) in one call of shape
   (h-1, |S|, h-1, k, ...), one flag per cochain of a stack on F's
-  trailing axes; wells._cocycle_stack asks it of a stack of difference
-  cocycles and two_cocycle_defect of one cochain: the factor set in
-  wells._build_mu, the f of class_of, that of coboundary_solve when it
-  does not reduce to zero, and the k of reduction.index_kill_check.  A
-  difference cocycle of the one-question chain is proven only there,
-  once (wells._difference_cocycle builds it unchecked).
+  trailing axes; two_cocycle_defect asks it of one cochain: the factor
+  set in wells._build_mu and the f of class_of.  A cochain solved or keyed
+  is otherwise proven once, by membership or else by the identity: one
+  that reduces to zero in the B^2 lattice is a coboundary once its witness
+  chi passes d(chi) = f.  coboundary_solve does so for one cochain, and
+  _keys_of for a stack the package built as cocycles (never user input).
 - two_cocycle_defect scans all (h-1)^3 triples only when a generator
   triple fails, a block of first arguments at a time in O(h^2 k) memory,
   to name the lexicographically first failing one.
@@ -573,6 +573,31 @@ class CohomologyGroup:
 
     def zero_class(self) -> CohomologyClass:
         return self.class_of(TwoCochain.zero(self.group, self.moduli))
+
+    def _keys_of(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Class keys and witnesses of a stack F, indexed [row, x, y, c], of
+        cocycles built in the package (never user input), each row proven
+        once: by d(chi) = f for the witness chi of a row that reduces to
+        zero, else by the identity in one _generator_defects call, naming
+        the first row that is no cocycle (a non-cocycle never reduces).
+        Returns the remainders of one lattice walk, a line of (h-1)^2 k per
+        row, and the reduced witnesses [row, x, c] of the zero rows."""
+        lattice, d, A, H = self._lattice, _moduli_array(self.moduli), self._A, self.group
+        rem, taken = lattice._remainders((F[:, 1:, 1:] % d).reshape(len(F), -1))
+        zero = ~rem.any(axis=1)
+        chi = np.zeros((int(zero.sum()), self._h, self._k), dtype=np.int64)
+        chi[:, 1:] = lattice._taken(lattice._at, taken[zero]).reshape(chi[:, 1:].shape) % d
+        delta = _coboundary(np.moveaxis(chi, 0, -1), A, H.cayley)
+        if ((delta - np.moveaxis(F[zero], 0, -1)) % d[:, None]).any():
+            raise AssertionError("recovered witness does not reproduce the cocycle")
+        rest = F[~zero]
+        if len(rest):
+            bad = _generator_defects(np.moveaxis(rest, 0, -1), A, H, d)
+            if bad.any():
+                f = TwoCochain(H, self.moduli, rest[np.argmax(bad)])
+                raise AssertionError("difference cocycle fails the identity at "
+                                     f"{two_cocycle_defect(f, self.action)}")
+        return rem, chi
 
     def _z2_order(self) -> int:
         h, k = self._h, self._k

@@ -35,11 +35,10 @@ Reports ask many questions of one extension, so answers takes them as one
 block, pairs of any sequence mixed, each pair once, and runs each check of
 the one-question path once over the stack: condition (3) as the
 compatibility mask, the (m, h, h, k) difference cocycles by one gather of
-mu and one product with the theta matrices, the cocycle identity at the
-generator triples with the pairs on a trailing axis, one walk of the B^2
-lattice for every class key and witness expression, and, for the
-witnesses, d(chi) = k, condition (2), gamma by gathers, the automorphism
-lemma over the block and the induced pair.  In all three sequences
+mu and one product with the theta matrices, their class keys and
+witnesses by one CohomologyGroup._keys_of call, and, for the witnesses,
+condition (2), gamma by gathers, the automorphism lemma over the block and
+the induced pair.  In all three sequences
 A o phi = A for a compatible pair (phi = 1 in the first; compatibility
 with theta = 1 gives it in the second; the third is central), so k is a
 cocycle for the extension's own action and one lattice serves every
@@ -54,18 +53,16 @@ by groups.require_closed over their _pair_rows; aut_subgroups reads its
 sets as masks over the rows of Aut(G), views of its one array; and
 splitting builds and checks its sections by _gamma_images and
 _induced_pairs too; groups._require_automorphisms proves computed images.
-_cocycle_stack builds a stack of difference cocycles and checks it by
-cohomology._generator_defects, the generator-triple test that
-two_cocycle_defect runs on one cochain: the block and derivation_check,
-which compares the law of each slice over one checked stack, take their k
-from it.  The public functions stay a chain
-of named calls (wells_cocycle_*, coboundary_solve, automorphism_from_triple;
-lambda*, class_of): the traced benchmark times them by name, and on large
-quotients their scalar walk beats a one-row block.  wells_cocycle_* do not
-ask the identity of k, a cocycle by the lemma in _difference_cocycle; its
-consumer proves it once: class_of asks it, coboundary_solve proves it by
-d(chi) = k for a witness and asks it when k does not reduce (both through
-_proven), and reduction.index_kill_check asks it of k itself.
+A difference cocycle is built unchecked (a cocycle by the lemma in
+_difference_cocycle); what reads its key or witness proves it once, by
+membership (d(chi) = k for the witness of a k that reduces to zero) or
+else by the identity: class_of and coboundary_solve on the chain (through
+_proven), CohomologyGroup._keys_of for every stack built here (the block,
+derivation_check, reduction.index_kill_check).  The public functions stay
+a chain of named calls (wells_cocycle_*, coboundary_solve,
+automorphism_from_triple; lambda*, class_of): the traced benchmark times
+them by name, and on large quotients their scalar walk beats a one-row
+block.
 """
 
 from __future__ import annotations
@@ -81,7 +78,7 @@ from .abelian import (AbelianStructure, Vector, abelian_structure,
                       restrict_to_matrix)
 from .cohomology import (_CHECK_BLOCK_TRIPLES, CohomologyClass,
                          CohomologyGroup, OneCochain, TwoCochain, _coboundary,
-                         _generator_defects, _moduli_array, two_cocycle_defect)
+                         _moduli_array, two_cocycle_defect)
 from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotACocycle,
                      NotCentral, NotCompatible, ParentMismatch,
                      TripleConditionsFail)
@@ -629,13 +626,15 @@ def _answered(ext: ExtensionData, questions) -> list[tuple]:
     """The fact keys of questions, with every one answered in the table.
 
     The unanswered ones go to _answer_chunk in blocks of as many pairs as
-    keep its cocycle check within _CHECK_BLOCK_TRIPLES // 4 generator
-    triples times pairs: the check holds four arrays of that size at once,
-    as many values as one array of the full scan.  A block leaves an Answer
-    in the table, or, for an obstructed pair, the key of its class, one
-    tuple per class: answers turns it into an Answer on first request, so
-    the starred sets of a large C, which read only whether a class is
-    trivial, keep no per-pair objects.
+    keep its identity check, were every pair obstructed, within
+    _CHECK_BLOCK_TRIPLES // 4 generator triples times pairs: the check holds
+    four arrays of that size at once, as many values as one array of the
+    full scan (_keys_of proves a witnessed k by its witness, the others by
+    the identity).  A block leaves an Answer in the table, or, for an
+    obstructed pair, the key of its class, one tuple per class: answers
+    turns it into an Answer on first request, so the starred sets of a
+    large C, which read only whether a class is trivial, keep no per-pair
+    objects.
     """
     H, facts, keys = ext.H, ext._facts, []
     triples = max(1, (H.order - 1) ** 2 * len(H.generators))
@@ -693,21 +692,6 @@ def _difference_stack(mu: np.ndarray, T: np.ndarray, P: np.ndarray) -> np.ndarra
     return mu[P[:, :, None], P[:, None, :]] - mu @ T.transpose(0, 2, 1)[:, None]
 
 
-def _cocycle_stack(ext: ExtensionData, T: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """The difference cocycles of stacked theta matrices T and phi images P,
-    reduced mod d and indexed [pair, x, y, c], checked at the generator
-    triples by one _generator_defects call with the pairs on its trailing
-    axis."""
-    H, d = ext.H, _moduli_array(ext.moduli)
-    K = _difference_stack(ext.mu.values, T, P) % d
-    bad = _generator_defects(np.moveaxis(K, 0, -1), ext.cohomology._A, H, d)
-    if bad.any():
-        k = TwoCochain(H, ext.moduli, K[np.argmax(bad)])
-        raise AssertionError("difference cocycle fails the identity at "
-                             f"{two_cocycle_defect(k, ext.cocycle_action)}")
-    return K
-
-
 def _gamma_images(ext: ExtensionData, theta: np.ndarray, P: np.ndarray,
                   chi: np.ndarray) -> np.ndarray:
     """gamma(t(x) n) = t(phi x) chi(x) theta(n) as image rows over G, one per
@@ -727,19 +711,16 @@ def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
     stack:
 
     - compatibility: condition (3) by _condition_3;
-    - the difference cocycles k, checked at the generator triples, by
-      _cocycle_stack;
-    - one walk of the B^2 lattice gives each class key, and, for a k that
-      reduces to zero, the witness chi from the multiples it took;
-    - for those: the solver check d(chi) = k; condition (2) by
-      _condition_2; gamma by _gamma_images, proven automorphisms by
-      groups._require_automorphisms; and the pair gamma induces, by
-      _induced_pairs, with the sequence of the question that first asked
-      the pair in the message.
+    - the class key of each difference cocycle k and, for a k that reduces
+      to zero, its witness chi, by CohomologyGroup._keys_of, which proves
+      each k once: a witnessed k by d(chi) = k, any other by the identity;
+    - for the witnessed: condition (2) by _condition_2; gamma by
+      _gamma_images, proven automorphisms by groups._require_automorphisms;
+      and the pair gamma induces, by _induced_pairs, with the sequence of
+      the question that first asked the pair in the message.
     A failed check raises AssertionError naming it.
     """
-    G, H, cg = ext.G, ext.H, ext.cohomology
-    d, tab = _moduli_array(ext.moduli), H.cayley
+    G = ext.G
     T = np.stack([restrict_to_matrix(ext.coeffs, pair.theta) for _, pair in asked])
     P = np.array([pair.phi.image for _, pair in asked], dtype=np.intp)
     got = [Answer(False, None, None) for _ in asked]
@@ -748,10 +729,7 @@ def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
         rows = np.flatnonzero(~_condition_3(ext, T, ext.action[P]).any(axis=1))
     if not rows.size:
         return got
-    K = _cocycle_stack(ext, T[rows], P[rows])
-    F = np.moveaxis(K, 0, -1)   # [x, y, c, pair]: the pair axis passes through
-    lattice = cg._lattice
-    rem, taken = lattice._remainders(K[:, 1:, 1:].reshape(len(rows), -1).copy())
+    rem, chi = ext.cohomology._keys_of(_difference_stack(ext.mu.values, T[rows], P[rows]))
     zero = ~rem.any(axis=1)
     for i, r in zip(rows[~zero], rem[~zero]):
         key = class_keys.get(r.tobytes())
@@ -761,13 +739,7 @@ def _answer_chunk(ext: ExtensionData, asked: list, class_keys: dict) -> list:
     w = rows[zero]
     if not w.size:
         return got
-    chi = np.zeros((w.size, H.order, d.size), dtype=np.int64)
-    chi[:, 1:] = lattice._taken(lattice._at, taken[zero]).reshape(
-        w.size, H.order - 1, d.size) % d
-    C = np.moveaxis(chi, 0, -1)
-    if ((_coboundary(C, cg._A, tab) - F[..., zero]) % d[:, None]).any():
-        raise AssertionError("recovered witness does not reproduce the cocycle")
-    bad = _condition_2(ext, T[w], P[w], C)
+    bad = _condition_2(ext, T[w], P[w], np.moveaxis(chi, 0, -1))
     if bad.any():
         at = tuple(np.argwhere(bad[np.argmax(bad.any(axis=(1, 2)))])[0].tolist())
         raise AssertionError(f"triple condition (2) fails at {at}")
@@ -944,16 +916,19 @@ def derivation_check(ext: ExtensionData) -> dict:
     k_(t1 t2) = k_t1 + T1 k_t2, on C2 (theta = 1) k_(p1 p2) = k_p2 +
     k_p1 o (p2 x p2).  One require_closed over a slice's image rows proves
     it closed and gives generators S and each g s; the law is compared at
-    every (g, s), s in {1} + S, over its cocycles from _cocycle_stack.
-    That proves it at every pair: s = 1 forces k_1 = 0, and the law at
-    (g, w) for all g and at (g w, s) gives k_(g w s) = k_g o (phi_(w s) x
-    phi_(w s)) + Theta_g k_(w s), as phi_(w s) = phi_w phi_s and
-    Theta_(g w) = Theta_g Theta_w, so by induction on word length in S.
-    Where the two sides differ their classes are compared too (equal
-    cochains have equal classes).  compatible_pairs found every member
+    every (g, s), s in {1} + S, over one stack of the slice's difference
+    cocycles.  That proves it at every pair: s = 1 forces k_1 = 0, and the
+    law at (g, w) for all g and at (g w, s) gives k_(g w s) = k_g o
+    (phi_(w s) x phi_(w s)) + Theta_g k_(w s), as phi_(w s) = phi_w phi_s
+    and Theta_(g w) = Theta_g Theta_w, so by induction on word length in S.
+    Only k_1 and the k_s are proven cocycles (CohomologyGroup._keys_of); the
+    law then makes every k one by the same induction, as k_g o (phi_s x
+    phi_s) and Theta_g k_s stay cocycles (A o phi = A, and condition (3)).
+    Where the two sides differ their classes are compared too, both sides
+    keyed and proven by _keys_of.  compatible_pairs found every member
     compatible, and _condition_3 over the slice must agree.  The action
-    f -> Theta f o (phi x phi) must move coboundaries to coboundaries;
-    that is probed on the first eight members of each slice.
+    f -> Theta f o (phi x phi) must move coboundaries to coboundaries; that
+    is probed on the first eight members of each slice.
     """
     _, c1, c2 = compatible_pairs(ext)
     H, cg, moduli = ext.H, ext.cohomology, ext.moduli
@@ -972,23 +947,26 @@ def derivation_check(ext: ExtensionData) -> dict:
         if not ext.central and _condition_3(ext, T, ext.action[P]).any():
             raise AssertionError(f"a compatible pair {_SEQUENCES[which].pair} "
                                  "fails condition (3)")
-        K = _cocycle_stack(ext, T, P)
+        K = _difference_stack(ext.mu.values, T, P) % d
         images = np.array([g.image for g in members], dtype=np.intp)
         gens, prods = require_closed(images, f"{name} slice is not closed under composition")
         one = int(np.flatnonzero((images == np.arange(images.shape[1])).all(axis=1))[0])
+        cg._keys_of(K[[one, *gens]])
         failed = []
         for s, prod in [(one, np.arange(len(K)))] + list(zip(gens, prods)):
-            # both sides for every g, [g, x, y, c]: k_(g s) against
-            # k_g o (phi_s x phi_s) + Theta_g k_s
-            lhs = K[prod]
-            rhs = K[:, P[s][:, None], P[s]] + K[s] @ T.transpose(0, 2, 1)[:, None]
-            failed.extend((g, s, lhs[g], rhs[g]) for g in
-                          np.flatnonzero(((lhs - rhs) % d).any(axis=(1, 2, 3))).tolist())
+            # k_(g s) - k_g o (phi_s x phi_s) - Theta_g k_s for every g,
+            # [g, x, y, c]; a failing g keeps k_(g s) and, up to d, the right side
+            diff = K[prod]
+            diff -= K[:, P[s][:, None], P[s]]
+            diff -= K[s] @ T.transpose(0, 2, 1)[:, None]
+            diff %= d
+            failed.extend((g, s, K[prod[g]], K[prod[g]] - diff[g])
+                          for g in np.flatnonzero(diff.any(axis=(1, 2, 3))).tolist())
         for g, s, lhs, rhs in sorted(failed, key=lambda f: f[:2]):
             where = f"{members[g].image} o {members[s].image}"
             violations.append(f"{name} derivation law fails at {where}")
-            if (cg.class_of(TwoCochain(H, moduli, lhs))
-                    != cg.class_of(TwoCochain(H, moduli, rhs))):
+            keys = cg._keys_of(np.stack([lhs, rhs]))[0]
+            if (keys[0] != keys[1]).any():
                 violations.append(f"{name} class law fails at {where}")
         # Theta delta o (phi x phi) against d(Theta unit o phi), indexed
         # [x, y, c, member, probe]

@@ -115,3 +115,37 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_stale_imports(path):
     """Every name a module imports is used there or re-exported."""
     assert _unused_imports(path) == []
+
+
+def _lattice_private_names() -> set[str]:
+    """The private methods and attributes of intlin.TriangularLattice."""
+    tree = ast.parse((Path(extlift.__file__).parent / "intlin.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "TriangularLattice")
+    names = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    names |= {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _lattice_reads(path: Path) -> list[str]:
+    """Reads, in the module at path, of a cohomology group's `_lattice` or of
+    a private member of TriangularLattice on anything but the reader's own
+    self (other classes may have private members of the same name)."""
+    private = _lattice_private_names()
+    return [f"{node.attr} (line {node.lineno})" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and (node.attr == "_lattice"
+                 or node.attr in private and not (isinstance(node.value, ast.Name)
+                                                  and node.value.id == "self"))]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in Path(extlift.__file__).parent.glob("*.py")
+                                        if p.stem not in ("cohomology", "intlin")),
+                         ids=lambda path: path.stem)
+def test_only_cohomology_reaches_into_the_lattice(path):
+    """The B^2 lattice is read through CohomologyGroup (class_of,
+    coboundary_solve and, for cocycles built inside the package, _keys_of);
+    no other module walks it or reads its rows."""
+    assert {"_remainders", "_taken", "_walk", "_at", "_mod"} <= _lattice_private_names()
+    assert _lattice_reads(path) == []

@@ -912,8 +912,99 @@ def test_the_chain_asks_the_identity_once_per_question(monkeypatch):
                 klass(ext, *args)
                 assert len(calls) == 1
                 seen[witness is None] += 1
-    assert len(holders) >= 3 and seen[True] and seen[False]
+    assert {"extlift.cohomology", "extlift.wells"} <= {m.__name__ for m in holders}
+    assert seen[True] and seen[False]
 
+
+def test_the_block_asks_the_identity_only_of_rows_that_do_not_reduce(monkeypatch):
+    """A block proves a k that reduces to zero by its witness, d(chi) = k,
+    and asks _generator_defects only about the others, the obstructed
+    pairs, each once: on dihedral(20) and heisenberg(5) over their centres,
+    over C1, C2 and C."""
+    cohomology = importlib.import_module("extlift.cohomology")
+    asked, real = [], cohomology._generator_defects
+
+    def counting(F, A, group, d):
+        asked.append(int(np.prod(F.shape[3:])))
+        return real(F, A, group, d)
+    holders = [m for name, m in sys.modules.items() if name.startswith("extlift.")
+               and getattr(m, "_generator_defects", None) is real]
+    seen = Counter()
+    for G in (catalog("dihedral", 20), catalog("heisenberg", 5)):
+        ext = extension_from(G, center(G))
+        pairs, c1, c2 = compatible_pairs(ext)
+        ext.cohomology
+        questions = ([(1, slice_pair(ext, 1, t)) for t in c1]
+                     + [(2, slice_pair(ext, 2, p)) for p in c2]
+                     + [(3, p) for p in pairs])
+        del asked[:]
+        with monkeypatch.context() as m:
+            for module in holders:
+                m.setattr(module, "_generator_defects", counting)
+            got = answers(ext, questions)
+        obstructed = {pair_key(pair) for (_, pair), a in zip(questions, got)
+                      if a.obstruction is not None}
+        assert sum(asked) == len(obstructed)
+        seen[True] += len(obstructed)
+        seen[False] += len({pair_key(pair) for _, pair in questions}) - len(obstructed)
+    assert seen[True] and seen[False]
+
+
+def _indicator(ext, x=1, y=2):
+    """The 2-cochain that is 1 in coordinate 0 at (x, y) and 0 elsewhere,
+    no cocycle for ext's action."""
+    values = np.zeros((ext.H.order, ext.H.order, len(ext.moduli)), dtype=np.int64)
+    values[x, y, 0] = 1
+    f = TwoCochain(ext.H, ext.moduli, values)
+    assert not is_two_cocycle(f, ext.cocycle_action)
+    return f
+
+
+_NO_COCYCLE = r"^difference cocycle fails the identity at \(\d+, \d+, \d+\)$"
+
+
+def test_a_witnessed_pair_whose_k_is_no_cocycle_is_named(capsys, monkeypatch):
+    """The identity pair of dihedral(8) over its centre has k = 0, a
+    coboundary.  Shifted by a non-cocycle its k no longer reduces, so the
+    block asks the identity of it and names the failing triple: answers
+    raises the internal AssertionError, and verify exits 4."""
+    ext = _d8_center()
+    _shift_cocycles(monkeypatch, ext, pair_key(ext.id_pair), _indicator(ext))
+    with pytest.raises(AssertionError, match=_NO_COCYCLE):
+        answers(ext, [(1, ext.id_pair)])
+    assert re.match(_NO_COCYCLE, _verify_error(capsys, "dihedral(8)", "center"))
+
+
+def test_derivation_check_names_a_member_whose_k_is_no_cocycle(monkeypatch):
+    """derivation_check proves only k_1 and each k_s, s in the greedy
+    generators S, up front.  A member of C2 of dihedral(8) over its centre
+    outside {1} + S, its k shifted by a non-cocycle, breaks the law, and
+    the class comparison of the failing pairs, which proves both sides,
+    names the failing triple as the internal AssertionError, not as the
+    NotACocycle input error of class_of.  (Every normalized 2-cochain of
+    Z2, the quotient of _z16_c1, is a cocycle, so its C1 has no such
+    member.)"""
+    ext = _d8_center()
+    _, _, c2 = compatible_pairs(ext)
+    spanning = {ext.id_H.image, *greedy_generators(c2)}
+    outside = next(p.image for p in c2 if p.image not in spanning)
+    _shift_cocycles(monkeypatch, ext, (ext.id_N.image, outside), _indicator(ext))
+    with pytest.raises(AssertionError, match=_NO_COCYCLE):
+        derivation_check(ext)
+
+
+
+def test_derivation_check_proves_the_generator_rows(monkeypatch):
+    """Difference cocycles built from mu + f, f no cocycle, still obey the
+    composition law, whose proof never uses that mu is a cocycle; so only
+    the proof of k_1 and the k_s up front catches them, and derivation_check
+    names the failing triple."""
+    ext = _d8_center()
+    wells = importlib.import_module("extlift.wells")
+    f, real = _indicator(ext).values, wells._difference_stack
+    monkeypatch.setattr(wells, "_difference_stack", lambda mu, T, P: real(mu + f, T, P))
+    with pytest.raises(AssertionError, match=_NO_COCYCLE):
+        derivation_check(ext)
 
 def test_incompatible_theta_is_rejected():
     a4 = _alt4()
