@@ -524,7 +524,8 @@ class AutomorphismArray(abc.Sequence):
     GroupAutomorphism objects on demand, _SEARCH_CHUNK rows at a time, and
     keep one per row, so asking for a row twice gives the same object.
     view(mask) lists the rows a mask keeps, in the same order, over the
-    same array and the same objects.
+    same array and the same objects, and mask(other) the members of this
+    sequence that another sequence over that array lists.
     """
 
     __slots__ = ("group", "_all", "_at", "_objects", "_ready")
@@ -545,8 +546,25 @@ class AutomorphismArray(abc.Sequence):
 
     def view(self, mask: np.ndarray) -> "AutomorphismArray":
         at = np.flatnonzero(mask)
-        return AutomorphismArray(self.group, self._all,
-                                 at if self._at is None else self._at[at], self._objects)
+        if self._at is not None:
+            at = self._at[at]
+        elif len(at) == len(self._all):     # every row: rows needs no copy
+            at = None
+        return AutomorphismArray(self.group, self._all, at, self._objects)
+
+    def mask(self, other: "AutomorphismArray") -> np.ndarray:
+        """Which members of this sequence other, a sequence over the same
+        array (a view of the same AutomorphismArray), lists."""
+        if other._all is not self._all:
+            raise InputError("the sequences are not views of one array")
+        listed = other._listed()
+        return listed if self._at is None else listed[self._at]
+
+    def _listed(self) -> np.ndarray:
+        """Which rows of the array this sequence lists."""
+        listed = np.zeros(len(self._all), dtype=bool)
+        listed[slice(None) if self._at is None else self._at] = True
+        return listed
 
     def __len__(self) -> int:
         return len(self._all) if self._at is None else len(self._at)

@@ -23,7 +23,7 @@ Extending theta is the slice C1 of pairs (theta, 1), lifting phi the slice
 C2 of pairs (1, phi), and the central case is all of C; an identity slot
 means "this sequence leaves that side fixed".  So one action
 f -> Theta f o (phi x phi) on cochains, one difference cocycle
-k = mu o (phi x phi) - Theta mu, one witness routine and one exactness loop
+k = mu o (phi x phi) - Theta mu, one witness routine and one exactness check
 serve all three, and an identity slot skips its gather or matrix product.
 The same action moves H^2 classes, and one composition law k_(g1 g2) =
 k_g1 o (phi2 x phi2) + Theta1 k_g2 is checked on C1 and C2 at generators g2.
@@ -53,6 +53,9 @@ by groups.require_closed over their _pair_rows; aut_subgroups reads its
 sets as masks over the rows of Aut(G), views of its one array; and
 splitting builds and checks its sections by _gamma_images and
 _induced_pairs too; groups._require_automorphisms proves computed images.
+triple_of decomposes one automorphism or a block of them by one code
+(_triple_rows), and verify_exactness calls it once, on the union of the
+sets its sequences project.
 A difference cocycle is built unchecked (a cocycle by the lemma in
 _difference_cocycle); what reads its key or witness proves it once, by
 membership (d(chi) = k for the witness of a k that reduces to zero) or
@@ -83,8 +86,8 @@ from .errors import (BoundExceeded, DoesNotNormalize, InputError, NotACocycle,
                      NotCentral, NotCompatible, ParentMismatch,
                      TripleConditionsFail)
 from .groups import (AutomorphismArray, FiniteGroup, GroupAutomorphism, Subgroup,
-                     _integers, _require_automorphisms, automorphism_group,
-                     center, quotient_group, require_closed)
+                     _integers, _require_automorphisms, _row_keys,
+                     automorphism_group, center, quotient_group, require_closed)
 
 __all__ = [
     "ExtensionData",
@@ -383,14 +386,18 @@ def _compatible_grid(ext: ExtensionData, thetas: np.ndarray, phis: np.ndarray) -
     _CHECK_BLOCK_TRIPLES."""
     if ext.central:             # every A(x) is the identity
         return np.divmod(np.arange(len(thetas) * len(phis)), len(phis))
-    coeffs = ext.coeffs
-    # column u of each matrix: the coordinates of theta(e_u)
-    T = coeffs.coords[thetas[:, coeffs.member_at[coeffs.radix]]].transpose(0, 2, 1)
+    T = _theta_matrices(ext.coeffs, thetas)
     A_phi = ext.action[phis]
     step = max(1, _CHECK_BLOCK_TRIPLES // (4 * A_phi.size))
     ok = np.concatenate([~_condition_3(ext, T[lo:lo + step, None], A_phi).any(axis=-1)
                          for lo in range(0, len(T), step)])
     return np.nonzero(ok)
+
+
+def _theta_matrices(coeffs: AbelianStructure, thetas: np.ndarray) -> np.ndarray:
+    """The coordinate matrices of theta image rows over N, stacked: column
+    u of each the coordinates of theta(e_u), as restrict_to_matrix."""
+    return coeffs.coords[thetas[:, coeffs.member_at[coeffs.radix]]].transpose(0, 2, 1)
 
 
 def _pair_rows(ext: ExtensionData, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -463,21 +470,21 @@ def lambda_pair(ext: ExtensionData, theta: GroupAutomorphism,
     return _proven(ext.cohomology.class_of, wells_cocycle_pair(ext, theta, phi))
 
 
-def _triple_defect(ext: ExtensionData, theta: GroupAutomorphism,
-                   phi: GroupAutomorphism, chi: OneCochain):
-    """First violated triple condition as (name, where), or None: (3) over
-    all x, then (2) over all (x, y), each at its lexicographically first
-    failure."""
-    T = restrict_to_matrix(ext.coeffs, theta)[None]
-    P = np.array([phi.image], dtype=np.intp)
-    bad = _condition_3(ext, T, ext.action[P])[0]
-    if bad.any():
-        return ("(3)", int(np.argmax(bad)))
-    bad = _condition_2(ext, T, P, chi.values[..., None])[0]
-    if bad.any():
-        x, y = np.argwhere(bad)[0]
-        return ("(2)", (int(x), int(y)))
-    return None
+def _triple_defect(ext: ExtensionData, T: np.ndarray, P: np.ndarray, chi: np.ndarray):
+    """The first triple of a stack that violates a condition, as (row, name,
+    where), or None: the first row failing (3) or (2), then (3) over all x
+    if it fails there, else (2) over all (x, y), each at its
+    lexicographically first failure.  T stacks theta matrices, P phi
+    images and chi values indexed [triple, x, c]."""
+    bad3 = _condition_3(ext, T, ext.action[P])
+    bad2 = _condition_2(ext, T, P, np.moveaxis(chi, 0, -1))
+    failed = bad3.any(axis=1) | bad2.any(axis=(1, 2))
+    if not failed.any():
+        return None
+    r = int(np.argmax(failed))
+    if bad3[r].any():
+        return r, "(3)", int(np.argmax(bad3[r]))
+    return r, "(2)", tuple(np.argwhere(bad2[r])[0].tolist())
 
 
 def _condition_3(ext: ExtensionData, T: np.ndarray, A_phi: np.ndarray) -> np.ndarray:
@@ -507,25 +514,63 @@ def _induced_pairs(ext: ExtensionData, img: np.ndarray) -> tuple:
     return ext._position[img[:, ext._members]], ext._pi[img[:, ext._t]]
 
 
-def triple_of(ext: ExtensionData, gamma: GroupAutomorphism) -> WellsTriple:
-    """Decompose an automorphism of G normalizing N into (theta, phi, chi)."""
+def triple_of(ext: ExtensionData, gamma):
+    """Decompose automorphisms of G normalizing N into (theta, phi, chi).
+
+    gamma is one GroupAutomorphism, decomposed into a WellsTriple, or an
+    AutomorphismArray of G (or a view, such as aut_subgroups(ext).aut_N_of_G),
+    decomposed into the theta rows (m, |N|), phi rows (m, h) and chi values
+    (m, h, k) of its members, in its order, as int arrays.  One
+    automorphism is the block of one row: _triple_rows runs every check on
+    every member, over blocks of as many members as keep each array of the
+    checks within _CHECK_BLOCK_TRIPLES // 4 values, the budget of _answered.
+    """
+    if isinstance(gamma, AutomorphismArray) and gamma.group is ext.G:
+        n, h, k = ext.N.order, ext.H.order, len(ext.moduli)
+        # a member's largest arrays: (2) over (h, h, k), (3) over (h, k, k)
+        # and the automorphism proof of theta over (|N|, 1 + |S|)
+        width = max(h * h * k, h * k * k, n * (1 + len(ext.n_group.generators)))
+        step = max(1, _CHECK_BLOCK_TRIPLES // (4 * width))
+        rows, m = gamma.rows, len(gamma)
+        out = (np.empty((m, n), dtype=np.intp), np.empty((m, h), dtype=np.intp),
+               np.empty((m, h, k), dtype=np.int64))
+        for lo in range(0, len(rows), step):
+            for part, got in zip(out, _triple_rows(ext, rows[lo:lo + step])):
+                part[lo:lo + step] = got
+        return out
     if not isinstance(gamma, GroupAutomorphism) or gamma.group is not ext.G:
         raise ParentMismatch("gamma must be an automorphism of G")
-    img = np.array([gamma.image], dtype=np.intp)
-    (theta_row,), (phi_row,) = _induced_pairs(ext, img)
-    theta_image = theta_row.tolist()
-    if -1 in theta_image:
-        bad = ext.N.members[theta_image.index(-1)]
-        raise DoesNotNormalize(f"gamma({bad}) = {gamma.image[bad]} leaves the subgroup")
-    theta = GroupAutomorphism(ext.n_group, theta_image)
-    phi = GroupAutomorphism(ext.H, phi_row.tolist())
-    # chi(x) = t(phi x)^-1 gamma(t(x)), in N by the definition of phi
-    g = ext.G.cayley[ext._inverse[ext._t[phi_row]], img[0, ext._t]]
-    chi = OneCochain(ext.H, ext.moduli, ext._coords[g])
-    bad = _triple_defect(ext, theta, phi, chi)
+    (theta,), (phi,), (chi,) = _triple_rows(ext, np.array([gamma.image], dtype=np.intp))
+    return WellsTriple(GroupAutomorphism._trusted(ext.n_group, tuple(theta.tolist())),
+                       GroupAutomorphism._trusted(ext.H, tuple(phi.tolist())),
+                       OneCochain(ext.H, ext.moduli, chi))
+
+
+def _triple_rows(ext: ExtensionData, img: np.ndarray) -> tuple:
+    """The theta rows, phi rows and chi values [row, x, c] of the gammas
+    with image rows img over G, each check of the decomposition run once
+    over the block:
+
+    - theta rows free of -1 (DoesNotNormalize, naming the first member of N
+      that the first such row moves out of N);
+    - theta and phi automorphisms of N and H, by groups._require_automorphisms;
+    - conditions (3) and (2), the first failing row named by _triple_defect.
+    chi(x) = t(phi x)^-1 gamma(t(x)) is one gather, in N by the definition
+    of phi.
+    """
+    theta, phi = _induced_pairs(ext, img)
+    out = theta < 0
+    if out.any():
+        r = int(np.argmax(out.any(axis=1)))
+        bad = ext.N.members[int(np.argmax(out[r]))]
+        raise DoesNotNormalize(f"gamma({bad}) = {img[r, bad]} leaves the subgroup")
+    _require_automorphisms(ext.n_group, theta, "decomposed theta is not an automorphism of N")
+    _require_automorphisms(ext.H, phi, "decomposed phi is not an automorphism of H")
+    chi = ext._coords[ext.G.cayley[ext._inverse[ext._t[phi]], img[:, ext._t]]]
+    bad = _triple_defect(ext, _theta_matrices(ext.coeffs, theta), phi, chi)
     if bad is not None:
-        raise AssertionError(f"decomposed triple violates condition {bad[0]} at {bad[1]}")
-    return WellsTriple(theta, phi, chi)
+        raise AssertionError(f"decomposed triple violates condition {bad[1]} at {bad[2]}")
+    return theta, phi, chi
 
 
 def automorphism_from_triple(ext: ExtensionData,
@@ -536,12 +581,12 @@ def automorphism_from_triple(ext: ExtensionData,
     _check_phi(ext, phi)
     if chi.group is not ext.H or chi.moduli != ext.moduli:
         raise ParentMismatch("chi does not live over this extension's data")
-    bad = _triple_defect(ext, theta, phi, chi)
+    P = np.array([phi.image], dtype=np.intp)
+    bad = _triple_defect(ext, restrict_to_matrix(ext.coeffs, theta)[None], P,
+                         chi.values[None])
     if bad is not None:
-        raise TripleConditionsFail(
-            f"triple condition {bad[0]} fails at {bad[1]}")
-    img = _gamma_images(ext, np.array([theta.image], dtype=np.intp),
-                        np.array([phi.image], dtype=np.intp), chi.values[None])
+        raise TripleConditionsFail(f"triple condition {bad[1]} fails at {bad[2]}")
+    img = _gamma_images(ext, np.array([theta.image], dtype=np.intp), P, chi.values[None])
     try:
         gamma = GroupAutomorphism(ext.G, img[0].tolist())
     except InputError as exc:
@@ -839,36 +884,43 @@ def verify_exactness(ext: ExtensionData) -> dict:
       - for central extensions, gamma -> (theta, phi) on all of the
         N-normalizers has kernel as above and image the pairs with trivial
         pair class.
-    gamma projects to the pair of triple_of(gamma) with the slot the
-    sequence fixes read as the identity; a moved fixed slot is a violation.
-    Each gamma is decomposed once per call, whichever sequences project it.
+    The union of the sets the sequences project is decomposed once per
+    call, by one triple_of call on its view of Aut_N(G).  gamma projects to
+    the rows of its free slots, the slot the sequence fixes read as the
+    identity; a moved fixed slot is a violation, the only place a member is
+    built as a tuple.  Each kernel is a mask over the union, compared with
+    the mask of the N,H-fixing subgroup, and each image the set of distinct
+    projected rows, compared with the starred set's.
     """
     subs = aut_subgroups(ext)
     pairs, c1, c2 = compatible_pairs(ext)
     stars = starred_sets(ext)
     cg = ext.cohomology
     violations: list[str] = []
-    both_keys = {g.image for g in subs.aut_upper_N_H}
-    identity = pair_key(ext.id_pair)
+    normal = subs.aut_N_of_G
+    projects = {which: normal.mask(sequence_autos(subs, which)) for which in stars}
+    union = np.logical_or.reduce(list(projects.values()))
+    autos = normal.view(union)
+    both = normal.mask(subs.aut_upper_N_H)[union]
+    slots = triple_of(ext, autos)[:2]
+    # theta = 1 and phi = 1, over the union
+    one = [(rows == np.arange(rows.shape[1])).all(axis=1) for rows in slots]
     exact: dict[int, Optional[bool]] = {1: None, 2: None, 3: None}
-    decomposed: dict[tuple, tuple] = {}     # gamma.image -> its pair
     for which, star in stars.items():
         seq = _SEQUENCES[which]
-        image, kernel = set(), set()
-        for g in sequence_autos(subs, which):
-            pair = decomposed.get(g.image)
-            if pair is None:
-                pair = decomposed[g.image] = pair_key(triple_of(ext, g))
-            key = tuple(p if free else i
-                        for p, free, i in zip(pair, seq.free, identity))
-            if key != pair:
-                violations.append(f"automorphism {g.image} {seq.moved}")
-            image.add(key)
-            if key == identity:
-                kernel.add(g.image)
-        starred = {pair_key(slice_pair(ext, which, m)) for m in star}
-        failed = [msg for msg, ok in ((seq.kernel, kernel == both_keys),
-                                      (seq.image, image == starred)) if not ok]
+        member = projects[which][union]
+        free = [i for i in (0, 1) if seq.free[i]]
+        moved = member & ~np.all([one[i] for i in (0, 1) if not seq.free[i]], axis=0)
+        violations.extend(f"automorphism {autos[i].image} {seq.moved}"
+                          for i in np.flatnonzero(moved).tolist())
+        kernel = member & np.all([one[i] for i in free], axis=0)
+        key = np.concatenate([slots[i] for i in free], axis=1)
+        starred = [pair_key(slice_pair(ext, which, m)) for m in star]
+        starred = np.array([[v for i in free for v in p[i]] for p in starred],
+                           dtype=np.intp).reshape(len(star), key.shape[1])
+        failed = [msg for msg, ok in (
+            (seq.kernel, np.array_equal(kernel, both)),
+            (seq.image, set(_row_keys(key[member])) == set(_row_keys(starred)))) if not ok]
         exact[which] = not failed
         violations.extend(dict.fromkeys(failed))    # sequence 3 names both once
     return {
@@ -921,9 +973,10 @@ def derivation_check(ext: ExtensionData) -> dict:
     law at (g, w) for all g and at (g w, s) gives k_(g w s) = k_g o
     (phi_(w s) x phi_(w s)) + Theta_g k_(w s), as phi_(w s) = phi_w phi_s
     and Theta_(g w) = Theta_g Theta_w, so by induction on word length in S.
-    Only k_1 and the k_s are proven cocycles (CohomologyGroup._keys_of); the
-    law then makes every k one by the same induction, as k_g o (phi_s x
-    phi_s) and Theta_g k_s stay cocycles (A o phi = A, and condition (3)).
+    Only k_1 and the k_s are proven cocycles, those of both slices by one
+    CohomologyGroup._keys_of call over their stacked rows; the law then
+    makes every k one by the same induction, as k_g o (phi_s x phi_s) and
+    Theta_g k_s stay cocycles (A o phi = A, and condition (3)).
     Where the two sides differ their classes are compared too, both sides
     keyed and proven by _keys_of.  compatible_pairs found every member
     compatible, and _condition_3 over the slice must agree.  The action
@@ -940,6 +993,7 @@ def derivation_check(ext: ExtensionData) -> dict:
     p = min(3, (h - 1) * k)
     unit = np.eye(h * k, dtype=np.int64)[:, k:k + p].reshape(h, k, p)
     delta = _coboundary(unit, cg._A, H.cayley)
+    slices = []
     for which, name, members in ((1, "theta", c1), (2, "phi", c2)):
         pairs = [slice_pair(ext, which, g) for g in members]
         T = np.stack([restrict_to_matrix(ext.coeffs, th) for th, _ in pairs])
@@ -951,7 +1005,10 @@ def derivation_check(ext: ExtensionData) -> dict:
         images = np.array([g.image for g in members], dtype=np.intp)
         gens, prods = require_closed(images, f"{name} slice is not closed under composition")
         one = int(np.flatnonzero((images == np.arange(images.shape[1])).all(axis=1))[0])
-        cg._keys_of(K[[one, *gens]])
+        slices.append((name, members, T, P, K, one, gens, prods))
+    # k_1 and the k_s of both slices, proven in one call
+    cg._keys_of(np.concatenate([K[[one, *gens]] for *_, K, one, gens, _ in slices]))
+    for name, members, T, P, K, one, gens, prods in slices:
         failed = []
         for s, prod in [(one, np.arange(len(K)))] + list(zip(gens, prods)):
             # k_(g s) - k_g o (phi_s x phi_s) - Theta_g k_s for every g,

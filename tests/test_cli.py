@@ -338,6 +338,9 @@ STDOUT_SHA256 = [
     (["lift", "--group", "cyclic(256)", "--subgroup", "members:0,128",
       "--phi", "inversion"],
      "6ca751db2df10eb626a6a1a1686233c8c54c9f484de2615a41bd1fd6faa9ad43"),
+    # 12 000 members of Aut_N(G): the exactness check crosses many blocks
+    (["verify", "--group", "heisenberg(5)", "--subgroup", "center"],
+     "733de626f7c2dc4cd8caf892bf08c9f92a3a2e23cf79d1419cf3dad6f7efb4c3"),
 ]
 
 
@@ -346,7 +349,8 @@ STDOUT_SHA256 = [
 def test_stdout_bytes_are_pinned(capsys, argv, digest):
     """Central k = 1, non-central and k = 2 reports, lift/extend witnesses
     and an obstruction on heisenberg(3) over its centre, witnesses over
-    Z4 and Z8, split reports, a pair lift and both sylow flavours."""
+    Z4 and Z8, split reports, a pair lift, both sylow flavours and an
+    exactness check over many blocks."""
     main(argv)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

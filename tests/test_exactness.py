@@ -1,7 +1,9 @@
 """verify_exactness on broken decompositions: one sequence at a time is made
-to fail by letting triple_of report a moved theta, phi or pair for a single
-automorphism, and the exact violations and seq_1_* flags are pinned."""
+to fail by letting the block triple_of report a moved theta, phi or pair
+for a single automorphism, and the exact violations and seq_1_* flags are
+pinned."""
 
+import numpy as np
 import pytest
 
 from extlift import aut_subgroups, automorphism_group, verify_exactness, wells
@@ -18,16 +20,17 @@ def _pick(subs, which):
                 if g not in subs.aut_N_H and g not in subs.aut_upper_N)
 
 
-def _moved(ext, triple, move):
+def _moved(ext, theta, phi, move):
+    """The theta and phi rows of a decomposed member after move."""
     if move == "phi":
-        return triple._replace(phi=automorphism_group(ext.H)[1])
+        return theta, automorphism_group(ext.H)[1].image
     if move == "theta":
-        return triple._replace(theta=automorphism_group(ext.n_group)[1])
+        return automorphism_group(ext.n_group)[1].image, phi
     if move == "phi=1":
-        return triple._replace(phi=ext.id_H)
+        return theta, ext.id_H.image
     if move == "theta=1":
-        return triple._replace(theta=ext.id_N)
-    return triple._replace(theta=ext.id_N, phi=ext.id_H)
+        return ext.id_N.image, phi
+    return ext.id_N.image, ext.id_H.image
 
 
 D12 = ("dihedral(12)", (0, 2, 4))            # non-central, kernel order 3
@@ -81,9 +84,12 @@ def test_broken_decomposition_names_its_sequence(monkeypatch, extension, which,
     target = _pick(aut_subgroups(ext), which).image
     real = wells.triple_of
 
-    def broken(e, gamma):
-        triple = real(e, gamma)
-        return _moved(e, triple, move) if gamma.image == target else triple
+    def broken(e, autos):
+        theta, phi, chi = real(e, autos)
+        theta, phi = theta.copy(), phi.copy()
+        for i in np.flatnonzero((autos.rows == target).all(axis=1)):
+            theta[i], phi[i] = _moved(e, theta[i], phi[i], move)
+        return theta, phi, chi
 
     monkeypatch.setattr(wells, "triple_of", broken)
     report = verify_exactness(ext)

@@ -120,9 +120,9 @@ def test_one_report_computes_each_fact_once(monkeypatch):
             return build()
         return real_fact(e, key, counted)
 
-    def counting_triple(e, gamma):
-        decomposed[gamma.image] += 1
-        return real_triple(e, gamma)
+    def counting_triple(e, autos):
+        decomposed.update(map(tuple, autos.rows.tolist()))    # rows of the block
+        return real_triple(e, autos)
 
     for module in (wells, splitting):
         monkeypatch.setattr(module, "_fact", counting_fact)

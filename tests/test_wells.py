@@ -32,8 +32,8 @@ from extlift import (CompatiblePair, DoesNotNormalize, InputError, NotAbelian,
 from extlift.abelian import restrict_to_matrix
 from extlift.catalog import parse_catalog_expression
 from extlift.cli import main
-from extlift.groups import (GroupAutomorphism, all_subgroups, center,
-                            derived_subgroup)
+from extlift.groups import (AutomorphismArray, GroupAutomorphism, all_subgroups,
+                            center, derived_subgroup)
 from extlift.intlin import TriangularLattice
 from extlift.reports import corpus_pairs, group_json, h2_report
 from extlift.wells import _induced_pairs, pair_key, slice_pair, starred_sets
@@ -168,6 +168,127 @@ def test_induced_pairs_and_aut_subgroups_match_the_references():
             for field in dataclasses.fields(got):
                 assert tuple(getattr(got, field.name)) == getattr(want, field.name), name
     assert moving > 0 and copies > 0
+
+
+def _corpus_extensions(max_order):
+    for G in shipped_corpus():
+        if G.order <= max_order:
+            for N in corpus_pairs(G):
+                yield extension_from(G, N)
+
+
+def test_block_triples_match_the_element_references():
+    """triple_of on the view Aut_N(G) gives, member by member, the pair of
+    oracles.reference_induced_pair and the chi of reference_chi, on every
+    corpus extension with |G| <= 32 and on its copy over the largest member
+    of each coset."""
+    members = 0
+    for base in _corpus_extensions(32):
+        last = {base.pi(g): g for g in range(base.G.order)}
+        other = base.with_transversal([0] + [last[x] for x in range(1, base.H.order)])
+        autos = aut_subgroups(base).aut_N_of_G
+        for ext in (base, other):
+            theta, phi, chi = triple_of(ext, autos)
+            assert chi.shape == (len(autos), ext.H.order, len(ext.moduli))
+            for gamma, t, p, c in zip(autos, theta.tolist(), phi.tolist(), chi.tolist()):
+                assert (tuple(t), tuple(p)) == reference_induced_pair(ext, gamma)
+                assert tuple(map(tuple, c)) == reference_chi(ext, gamma)
+                members += 1
+    assert members > 1000
+
+
+def _planted(ext, gamma, kind):
+    """The image row of gamma changed so that its decomposition fails:
+    "out" sends a member of N out of N, "theta" swaps the images of two
+    members of N, "phi" sends t(1) into N, "(3)" puts on N an automorphism
+    of N not compatible with phi, and "(2)" shifts chi(1) by a member of N."""
+    G, members, row = ext.G, ext.N.members, list(gamma.image)
+    if kind == "out":
+        g = next(g for g in range(G.order) if g not in ext.N.member_set)
+        row[members[1]], row[g] = row[g], row[members[1]]
+    elif kind == "theta":
+        row[members[1]], row[members[2]] = row[members[2]], row[members[1]]
+    elif kind == "phi":
+        row[ext.transversal[1]] = members[1]
+    elif kind == "(3)":
+        phi = triple_of(ext, gamma).phi
+        theta = next(th for th in automorphism_group(ext.n_group)
+                     if not is_compatible(ext, th, phi))
+        for m, i in zip(members, theta.image):
+            row[m] = members[i]
+    else:
+        t = ext.transversal[1]
+        row[t] = G.mul(row[t], members[1])
+    return row
+
+
+@pytest.mark.parametrize("case,kinds", [
+    ("a4-v4", ("out",)), ("a4-v4", ("(3)",)), ("a4-v4", ("(2)",)),
+    ("a4-v4", ("(3)", "(2)")), ("a4-v4", ("(2)", "(3)")),
+    ("d8-c4", ("theta",)), ("d8-c4", ("phi",)), ("d8-c4", ("out", "theta"))])
+def test_block_names_the_planted_row_as_the_one_row_form(case, kinds):
+    """A block of six members of Aut_N(G) with bad rows planted at
+    positions 2 (and 4) raises what the one-row triple_of raises on the
+    row at 2: DoesNotNormalize, theta or phi no automorphism, or the first
+    failing condition and its position."""
+    if case == "a4-v4":
+        a4 = _alt4()
+        ext = extension_from(a4, derived_subgroup(a4))
+    else:
+        d8 = catalog("dihedral", 8)
+        ext = extension_from(d8, Subgroup(d8, [0, 1, 2, 3]))
+    autos = aut_subgroups(ext).aut_N_of_G
+    rows = [g.image for g in autos[:6]]
+    for at, kind in zip((2, 4), kinds):
+        rows[at] = _planted(ext, autos[at], kind)
+    with pytest.raises((AssertionError, DoesNotNormalize)) as one:
+        triple_of(ext, GroupAutomorphism._trusted(ext.G, tuple(rows[2])))
+    with pytest.raises((AssertionError, DoesNotNormalize)) as block:
+        triple_of(ext, AutomorphismArray(ext.G, np.array(rows, dtype=np.int32)))
+    assert type(block.value) is type(one.value)
+    assert str(block.value) == str(one.value)
+    want = {"out": "leaves the subgroup",
+            "theta": "decomposed theta is not an automorphism of N: ",
+            "phi": "decomposed phi is not an automorphism of H: "}
+    assert want.get(kinds[0], f"condition {kinds[0]} at") in str(one.value)
+
+
+def test_exactness_in_one_member_blocks_matches_one_block(monkeypatch):
+    """verify_exactness with the block budget patched so small that
+    triple_of decomposes one member per block returns the same dict, on
+    every corpus extension with |G| <= 16; the members decomposed are the
+    union of the sets the sequences project."""
+    wells = importlib.import_module("extlift.wells")
+    real, sizes = wells._triple_rows, []
+
+    def counted(ext, img):
+        sizes.append(len(img))
+        return real(ext, img)
+
+    for ext in _corpus_extensions(16):
+        want = verify_exactness(ext)
+        subs = aut_subgroups(ext)
+        union = (len(subs.aut_N_of_G) if ext.central else
+                 len(subs.aut_N_H) + len(subs.aut_upper_N) - len(subs.aut_upper_N_H))
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(wells, "_triple_rows", counted)
+            m.setattr(wells, "_CHECK_BLOCK_TRIPLES", 1)
+            assert verify_exactness(ext) == want
+        assert sizes == [1] * union
+
+
+def test_mask_reads_a_view_over_its_own_array():
+    G = catalog("dihedral", 12)
+    ext = extension_from(G, Subgroup(G, [0, 2, 4]))
+    subs = aut_subgroups(ext)
+    normal = subs.aut_N_of_G
+    for field in dataclasses.fields(subs):
+        sub = getattr(subs, field.name)
+        listed = {g.image for g in sub}
+        assert normal.mask(sub).tolist() == [g.image in listed for g in normal]
+    with pytest.raises(InputError):
+        normal.mask(automorphism_group(ext.H))
 
 
 def test_valid_triples_enumerate_the_normalizing_automorphisms():
@@ -1121,6 +1242,8 @@ def test_parent_checks_on_automorphism_arguments():
         lift_automorphism(ext, alien)
     with pytest.raises(ParentMismatch):
         triple_of(ext, alien)
+    with pytest.raises(ParentMismatch):
+        triple_of(ext, automorphism_group(z3))
 
 
 def test_transversal_validation():
